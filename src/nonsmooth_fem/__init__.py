@@ -7,7 +7,7 @@ Modules:
     hamiltonian  Hamiltonian models with pointwise generalized-Jacobian selections
     hj_solver    semismooth Newton / damped Picard for Hamilton-Jacobi problems
     mfg_solver   block Newton / fixed-point solvers for the coupled MFG system
-    diagnostics  discrete Banach constants, stability scans, rate fitting
+    diagnostics  discrete Banach constants, stability scans, refinement studies
     manufactured closed-form test solutions with compensating sources
     cli          batch front end (experiment configs, JSON/CSV reports)
 """

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 nonconvergence (or a failed
 selftest). Reports embed the resolved configuration and are byte-identical
-across reruns with the same config and seed, except for the wall_time_s
-field. The NONSMOOTH_FEM_THREADS environment variable caps study workers.
+across reruns with the same config, except for the wall_time_s field.
+The NONSMOOTH_FEM_THREADS environment variable caps study workers.
 """
 
 from __future__ import annotations
@@ -120,15 +120,20 @@ def _write_report(path: str | None, report: dict) -> None:
         sys.stdout.write(text)
 
 
-def _rates_payload(report: dg.ConvergenceReport) -> dict:
-    return {
-        "levels": report.levels,
-        "hs": report.hs,
-        "dofs": report.dofs,
-        "errors": report.errors,
-        "rates": {k: _jsonable(v) for k, v in report.rates.items()},
-        "meta": report.meta,
-    }
+def _write_study(path, command: str, config: dict, study: dg.ConvergenceReport, t0) -> int:
+    """Write a refinement-study report; t0 is the study's start time."""
+    _write_report(path, {
+        "command": command,
+        "config": config,
+        "levels": study.levels,
+        "hs": study.hs,
+        "dofs": study.dofs,
+        "errors": study.errors,
+        "rates": {k: _jsonable(v) for k, v in study.rates.items()},
+        "meta": study.meta,
+        "wall_time_s": time.perf_counter() - t0,
+    })
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- subcommands
@@ -143,18 +148,21 @@ def _cmd_mesh_info(args) -> int:
     return EXIT_OK
 
 
-def _hj_config(args) -> dict:
+def _solver_config(args) -> dict:
+    """Config echo of the flags the HJ and MFG subcommands share."""
     return {
         "n": getattr(args, "n", None),
         "hamiltonian": args.hamiltonian,
         "lambda": _check_finite("lambda", args.lam),
-        "manufactured": _manufactured_name(args.manufactured),
         "solver": args.solver,
         "tol": _check_finite("tol", args.tol),
         "max_iter": args.max_iter,
         "theta": _check_finite("theta", args.theta),
-        "seed": args.seed,
     }
+
+
+def _hj_config(args) -> dict:
+    return {**_solver_config(args), "manufactured": _manufactured_name(args.manufactured)}
 
 
 def _cmd_solve_hj(args) -> int:
@@ -202,17 +210,10 @@ def _cmd_solve_hj(args) -> int:
 
 def _mfg_config(args) -> dict:
     return {
-        "n": getattr(args, "n", None),
-        "hamiltonian": args.hamiltonian,
+        **_solver_config(args),
         "coupling": args.coupling,
-        "lambda": _check_finite("lambda", args.lam),
         "m0": args.m0,
         "manufactured": _manufactured_name(args.manufactured) if args.manufactured else None,
-        "solver": args.solver,
-        "tol": _check_finite("tol", args.tol),
-        "max_iter": args.max_iter,
-        "theta": _check_finite("theta", args.theta),
-        "seed": args.seed,
     }
 
 
@@ -290,11 +291,7 @@ def _cmd_convergence_hj(args) -> int:
         solver=config["solver"], tol=config["tol"], max_iter=config["max_iter"],
         theta_p=config["theta"], threads=_thread_count(len(levels)),
     )
-    payload = {"command": "convergence-hj", "config": config}
-    payload.update(_rates_payload(study))
-    payload["wall_time_s"] = time.perf_counter() - t0
-    _write_report(args.out, payload)
-    return EXIT_OK
+    return _write_study(args.out, "convergence-hj", config, study, t0)
 
 
 def _cmd_convergence_mfg(args) -> int:
@@ -305,28 +302,14 @@ def _cmd_convergence_mfg(args) -> int:
     del config["n"]
     if not config["manufactured"]:
         raise UsageError("convergence-mfg requires --manufactured")
-    model = hm.model_from_spec(config["hamiltonian"])
-    coupling = mfg.coupling_from_spec(config["coupling"])
-    lam = config["lambda"]
-    g_hjb, g_fp = man.mfg_sources(model, coupling, lam)
-
-    def factory(n):
-        space = fem.make_space(mesh.unit_square_mesh(n))
-        return mfg.make_mfg_problem(
-            space, model, coupling, lam, man.m_star, g_hjb=g_hjb, g_fp=g_fp
-        )
-
     t0 = time.perf_counter()
     study = mfg.convergence_study_mfg(
-        factory, levels, man.u_star, man.grad_u_star, man.m_star, man.grad_m_star,
+        lambda n: _mfg_problem_from_config(config, n),
+        levels, man.u_star, man.grad_u_star, man.m_star, man.grad_m_star,
         solver=config["solver"], tol=config["tol"], max_iter=config["max_iter"],
         theta_p=config["theta"], r=config["r"], threads=_thread_count(len(levels)),
     )
-    payload = {"command": "convergence-mfg", "config": config}
-    payload.update(_rates_payload(study))
-    payload["wall_time_s"] = time.perf_counter() - t0
-    _write_report(args.out, payload)
-    return EXIT_OK
+    return _write_study(args.out, "convergence-mfg", config, study, t0)
 
 
 def _cmd_diagnose_stability(args) -> int:
@@ -468,7 +451,6 @@ def _add_common_solver_flags(p, tol_default):
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=42)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="8,16,32")
     p.add_argument("--lambdas", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_diagnose_stability)
 
     p = sub.add_parser("selftest", help="run the built-in sanity examples")

@@ -11,12 +11,16 @@ checkable shadow of the stability assumptions behind the error estimates.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import fem
+from . import hamiltonian as hm
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,54 @@ class ConvergenceReport:
     errors: dict  # norm label -> list of errors, aligned with levels
     rates: dict  # norm label -> RateFit (only when >= 3 levels)
     meta: dict = field(default_factory=dict)
+
+
+def refinement_study(solve_level, level_errors, levels, threads, meta) -> ConvergenceReport:
+    """Refinement study: solve_level(n) -> (problem, report) per mesh
+    parameter n, level_errors(problem, report) -> {norm label: error}.
+
+    Levels run independently (across a thread pool when threads > 1); a
+    level that fails to converge aborts the study. Rates are fitted from 3
+    levels on; meta gains the per-level iteration counts.
+    """
+    levels = [int(n) for n in levels]
+    if levels != sorted(levels) or len(set(levels)) != len(levels):
+        raise ValueError("levels must be strictly increasing")
+
+    def run_level(n):
+        problem, rep = solve_level(n)
+        if not rep.converged:
+            raise fem.NonconvergenceError(
+                f"level n={n} did not converge: {rep.message} "
+                f"(residual {rep.residual_history[-1]:.3e})"
+            )
+        return {
+            "n": n,
+            "h": problem.space.mesh.mesh_size_h,
+            "dofs": problem.space.n_free,
+            "errors": level_errors(problem, rep),
+            "iterations": rep.iterations,
+        }
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run_level, levels))
+    else:
+        rows = [run_level(n) for n in levels]
+    rows.sort(key=lambda row: -row["h"])
+    hs = [row["h"] for row in rows]
+    errors = {k: [row["errors"][k] for row in rows] for k in rows[0]["errors"]}
+    rates = {}
+    if len(rows) >= 3:
+        rates = {k: fit_rate(hs, errors[k]) for k in errors}
+    return ConvergenceReport(
+        levels=[row["n"] for row in rows],
+        hs=hs,
+        dofs=[row["dofs"] for row in rows],
+        errors=errors,
+        rates=rates,
+        meta={**meta, "iterations": [row["iterations"] for row in rows]},
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +228,7 @@ def _selection_samples(problem, state, n_samples: int):
     deterministic selection. Models without a kink radius yield identical
     samples.
     """
-    from . import fem, hamiltonian as hm, mfg_solver
+    from . import mfg_solver
 
     space = problem.space
     xi_base = mfg_solver.hp_selection_elements(problem, state.u)
@@ -208,8 +260,6 @@ def _selection_samples(problem, state, n_samples: int):
 
 def state_space_grams(space) -> GramPair:
     """H1 x L2 geometry for the stacked (u, m) linearization."""
-    from . import fem
-
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
     G = sp.block_diag([(K + M).tocsr(), M.tocsr()]).tocsc()

@@ -219,6 +219,15 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     return space._cache["M"]
 
 
+def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
+    """B[i][j] = integral of (b_T . Dphi_j) phi_i for an elementwise-constant
+    vector field b given as one row per element: (nt, 2)."""
+    drift = np.einsum("td,tjd->tj", field, space.elem_grads)  # b_T . Dphi_j
+    # integral of phi_i over T is |T|/3, independent of i
+    local = (space.elem_areas[:, None] / 3.0 * drift)[:, None, :] * np.ones((1, 3, 1))
+    return assemble_from_local(space, local)
+
+
 # ------------------------------------------------------------- field evaluation
 
 
@@ -250,11 +259,16 @@ def _eval_vector_field(g, pts: np.ndarray) -> np.ndarray:
 
 def quad_points(space: FeSpace, order: int):
     """Quadrature nodes per element: returns (bary, weights, X) where X has
-    shape (nq, nt, 2)."""
-    bary, weights = triangle_rule(order)
-    p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
-    X = np.einsum("qk,tkd->qtd", bary, p)
-    return bary, weights, X
+    shape (nq, nt, 2). Cached on the space; the arrays are read-only."""
+    key = ("quad_points", order)
+    if key not in space._cache:
+        bary, weights = triangle_rule(order)
+        p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
+        X = np.einsum("qk,tkd->qtd", bary, p)
+        for a in (bary, weights, X):
+            a.flags.writeable = False
+        space._cache[key] = (bary, weights, X)
+    return space._cache[key]
 
 
 def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:

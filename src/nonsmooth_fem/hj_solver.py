@@ -8,7 +8,8 @@ element (P1 gradients are constant, so the selection field is measurable
 and exact) and C(xi)[i][j] = integral of (xi_T . Dphi_j) phi_i. Steps are
 damped by halving until the residual decreases in the discrete dual norm
 ||r||_{(K+M)^{-1}}; the weight is lambda-independent so stopping behaves
-uniformly across mesh sizes.
+uniformly across mesh sizes. The damping lives in damped_newton, the one
+Newton loop of the package: mfg_solver's block Newton runs through it too.
 
 Picard iterates the linear solution operator on the lagged nonlinearity,
 u <- (1-theta) u + theta (K + lam M)^{-1}(b - H-load(u)); it is slower but
@@ -17,16 +18,15 @@ derivative-free, and serves as an independent cross-check of Newton limits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import fem
 from . import hamiltonian as hm
-from .diagnostics import ConvergenceReport, fit_rate
-from .fem import FemError, NonconvergenceError
+from .diagnostics import ConvergenceReport, refinement_study
+from .fem import FemError
 
 _MAX_HALVINGS = 10  # damping grid 1, 1/2, ..., 2^-10
 
@@ -97,68 +97,70 @@ def _residual(problem: HjProblem, u: np.ndarray, b: np.ndarray) -> np.ndarray:
 def newton_matrix(problem: HjProblem, u: np.ndarray):
     """K + lam M + C(xi) with xi = Clarke selection at (centroid, Du_h|_T)."""
     space = problem.space
-    xi = hm.selection_field(problem.model, space, u)
-    drift = np.einsum("td,tjd->tj", xi, space.elem_grads)  # xi_T . Dphi_j
-    # integral of phi_i over T is |T|/3, independent of i
-    local = (space.elem_areas[:, None] / 3.0 * drift)[:, None, :] * np.ones((1, 3, 1))
-    C = fem.assemble_from_local(space, local)
+    C = fem.drift_matrix(space, hm.selection_field(problem.model, space, u))
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
     return (K + problem.lam * M + C).tocsr()
 
 
-def solve_newton(problem: HjProblem, u0=None, tol=1e-10, max_iter=50) -> SolveReport:
-    """Damped semismooth Newton; stops when the dual-norm residual <= tol.
+def damped_newton(residual, jacobian, norm, x0, tol, max_iter) -> SolveReport:
+    """Damped semismooth Newton on x; stops when norm(residual(x)) <= tol.
 
-    Damping tries s = 1, 1/2, ..., 2^-10 and accepts the first step that
-    strictly decreases the residual norm; if none does, the report comes
-    back converged=False rather than raising.
+    Each step solves jacobian(x) dx = residual(x) by sparse LU. Damping
+    tries s = 1, 1/2, ..., 2^-10 and accepts the first x - s dx that
+    strictly decreases the residual norm; if none does, or max_iter steps
+    pass, the report comes back converged=False rather than raising. A
+    singular Jacobian raises FemError. final_u holds the last iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    space = problem.space
-    u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
-    rn = fem.residual_norm(space)
-    b = load_vector(problem)
-    r = _residual(problem, u, b)
-    history = [rn(r)]
+    x = x0
+    r = residual(x)
+    history = [norm(r)]
     iterations = 0
+    message = ""
     while history[-1] > tol:
         if iterations >= max_iter:
-            return SolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_u=u,
-                message=f"iteration limit {max_iter} reached",
-            )
-        J = newton_matrix(problem, u)
+            message = f"iteration limit {max_iter} reached"
+            break
         try:
-            du = spla.splu(J.tocsc()).solve(r)
+            dx = spla.splu(jacobian(x).tocsc()).solve(r)
         except RuntimeError as exc:
             raise FemError(f"newton linear system is singular: {exc}") from exc
-        accepted = False
         for k in range(_MAX_HALVINGS + 1):
-            s = 0.5**k
-            u_try = u - s * du
-            r_try = _residual(problem, u_try, b)
-            norm_try = rn(r_try)
+            x_try = x - 0.5**k * dx
+            r_try = residual(x_try)
+            norm_try = norm(r_try)
             if norm_try < history[-1]:
-                u, r = u_try, r_try
+                x, r = x_try, r_try
                 history.append(norm_try)
                 iterations += 1
-                accepted = True
                 break
-        if not accepted:
-            return SolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_u=u,
-                message="damping exhausted without residual decrease",
-            )
+        else:
+            message = "damping exhausted without residual decrease"
+            break
     return SolveReport(
-        converged=True, iterations=iterations, residual_history=history, final_u=u
+        converged=not message,
+        iterations=iterations,
+        residual_history=history,
+        final_u=x,
+        message=message,
+    )
+
+
+def solve_newton(problem: HjProblem, u0=None, tol=1e-10, max_iter=50) -> SolveReport:
+    """Damped semismooth Newton on u (see damped_newton); stops when the
+    dual-norm residual <= tol."""
+    space = problem.space
+    u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
+    b = load_vector(problem)
+    return damped_newton(
+        lambda v: _residual(problem, v, b),
+        lambda v: newton_matrix(problem, v),
+        fem.residual_norm(space),
+        u,
+        tol,
+        max_iter,
     )
 
 
@@ -176,15 +178,11 @@ def solve_picard(
     b = load_vector(problem)
     history = [rn(_residual(problem, u, b))]
     iterations = 0
+    message = ""
     while history[-1] > tol:
         if iterations >= max_iter:
-            return SolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_u=u,
-                message=f"iteration limit {max_iter} reached",
-            )
+            message = f"iteration limit {max_iter} reached"
+            break
         target = b - hamiltonian_load(problem, u)
         if not target.any():
             u_lin = np.zeros(space.n_free)
@@ -194,7 +192,11 @@ def solve_picard(
         iterations += 1
         history.append(rn(_residual(problem, u, b)))
     return SolveReport(
-        converged=True, iterations=iterations, residual_history=history, final_u=u
+        converged=not message,
+        iterations=iterations,
+        residual_history=history,
+        final_u=u,
+        message=message,
     )
 
 
@@ -209,62 +211,24 @@ def convergence_study_hj(
     theta_p=0.5,
     threads=1,
 ) -> ConvergenceReport:
-    """Solve on a refinement family and fit H1/L2 error rates.
-
-    problem_factory(n) must return the HjProblem for mesh parameter n.
-    Levels run independently (optionally across a thread pool); a level
-    that fails to converge aborts the study.
-    """
-    levels = [int(n) for n in levels]
-    if levels != sorted(levels) or len(set(levels)) != len(levels):
-        raise ValueError("levels must be strictly increasing")
+    """Solve on a refinement family and fit H1/L2 error rates
+    (see diagnostics.refinement_study); problem_factory(n) must return the
+    HjProblem for mesh parameter n."""
     if solver not in ("newton", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
 
-    def run_level(n):
+    def solve_level(n):
         problem = problem_factory(n)
         if solver == "newton":
-            rep = solve_newton(problem, tol=tol, max_iter=max_iter)
-        else:
-            rep = solve_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
-        if not rep.converged:
-            raise NonconvergenceError(
-                f"level n={n} did not converge: {rep.message} "
-                f"(residual {rep.residual_history[-1]:.3e})"
-            )
-        space = problem.space
-        errs = {
-            kind: fem.error_vs_exact(space, rep.final_u, u_exact, grad_exact, kind)
+            return problem, solve_newton(problem, tol=tol, max_iter=max_iter)
+        return problem, solve_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
+
+    def level_errors(problem, rep):
+        return {
+            kind: fem.error_vs_exact(problem.space, rep.final_u, u_exact, grad_exact, kind)
             for kind in ("L2", "H1")
         }
-        return {
-            "n": n,
-            "h": space.mesh.mesh_size_h,
-            "dofs": space.n_free,
-            "errors": errs,
-            "iterations": rep.iterations,
-        }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_level, levels))
-    else:
-        rows = [run_level(n) for n in levels]
-    rows.sort(key=lambda row: -row["h"])
-    hs = [row["h"] for row in rows]
-    errors = {kind: [row["errors"][kind] for row in rows] for kind in ("L2", "H1")}
-    rates = {}
-    if len(rows) >= 3:
-        rates = {kind: fit_rate(hs, errors[kind]) for kind in errors}
-    return ConvergenceReport(
-        levels=[row["n"] for row in rows],
-        hs=hs,
-        dofs=[row["dofs"] for row in rows],
-        errors=errors,
-        rates=rates,
-        meta={
-            "solver": solver,
-            "tol": tol,
-            "iterations": [row["iterations"] for row in rows],
-        },
+    return refinement_study(
+        solve_level, level_errors, levels, threads, {"solver": solver, "tol": tol}
     )

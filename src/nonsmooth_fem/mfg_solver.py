@@ -14,6 +14,8 @@ generalized-Jacobian selection xi of H_p per element, the system matrix is
     [ K + lam M + B        -Q  ]
     [ G            K + lam M + B^T ]
 
+Block Newton runs hj_solver.damped_newton, the Newton loop shared with the
+value equation, on the stacked vector (u, m) with the stacked dual norm.
 Picard alternates a full HJ Newton solve for u at frozen m with one linear
 transport solve for m at frozen u, relaxing only m. Newton is fast near a
 solution; Picard is the derivative-free cross-check.
@@ -26,7 +28,6 @@ data, which changes nothing in the linear algebra.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from . import hamiltonian as hm
 from . import hj_solver
-from .diagnostics import ConvergenceReport, fit_rate
+from .diagnostics import ConvergenceReport, refinement_study
 from .fem import FemError, NonconvergenceError
 
 
@@ -237,38 +238,48 @@ def _coupling_nodal(problem: MfgProblem, m: np.ndarray) -> np.ndarray:
     return nodal
 
 
+def _coupling_at_quad(space, nodal, fn) -> np.ndarray:
+    """fn(x, m~) at the order-3 quadrature points: (nq, nt), with m~ the P1
+    function of the all-vertex values `nodal`."""
+    bary, _, X = fem.quad_points(space, 3)
+    m_seen = np.einsum("qk,tk->qt", bary, nodal[np.asarray(space.mesh.triangles)])
+    vals = np.empty(m_seen.shape)
+    for q in range(len(X)):
+        vals[q] = fn(X[q], m_seen[q])
+    return vals
+
+
+def _weighted_local_mass(space, df: np.ndarray) -> np.ndarray:
+    """Element matrices (nt, 3, 3) of the df-weighted P1 mass, df given at
+    the order-3 quadrature points."""
+    bary, weights, _ = fem.quad_points(space, 3)
+    local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
+    local *= space.elem_areas[:, None, None]
+    return local
+
+
 # ------------------------------------------------------------------ residual
 
 
-def _quad_ctx(space):
-    if "quad3" not in space._cache:
-        space._cache["quad3"] = fem.quad_points(space, 3)
-    return space._cache["quad3"]
-
-
-def _nodal_at_quad(space, nodal_full, bary):
-    tri_vals = nodal_full[np.asarray(space.mesh.triangles)]
-    return np.einsum("qk,tk->qt", bary, tri_vals)
-
-
-def _source_load(space, g) -> np.ndarray:
-    if g is None:
-        return np.zeros(space.n_free)
-    return fem.assemble_load(space, g)
+def _source_loads(problem) -> tuple:
+    """Dual loads (b_hjb, b_fp) of the optional extra sources, zero if absent."""
+    space = problem.space
+    return tuple(
+        np.zeros(space.n_free) if g is None else fem.assemble_load(space, g)
+        for g in (problem.g_hjb, problem.g_fp)
+    )
 
 
 def mfg_residual(problem: MfgProblem, state: MfgState) -> np.ndarray:
     """Stacked dual residual (r_u, r_m), each of length n_free."""
-    b_hjb = _source_load(problem.space, problem.g_hjb)
-    b_fp = _source_load(problem.space, problem.g_fp)
-    return _residual(problem, state, b_hjb, b_fp)
+    return _residual(problem, state, *_source_loads(problem))
 
 
 def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    bary, weights, X = _quad_ctx(space)
+    bary, weights, X = fem.quad_points(space, 3)
     u, m = np.asarray(state.u, dtype=float), np.asarray(state.m, dtype=float)
     lam = problem.lam
     Du = fem.element_gradients(space, u)
@@ -278,10 +289,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     h_vals = np.empty((nq, nt))
     for q in range(nq):
         h_vals[q] = hm.eval_many(problem.model, X[q], Du)
-    m_seen = _nodal_at_quad(space, _coupling_nodal(problem, m), bary)
-    f_vals = np.empty((nq, nt))
-    for q in range(nq):
-        f_vals[q] = problem.coupling.f_of_m(X[q], m_seen[q])
+    f_vals = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.f_of_m)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
     r_u = (
@@ -316,9 +324,7 @@ def drift_matrix(problem: MfgProblem, u: np.ndarray) -> sp.csr_matrix:
     mesh = space.mesh
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     hp = hm.hp_many(problem.model, centroids, fem.element_gradients(space, u))
-    drift = np.einsum("td,tjd->tj", hp, space.elem_grads)
-    local = (space.elem_areas[:, None] / 3.0 * drift)[:, None, :] * np.ones((1, 3, 1))
-    return fem.assemble_from_local(space, local)
+    return fem.drift_matrix(space, hp)
 
 
 def hp_selection_elements(problem: MfgProblem, u: np.ndarray) -> np.ndarray:
@@ -347,20 +353,12 @@ def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray):
     """Q with Q[i][j] = (df_dm(x, m~) phi_j~, phi_i): sparse weighted mass
     for local couplings, dense composition with the mollifier otherwise."""
     space = problem.space
-    bary, weights, X = _quad_ctx(space)
-    nq, nt, _ = X.shape
-    m_seen = _nodal_at_quad(space, _coupling_nodal(problem, m), bary)
-    df = np.empty((nq, nt))
-    for q in range(nq):
-        df[q] = problem.coupling.df_dm(X[q], m_seen[q])
+    df = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.df_dm)
+    local = _weighted_local_mass(space, df)
     if problem.coupling.kind == "local":
-        local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
-        local *= space.elem_areas[:, None, None]
         return fem.assemble_from_local(space, local)
     # nonlocal: Q_fv couples free test dofs to all trial vertices, then the
     # mollifier and the boundary extension compose on the trial side
-    local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
-    local *= space.elem_areas[:, None, None]
     tris = np.asarray(space.mesh.triangles)
     rows = np.repeat(space.elem_dofs[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(tris[:, None, :], 3, axis=1).ravel()
@@ -396,13 +394,11 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
 # -------------------------------------------------------------------- solvers
 
 
-class _StackNorm:
-    def __init__(self, space):
-        self._rn = fem.residual_norm(space)
-        self._n = space.n_free
-
-    def __call__(self, r: np.ndarray) -> float:
-        return float(np.hypot(self._rn(r[: self._n]), self._rn(r[self._n :])))
+def _stacked_norm(space):
+    """Dual norm of a stacked residual (r_u, r_m): hypot of the block norms."""
+    rn = fem.residual_norm(space)
+    n = space.n_free
+    return lambda r: float(np.hypot(rn(r[:n]), rn(r[n:])))
 
 
 def _initial_state(problem, state0) -> MfgState:
@@ -416,57 +412,29 @@ def _initial_state(problem, state0) -> MfgState:
 
 
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
-    """Damped block Newton on the stacked residual."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Damped block Newton on the stacked residual (see hj_solver.damped_newton)."""
     space = problem.space
     n = space.n_free
     state = _initial_state(problem, state0)
-    b_hjb = _source_load(space, problem.g_hjb)
-    b_fp = _source_load(space, problem.g_fp)
-    norm = _StackNorm(space)
-    r = _residual(problem, state, b_hjb, b_fp)
-    history = [norm(r)]
-    iterations = 0
-    while history[-1] > tol:
-        if iterations >= max_iter:
-            return MfgSolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_state=state,
-                message=f"iteration limit {max_iter} reached",
-            )
-        J = mfg_jacobian(problem, state)
-        try:
-            step = spla.splu(J.tocsc()).solve(r)
-        except RuntimeError as exc:
-            raise FemError(f"block newton system is singular: {exc}") from exc
-        accepted = False
-        for k in range(hj_solver._MAX_HALVINGS + 1):
-            s = 0.5**k
-            trial = MfgState(u=state.u - s * step[:n], m=state.m - s * step[n:])
-            r_try = _residual(problem, trial, b_hjb, b_fp)
-            norm_try = norm(r_try)
-            if norm_try < history[-1]:
-                state, r = trial, r_try
-                history.append(norm_try)
-                iterations += 1
-                accepted = True
-                break
-        if not accepted:
-            return MfgSolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_state=state,
-                message="damping exhausted without residual decrease",
-            )
+    b_hjb, b_fp = _source_loads(problem)
+
+    def split(x):
+        return MfgState(u=x[:n], m=x[n:])
+
+    rep = hj_solver.damped_newton(
+        lambda x: _residual(problem, split(x), b_hjb, b_fp),
+        lambda x: mfg_jacobian(problem, split(x)),
+        _stacked_norm(space),
+        np.concatenate([state.u, state.m]),
+        tol,
+        max_iter,
+    )
     return MfgSolveReport(
-        converged=True,
-        iterations=iterations,
-        residual_history=history,
-        final_state=state,
+        converged=rep.converged,
+        iterations=rep.iterations,
+        residual_history=rep.residual_history,
+        final_state=split(rep.final_u),
+        message=rep.message,
     )
 
 
@@ -481,29 +449,22 @@ def mfg_picard(
         raise ValueError("theta_p must lie in (0, 1]")
     space = problem.space
     state = _initial_state(problem, state0)
-    b_hjb = _source_load(space, problem.g_hjb)
-    b_fp = _source_load(space, problem.g_fp)
-    norm = _StackNorm(space)
+    b_hjb, b_fp = _source_loads(problem)
+    norm = _stacked_norm(space)
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    bary, weights, X = _quad_ctx(space)
     history = [norm(_residual(problem, state, b_hjb, b_fp))]
     iterations = 0
+    message = ""
     inner_tol = max(tol / 10.0, 1e-13)
     while history[-1] > tol:
         if iterations >= max_iter:
-            return MfgSolveReport(
-                converged=False,
-                iterations=iterations,
-                residual_history=history,
-                final_state=state,
-                message=f"iteration limit {max_iter} reached",
-            )
+            message = f"iteration limit {max_iter} reached"
+            break
         # coupling load at the current density
-        m_seen = _nodal_at_quad(space, _coupling_nodal(problem, state.m), bary)
-        f_vals = np.empty_like(m_seen)
-        for q in range(len(f_vals)):
-            f_vals[q] = problem.coupling.f_of_m(X[q], m_seen[q])
+        f_vals = _coupling_at_quad(
+            space, _coupling_nodal(problem, state.m), problem.coupling.f_of_m
+        )
         b_u = fem.load_from_values(space, f_vals) + b_hjb
         hj_prob = hj_solver.HjProblem(
             space=space, model=problem.model, lam=problem.lam, f=b_u
@@ -522,10 +483,11 @@ def mfg_picard(
         iterations += 1
         history.append(norm(_residual(problem, state, b_hjb, b_fp)))
     return MfgSolveReport(
-        converged=True,
+        converged=not message,
         iterations=iterations,
         residual_history=history,
         final_state=state,
+        message=message,
     )
 
 
@@ -545,17 +507,11 @@ def check_monotonicity(coupling: CouplingModel, space, samples=3, n_rho=100, see
     m_samples = [np.zeros(space.n_free)] + [
         float(3**k) * g.normal(size=space.n_free) for k in range(int(samples) - 1)
     ]
-    bary, weights, X = _quad_ctx(space)
     g = np.random.default_rng(seed + 1)
     margin = np.inf
     for m in m_samples:
-        m_seen = fem.element_values(space, np.asarray(m, dtype=float), bary)
-        df = np.empty_like(m_seen)
-        for q in range(len(df)):
-            df[q] = coupling.df_dm(X[q], m_seen[q])
-        local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
-        local *= space.elem_areas[:, None, None]
-        Q = fem.assemble_from_local(space, local)
+        df = _coupling_at_quad(space, fem.extend_to_vertices(space, m), coupling.df_dm)
+        Q = fem.assemble_from_local(space, _weighted_local_mass(space, df))
         for _ in range(n_rho):
             rho = g.normal(size=space.n_free)
             rho /= np.linalg.norm(rho)
@@ -582,24 +538,17 @@ def convergence_study_mfg(
 ) -> ConvergenceReport:
     """Refinement study for the coupled system; fits rates for the H1xL2
     pair and for the W^{1,r} x L^r pair (default r = 4)."""
-    levels = [int(n) for n in levels]
-    if levels != sorted(levels) or len(set(levels)) != len(levels):
-        raise ValueError("levels must be strictly increasing")
     if solver not in ("newton", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
     r_label = f"{r:g}"
 
-    def run_level(n):
+    def solve_level(n):
         problem = problem_factory(n)
         if solver == "newton":
-            rep = mfg_newton(problem, tol=tol, max_iter=max_iter)
-        else:
-            rep = mfg_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
-        if not rep.converged:
-            raise NonconvergenceError(
-                f"level n={n} did not converge: {rep.message} "
-                f"(residual {rep.residual_history[-1]:.3e})"
-            )
+            return problem, mfg_newton(problem, tol=tol, max_iter=max_iter)
+        return problem, mfg_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
+
+    def level_errors(problem, rep):
         space = problem.space
         u, m = rep.final_state.u, rep.final_state.m
         errs = {
@@ -616,36 +565,8 @@ def convergence_study_mfg(
         errs[f"combined_W1{r_label}_L{r_label}"] = (
             errs[f"u_W1{r_label}"] + errs[f"m_L{r_label}"]
         )
-        return {
-            "n": n,
-            "h": space.mesh.mesh_size_h,
-            "dofs": space.n_free,
-            "errors": errs,
-            "iterations": rep.iterations,
-        }
+        return errs
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_level, levels))
-    else:
-        rows = [run_level(n) for n in levels]
-    rows.sort(key=lambda row: -row["h"])
-    hs = [row["h"] for row in rows]
-    keys = list(rows[0]["errors"])
-    errors = {k: [row["errors"][k] for row in rows] for k in keys}
-    rates = {}
-    if len(rows) >= 3:
-        rates = {k: fit_rate(hs, errors[k]) for k in keys}
-    return ConvergenceReport(
-        levels=[row["n"] for row in rows],
-        hs=hs,
-        dofs=[row["dofs"] for row in rows],
-        errors=errors,
-        rates=rates,
-        meta={
-            "solver": solver,
-            "tol": tol,
-            "r": r,
-            "iterations": [row["iterations"] for row in rows],
-        },
+    return refinement_study(
+        solve_level, level_errors, levels, threads, {"solver": solver, "tol": tol, "r": r}
     )

@@ -6,12 +6,14 @@ against direct library calls and against a second identical run.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nonsmooth_fem
 from nonsmooth_fem import cli, fem, hj_solver, manufactured
 from nonsmooth_fem.hamiltonian import model_from_spec
 from nonsmooth_fem.mesh import unit_square_mesh
@@ -157,7 +159,6 @@ def test_solve_hj_report_matches_library(capsys, tmp_path):
     for key in ("h", "dofs", "iterations", "residuals", "err_h1", "err_l2"):
         assert key in report
     assert report["config"]["hamiltonian"] == "eikonal"
-    assert report["config"]["seed"] == 42
 
     model = model_from_spec("eikonal")
     space = fem.make_space(unit_square_mesh(8))
@@ -268,6 +269,27 @@ def test_diagnose_stability_csv(capsys, tmp_path, mfg_report_path):
     assert "ratio_max_min=" in out
 
 
+def test_diagnose_stability_reads_old_report_with_seed(capsys, tmp_path):
+    # reports written before --seed was removed still carry it in the echo
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"config": {
+        "hamiltonian": "huber:1.0", "coupling": "local:linear", "lambda": 1.0,
+        "m0": "bump", "manufactured": None, "solver": "newton", "tol": 1e-9,
+        "max_iter": 100, "theta": 0.5, "seed": 42, "n": 8,
+    }}))
+    code, out, _ = run_cli(
+        capsys, ["diagnose-stability", "--from", str(old), "--samples", "2", "--levels", "4,8"]
+    )
+    assert code == 0
+    assert out.startswith("h,sample,smin\n")
+
+
+def test_seed_flag_removed(capsys):
+    code, _, err = run_cli(capsys, ["solve-hj", "--n", "4", "--seed", "42"])
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_diagnose_stability_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["diagnose-stability", "--from", str(tmp_path / "nope.json")]
@@ -361,9 +383,13 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, also from a plain checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nonsmooth_fem.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "nonsmooth_fem.cli", "mesh-info", "--n", "4"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("vertices=25 triangles=32")

@@ -7,6 +7,7 @@ analytically compensated sources, and cross-solver agreement.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nonsmooth_fem import fem, hj_solver, manufactured
 from nonsmooth_fem.diagnostics import fit_rate
@@ -161,6 +162,28 @@ def test_newton_unreachable_tolerance_reports_not_converged():
     assert np.isfinite(rep.residual_history).all()
     # still parked at the discrete solution for any realistic tolerance
     assert rep.residual_history[-1] <= 1e-12
+
+
+def test_damped_newton_exhausted_damping_keeps_start():
+    # J = -I points every step uphill: x - s dx = (1 + s) x grows for all s
+    x0 = np.array([1.0, -2.0])
+    rep = hj_solver.damped_newton(
+        lambda x: x, lambda x: -sp.identity(2, format="csr"), np.linalg.norm,
+        x0, tol=1e-12, max_iter=10,
+    )
+    assert rep.converged is False
+    assert rep.message == "damping exhausted without residual decrease"
+    assert np.array_equal(rep.final_u, x0)
+    assert rep.iterations == 0
+    assert rep.residual_history == [np.linalg.norm(x0)]
+
+
+def test_damped_newton_singular_jacobian_raises():
+    with pytest.raises(FemError, match="singular"):
+        hj_solver.damped_newton(
+            lambda x: x, lambda x: sp.csr_matrix((2, 2)), np.linalg.norm,
+            np.ones(2), tol=1e-12, max_iter=10,
+        )
 
 
 def test_newton_jacobian_matches_directional_difference():
