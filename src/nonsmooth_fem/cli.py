@@ -355,6 +355,7 @@ def _cmd_diagnose_stability(args) -> int:
         sys.stdout.write(text)
     print(
         f"min={min(scan.min_per_level)!r} ratio_max_min={scan.ratio_max_min!r} "
+        f"kink_elements={scan.meta['kink_elements']} "
         f"wall_time_s={time.perf_counter() - t0:.3f}"
     )
     return EXIT_OK

@@ -241,15 +241,9 @@ def _selection_samples(problem, state, n_samples: int):
     kink = np.where(np.abs(radius - delta) <= 0.1 * delta)[0]
     if len(kink) == 0:
         return [xi_base] * n_samples, 0
-    mesh_tris = np.asarray(space.mesh.triangles)
-    centroids = space.mesh.vertices[mesh_tris].mean(axis=1)[kink]
     zhat = Du[kink] / radius[kink][:, None]
-    xi_in = hm.hp_selection_many(
-        problem.model, centroids, zhat * (delta * (1.0 - 1e-9))
-    )
-    xi_out = hm.hp_selection_many(
-        problem.model, centroids, zhat * (delta * (1.0 + 1e-9))
-    )
+    xi_in = hm.hp_selection_many(problem.model, zhat * (delta * (1.0 - 1e-9)))
+    xi_out = hm.hp_selection_many(problem.model, zhat * (delta * (1.0 + 1e-9)))
     samples = []
     for theta in thetas:
         xi = xi_base.copy()

@@ -3,7 +3,8 @@
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant),
 quadrature-based load vectors, the linear solution operator
-(K + lambda*M)^{-1}, nodal interpolation, and discrete norms.
+(K + lambda*M)^{-1} by a cached sparse LU, nodal interpolation, and discrete
+norms.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -11,8 +12,8 @@ Conventions:
     - Matrices are scipy CSR: compressed row layout (row offsets, column
       indices, values) with duplicate entries summed at finalization.
     - Scalar fields are callables taking an (N, 2) array of points and
-      returning an (N,) array; plain per-point callables also work (they
-      are detected and wrapped). Vector fields return (N, 2).
+      returning an (N,) array; vector fields return (N, 2). Any other
+      result shape raises FemError.
 
 Norm evaluation uses the mass/stiffness quadratic forms for L2/H1 (exact)
 and a fixed symmetric quadrature of stated order for Lr/W1r; the gradient
@@ -41,11 +42,10 @@ class FemError(RuntimeError):
 
 
 class NonconvergenceError(FemError):
-    """An iterative solve stopped before reaching its residual target."""
+    """A solve stopped before reaching its residual target."""
 
 
-_CG_CAP_FACTOR = 10  # iteration cap = factor * n_free
-_CG_TOL = 1e-12  # relative residual target for the solution operator
+_SOLVE_TOL = 1e-12  # relative residual certificate of the solution operator
 
 # Symmetric triangle quadrature rules in barycentric coordinates.
 # Weights sum to one (scale by element area). The order-3 rule is the
@@ -94,9 +94,13 @@ def triangle_rule(order: int):
     return bary.copy(), weights.copy()
 
 
-def _local_mass(area: float) -> np.ndarray:
-    """Exact P1 element mass matrix: area * [[2,1,1],[1,2,1],[1,1,2]] / 12."""
-    return area * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
+_P1_MASS = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
+
+
+def _local_mass(areas) -> np.ndarray:
+    """Exact P1 element mass matrices areas * [[2,1,1],[1,2,1],[1,1,2]] / 12:
+    (3, 3) for one area, (nt, 3, 3) for an array of them."""
+    return np.asarray(areas, dtype=float)[..., None, None] * _P1_MASS
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,13 @@ def make_space(mesh: TriMesh) -> FeSpace:
 # ------------------------------------------------------------------ assembly
 
 
-def _scatter(space_or_n, rows, cols, vals, n):
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _assemble_p1(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum (nt, 3, 3) element matrices into an n x n CSR, skipping dof -1."""
     i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
     j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
     v = local.ravel()
     keep = (i >= 0) & (j >= 0)
-    return _scatter(None, i[keep], j[keep], v[keep], n)
+    return sp.coo_matrix((v[keep], (i[keep], j[keep])), shape=(n, n)).tocsr()
 
 
 def assemble_from_local(space: "FeSpace", local: np.ndarray) -> sp.csr_matrix:
@@ -193,10 +193,7 @@ def full_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 def full_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Mass on ALL vertices (no Dirichlet elimination)."""
     areas, _ = _geometry(mesh)
-    pattern = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    local = areas[:, None, None] * pattern
-    dofs = np.asarray(mesh.triangles)
-    return _assemble_p1(local, dofs, mesh.n_vertices)
+    return _assemble_p1(_local_mass(areas), np.asarray(mesh.triangles), mesh.n_vertices)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
@@ -213,8 +210,7 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """M[i][j] = integral of phi_j phi_i via the exact element formula."""
     if "M" not in space._cache:
-        pattern = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-        local = space.elem_areas[:, None, None] * pattern
+        local = _local_mass(space.elem_areas)
         space._cache["M"] = _assemble_p1(local, space.elem_dofs, space.n_free)
     return space._cache["M"]
 
@@ -231,30 +227,18 @@ def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
 # ------------------------------------------------------------- field evaluation
 
 
-def _eval_scalar_field(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field on (N, 2) points; accepts vectorized or
-    per-point callables."""
+def _eval_field(f, pts: np.ndarray, shape: tuple) -> np.ndarray:
+    """Evaluate a vectorized field on (N, 2) points; the result must have
+    shape (N,) + shape."""
     pts = np.ascontiguousarray(pts, dtype=float)
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-        if vals.size == pts.shape[0]:
-            return vals.reshape(pts.shape[0])
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in pts])
-
-
-def _eval_vector_field(g, pts: np.ndarray) -> np.ndarray:
-    pts = np.ascontiguousarray(pts, dtype=float)
-    try:
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.shape == (pts.shape[0], 2):
-            return vals
-    except Exception:
-        pass
-    return np.array([np.asarray(g(p), dtype=float).reshape(2) for p in pts])
+    vals = np.asarray(f(pts), dtype=float)
+    expected = (pts.shape[0],) + shape
+    if vals.shape != expected:
+        raise FemError(
+            f"field callable returned shape {vals.shape} on {pts.shape[0]} "
+            f"points, expected {expected}"
+        )
+    return vals
 
 
 def quad_points(space: FeSpace, order: int):
@@ -277,7 +261,7 @@ def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
     nq, nt, _ = X.shape
     vals = np.empty((nq, nt))
     for q in range(nq):
-        vals[q] = _eval_scalar_field(f, X[q])
+        vals[q] = _eval_field(f, X[q], ())
     if not np.isfinite(vals).all():
         q, t = np.argwhere(~np.isfinite(vals))[0]
         x, y = X[q, t]
@@ -295,8 +279,10 @@ def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
 
 
 def load_from_values(space: FeSpace, vals: np.ndarray, quad_order: int = 3) -> np.ndarray:
-    """Like assemble_load but from precomputed quadrature values (nq, nt)."""
+    """Like assemble_load but from precomputed quadrature values (nq, nt);
+    per-element values (nt,) stand for a field constant on each element."""
     bary, weights = triangle_rule(quad_order)
+    vals = np.broadcast_to(vals, (len(weights), space.mesh.n_triangles))
     b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
     b = np.zeros(space.n_free)
     dofs = space.elem_dofs.ravel()
@@ -309,7 +295,7 @@ def interpolate_nodal(space: FeSpace, g) -> np.ndarray:
     """Nodal P1 interpolant: coefficient i = g(free vertex i); boundary values
     are dropped (homogeneous Dirichlet)."""
     pts = space.mesh.vertices[space.free_dofs]
-    vals = _eval_scalar_field(g, pts)
+    vals = _eval_field(g, pts, ())
     if not np.isfinite(vals).all():
         k = int(np.argwhere(~np.isfinite(vals))[0, 0])
         x, y = pts[k]
@@ -380,15 +366,18 @@ def _barycentric_all(space: FeSpace, p: np.ndarray, x: np.ndarray) -> np.ndarray
 # ------------------------------------------------------------------- operator
 
 
-def solve_operator_Th(
-    space: FeSpace,
-    lam: float,
-    rhs: np.ndarray,
-    K: sp.csr_matrix | None = None,
-    M: sp.csr_matrix | None = None,
-) -> np.ndarray:
-    """Solve (K + lam*M) v = rhs by Jacobi-preconditioned conjugate gradients
-    to relative residual <= 1e-12, iteration cap 10 * n_free."""
+def _operator(space: FeSpace, lam: float):
+    """(K + lam*M, its sparse LU), cached on the space per lambda."""
+    key = ("operator", float(lam))
+    if key not in space._cache:
+        W = (assemble_stiffness(space) + lam * assemble_mass(space)).tocsc()
+        space._cache[key] = (W, spla.splu(W))
+    return space._cache[key]
+
+
+def solve_operator_Th(space: FeSpace, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K + lam*M) v = rhs with the cached sparse LU of K + lam*M; the
+    solution must certify relative residual <= 1e-12."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     rhs = np.asarray(rhs, dtype=float)
@@ -396,25 +385,13 @@ def solve_operator_Th(
         raise ValueError("rhs length must equal the number of free dofs")
     if not rhs.any():
         return np.zeros(space.n_free)
-    K = assemble_stiffness(space) if K is None else K
-    M = assemble_mass(space) if M is None else M
-    W = (K + lam * M).tocsr()
-    diag = W.diagonal()
-    precond = spla.LinearOperator(W.shape, matvec=lambda x: x / diag)
-    maxiter = max(1, _CG_CAP_FACTOR * space.n_free)
-    try:
-        v, info = spla.cg(
-            W, rhs, rtol=_CG_TOL / 10, atol=0.0, maxiter=maxiter, M=precond
-        )
-    except TypeError:  # older scipy spells the relative tolerance 'tol'
-        v, info = spla.cg(
-            W, rhs, tol=_CG_TOL / 10, atol=0.0, maxiter=maxiter, M=precond
-        )
+    W, lu = _operator(space, lam)
+    v = lu.solve(rhs)
     rel = float(np.linalg.norm(rhs - W @ v) / np.linalg.norm(rhs))
-    if info != 0 or rel > _CG_TOL:
+    if not rel <= _SOLVE_TOL:
         raise NonconvergenceError(
-            f"conjugate gradients stopped after cap {maxiter} iterations "
-            f"with relative residual {rel:.3e} (target {_CG_TOL:.0e})"
+            f"solution operator at lambda={lam:g} left relative residual "
+            f"{rel:.3e}, above its target {_SOLVE_TOL:.0e}"
         )
     return v
 
@@ -423,12 +400,12 @@ class ResidualNorm:
     """Discrete dual norm ||r|| = sqrt(r^T (K+M)^{-1} r).
 
     The weight is lambda-independent and SPD; used as the mesh-robust
-    surrogate for the continuous dual norm when reporting residuals.
+    surrogate for the continuous dual norm when reporting residuals. The
+    factor of K + M is the solution operator's at lambda = 1.
     """
 
     def __init__(self, space: FeSpace):
-        W = (assemble_stiffness(space) + assemble_mass(space)).tocsc()
-        self._lu = spla.splu(W)
+        self._lu = _operator(space, 1.0)[1]
 
     def __call__(self, r: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, float(r @ self._lu.solve(r)))))
@@ -505,7 +482,7 @@ def error_vs_exact(
     uh_vals = element_values(space, u_h, bary)
     e = np.empty((nq, nt))
     for q in range(nq):
-        e[q] = _eval_scalar_field(u_exact, X[q]) - uh_vals[q]
+        e[q] = _eval_field(u_exact, X[q], ()) - uh_vals[q]
     if kind in ("L2", "Lr"):
         p = 2.0 if kind == "L2" else float(r)
         val = float((weights[:, None] * np.abs(e) ** p * space.elem_areas).sum())
@@ -513,7 +490,7 @@ def error_vs_exact(
     grads_h = element_gradients(space, u_h)
     ge2 = np.empty((nq, nt))
     for q in range(nq):
-        diff = _eval_vector_field(grad_exact, X[q]) - grads_h
+        diff = _eval_field(grad_exact, X[q], (2,)) - grads_h
         ge2[q] = (diff * diff).sum(axis=1)
     if kind == "H1semi":
         return float(

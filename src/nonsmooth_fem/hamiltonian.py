@@ -1,11 +1,13 @@
-"""Hamiltonian models with pointwise Clarke-subgradient selections.
+"""Hamiltonian models H(z) with Clarke-subgradient selections.
 
-A model carries H(x, z), one deterministic selection from the Clarke
-subdifferential of z -> H(x, z), a global Lipschitz constant C_H, and (for
-models whose gradient H_p exists everywhere and is itself Lipschitz) the
-gradient map plus a selection from its generalized Jacobian. Solvers only
-ever need a single selection at the current iterate; the full set-valued
-subdifferential is never materialized.
+A model carries H(z), one deterministic selection from the Clarke
+subdifferential of H, a global Lipschitz constant C_H, and (for models
+whose gradient H_p exists everywhere and is itself Lipschitz) the gradient
+map plus a selection from its generalized Jacobian. H depends on the
+gradient z only; every map is vectorized over gradient rows, and P1
+gradients are constant per element, so solvers evaluate each map once per
+element. Solvers only ever need a single selection at the current iterate;
+the full set-valued subdifferential is never materialized.
 
 Tie-breaks on kink sets are fixed per model so that every run is
 reproducible:
@@ -23,6 +25,7 @@ a test oracle, not a solver ingredient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,63 +38,68 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Immutable Hamiltonian description.
+    """Immutable Hamiltonian description, vectorized over gradient rows.
 
-    eval(x, z) -> float and clarke_selection(x, z) -> (2,) are mandatory;
-    hp_eval / hp_clarke_selection are present only when H(x, .) is C^1 with
-    Lipschitz gradient (they return (2,) and (2, 2)). The private *_many
-    fields hold vectorized implementations used by the batch helpers below.
+    h(Z) -> (N,) and selection(Z) -> (N, 2) take Z of shape (N, 2) and are
+    mandatory; hp(Z) -> (N, 2) and hp_jacobian(Z) -> (N, 2, 2) are present
+    only when H is C^1 with Lipschitz gradient. The per-point methods
+    eval(x, z), clarke_selection(x, z), hp_eval(x, z) and
+    hp_clarke_selection(x, z) apply these maps to one gradient z; x is
+    accepted for the pointwise notation H(x, z) and ignored.
     """
 
     name: str
     lipschitz_C_H: float
     is_convex_in_z: bool
-    eval: Callable[[np.ndarray, np.ndarray], float]
-    clarke_selection: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hp_eval: Optional[Callable] = None
-    hp_clarke_selection: Optional[Callable] = None
+    h: Callable[[np.ndarray], np.ndarray]
+    selection: Callable[[np.ndarray], np.ndarray]
+    hp: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hp_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
-    _eval_many: Optional[Callable] = field(default=None, repr=False)
-    _selection_many: Optional[Callable] = field(default=None, repr=False)
-    _hp_many: Optional[Callable] = field(default=None, repr=False)
-    _hp_selection_many: Optional[Callable] = field(default=None, repr=False)
+
+    def eval(self, x, z) -> float:
+        return float(eval_many(self, z)[0])
+
+    def clarke_selection(self, x, z) -> np.ndarray:
+        return selection_many(self, z)[0]
+
+    def hp_eval(self, x, z) -> np.ndarray:
+        return hp_many(self, z)[0]
+
+    def hp_clarke_selection(self, x, z) -> np.ndarray:
+        return hp_selection_many(self, z)[0]
 
 
 # ------------------------------------------------------------ batch helpers
 
 
-def eval_many(model: HamiltonianModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if model._eval_many is not None:
-        return model._eval_many(X, Z)
-    return np.array([model.eval(x, z) for x, z in zip(np.atleast_2d(X), Z)])
+def _rows(Z) -> np.ndarray:
+    """Gradient rows (N, 2); a single gradient z becomes one row."""
+    return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
-def selection_many(model: HamiltonianModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if model._selection_many is not None:
-        return model._selection_many(X, Z)
-    return np.array([model.clarke_selection(x, z) for x, z in zip(np.atleast_2d(X), Z)])
+def eval_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
+    """H at each gradient row: (N, 2) -> (N,)."""
+    return model.h(_rows(Z))
 
 
-def hp_many(model: HamiltonianModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    if model.hp_eval is None:
+def selection_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
+    """Clarke selection at each gradient row: (N, 2) -> (N, 2)."""
+    return model.selection(_rows(Z))
+
+
+def hp_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
+    """H_p at each gradient row: (N, 2) -> (N, 2)."""
+    if model.hp is None:
         raise ValueError(f"model {model.name!r} has no gradient map")
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if model._hp_many is not None:
-        return model._hp_many(X, Z)
-    return np.array([model.hp_eval(x, z) for x, z in zip(np.atleast_2d(X), Z)])
+    return model.hp(_rows(Z))
 
 
-def hp_selection_many(model: HamiltonianModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    if model.hp_clarke_selection is None:
+def hp_selection_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
+    """Generalized-Jacobian selection of H_p per gradient row: (N, 2, 2)."""
+    if model.hp_jacobian is None:
         raise ValueError(f"model {model.name!r} has no gradient Jacobian selection")
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if model._hp_selection_many is not None:
-        return model._hp_selection_many(X, Z)
-    return np.array(
-        [model.hp_clarke_selection(x, z) for x, z in zip(np.atleast_2d(X), Z)]
-    )
+    return model.hp_jacobian(_rows(Z))
 
 
 # ----------------------------------------------------------------- built-ins
@@ -102,29 +110,17 @@ def _zero_model() -> HamiltonianModel:
         name="zero",
         lipschitz_C_H=0.0,
         is_convex_in_z=True,
-        eval=lambda x, z: 0.0,
-        clarke_selection=lambda x, z: np.zeros(2),
-        hp_eval=lambda x, z: np.zeros(2),
-        hp_clarke_selection=lambda x, z: np.zeros((2, 2)),
-        _eval_many=lambda X, Z: np.zeros(len(Z)),
-        _selection_many=lambda X, Z: np.zeros_like(Z),
-        _hp_many=lambda X, Z: np.zeros_like(Z),
-        _hp_selection_many=lambda X, Z: np.zeros((len(Z), 2, 2)),
+        h=lambda Z: np.zeros(len(Z)),
+        selection=np.zeros_like,
+        hp=np.zeros_like,
+        hp_jacobian=lambda Z: np.zeros((len(Z), 2, 2)),
     )
 
 
 def _eikonal_model() -> HamiltonianModel:
     # z/|z| is scale-invariant; divide by the max component first so the
     # result stays unit-length even when |z| sits below the normal range
-    def sel(x, z):
-        z = np.asarray(z, dtype=float)
-        s = float(np.abs(z).max())
-        if s == 0.0:
-            return np.zeros(2)
-        w = z / s
-        return w / float(np.hypot(w[0], w[1]))
-
-    def sel_many(X, Z):
+    def sel(Z):
         s = np.abs(Z).max(axis=1)
         safe = np.where(s > 0.0, s, 1.0)
         W = Z / safe[:, None]
@@ -136,10 +132,8 @@ def _eikonal_model() -> HamiltonianModel:
         name="eikonal",
         lipschitz_C_H=1.0,
         is_convex_in_z=True,
-        eval=lambda x, z: float(np.hypot(z[0], z[1])),
-        clarke_selection=sel,
-        _eval_many=lambda X, Z: np.linalg.norm(Z, axis=1),
-        _selection_many=sel_many,
+        h=lambda Z: np.linalg.norm(Z, axis=1),
+        selection=sel,
     )
 
 
@@ -148,35 +142,19 @@ def _huber_model(delta: float) -> HamiltonianModel:
         raise ValueError(f"huber parameter delta must be positive, got {delta!r}")
     delta = float(delta)
 
-    def h(x, z):
-        r = float(np.hypot(z[0], z[1]))
-        return r * r / (2 * delta) if r <= delta else r - delta / 2
-
-    def hp(x, z):
-        z = np.asarray(z, dtype=float)
-        r = float(np.hypot(z[0], z[1]))
-        return z / delta if r <= delta else z / r
-
-    def hp_jac(x, z):
-        z = np.asarray(z, dtype=float)
-        r = float(np.hypot(z[0], z[1]))
-        if r <= delta:  # tie at r == delta resolved to the inner branch
-            return np.eye(2) / delta
-        return (np.eye(2) - np.outer(z, z) / (r * r)) / r
-
-    def h_many(X, Z):
+    def h(Z):
         r = np.linalg.norm(Z, axis=1)
         return np.where(r <= delta, r * r / (2 * delta), r - delta / 2)
 
-    def hp_many_(X, Z):
+    def hp(Z):
         r = np.linalg.norm(Z, axis=1)
         safe = np.where(r > 0.0, r, 1.0)
         return np.where((r <= delta)[:, None], Z / delta, Z / safe[:, None])
 
-    def hp_jac_many(X, Z):
+    def hp_jac(Z):
         r = np.linalg.norm(Z, axis=1)
         out = np.empty((len(Z), 2, 2))
-        inner = r <= delta
+        inner = r <= delta  # tie at r == delta resolved to the inner branch
         out[inner] = np.eye(2) / delta
         zo = Z[~inner]
         ro = r[~inner]
@@ -189,15 +167,11 @@ def _huber_model(delta: float) -> HamiltonianModel:
         name="huber",
         lipschitz_C_H=max(1.0, 1.0 / delta),
         is_convex_in_z=True,
-        eval=h,
-        clarke_selection=hp,
-        hp_eval=hp,
-        hp_clarke_selection=hp_jac,
+        h=h,
+        selection=hp,
+        hp=hp,
+        hp_jacobian=hp_jac,
         params={"delta": delta},
-        _eval_many=h_many,
-        _selection_many=hp_many_,
-        _hp_many=hp_many_,
-        _hp_selection_many=hp_jac_many,
     )
 
 
@@ -210,22 +184,14 @@ def _max_affine_model(pieces) -> HamiltonianModel:
         raise ValueError("max_affine pieces must be finite")
     norm_pieces = [((float(a[0]), float(a[1])), float(c)) for a, c in zip(A, b)]
 
-    def h(x, z):
-        return float((A @ np.asarray(z, dtype=float) + b).max())
-
-    def sel(x, z):
-        vals = A @ np.asarray(z, dtype=float) + b
-        return A[int(np.argmax(vals))].copy()  # argmax takes the lowest index on ties
-
     return HamiltonianModel(
         name="max_affine",
         lipschitz_C_H=float(np.linalg.norm(A, axis=1).max()),
         is_convex_in_z=True,
-        eval=h,
-        clarke_selection=sel,
+        h=lambda Z: (Z @ A.T + b).max(axis=1),
+        # argmax takes the lowest index on ties
+        selection=lambda Z: A[np.argmax(Z @ A.T + b, axis=1)],
         params={"pieces": norm_pieces},
-        _eval_many=lambda X, Z: (Z @ A.T + b).max(axis=1),
-        _selection_many=lambda X, Z: A[np.argmax(Z @ A.T + b, axis=1)],
     )
 
 
@@ -277,7 +243,7 @@ def model_from_spec(text: str) -> HamiltonianModel:
 
 
 def selection_field(model: HamiltonianModel, space, u: np.ndarray) -> np.ndarray:
-    """Clarke selection per element at (centroid, Du_h|_T): (nt, 2).
+    """Clarke selection per element at Du_h|_T: (nt, 2).
 
     P1 gradients are constant per element, so a single selection per
     triangle is a measurable selection of the pointwise subdifferential,
@@ -285,103 +251,101 @@ def selection_field(model: HamiltonianModel, space, u: np.ndarray) -> np.ndarray
     """
     from . import fem
 
-    mesh = space.mesh
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    Du = fem.element_gradients(space, u)
-    return selection_many(model, centroids, Du)
+    return selection_many(model, fem.element_gradients(space, u))
 
 
 # ------------------------------------------------------- segment mean values
 
 
-def _sign_integral(t0: float, lo: float, hi: float) -> float:
-    """Integral of sign(t - t0) over [lo, hi]."""
-    return abs(hi - t0) - abs(lo - t0)
-
-
 def _unit_direction_mean(p, d, lo, hi):
     """Integral of w/|w| over [lo, hi] for w(t) = p + t d (closed form).
 
-    The integrand is scale-invariant, so p and d are rescaled first; this
-    keeps the intermediate products away from under/overflow.
+    p and d are (x, y) pairs of floats; returns the pair of components. The
+    integrand is scale-invariant, so p and d are rescaled first; this keeps
+    the intermediate products away from under/overflow.
     """
-    s = max(float(np.abs(p).max()), float(np.abs(d).max()))
+    s = max(abs(p[0]), abs(p[1]), abs(d[0]), abs(d[1]))
     if s == 0.0:
-        return np.zeros(2)
-    p = p / s
-    d = d / s
-    a = float(d @ d)
-    b = float(p @ d)
-    c = float(p @ p)
+        return 0.0, 0.0
+    p0, p1, d0, d1 = p[0] / s, p[1] / s, d[0] / s, d[1] / s
+    a = d0 * d0 + d1 * d1
+    b = p0 * d0 + p1 * d1
+    c = p0 * p0 + p1 * p1
     D = max(a * c - b * b, 0.0)
     if a == 0.0:
-        r = np.sqrt(c)
-        return (hi - lo) * (p / r) if r > 0 else np.zeros(2)
+        r = math.sqrt(c)
+        return ((hi - lo) * (p0 / r), (hi - lo) * (p1 / r)) if r > 0 else (0.0, 0.0)
     if c == 0.0 or D <= 1e-28 * (a * c):
-        # segment collinear with the origin: direction flips at t0
+        # segment collinear with the origin: direction flips at t0, and
+        # sign(t - t0) integrates to |hi - t0| - |lo - t0|
         t0 = -b / a
-        return d / np.sqrt(a) * _sign_integral(t0, lo, hi)
-    sq = np.sqrt(D)
-    sa = np.sqrt(a)
+        w = (abs(hi - t0) - abs(lo - t0)) / math.sqrt(a)
+        return d0 * w, d1 * w
+    sq = math.sqrt(D)
+    sa = math.sqrt(a)
 
     def F0(t):
-        return float(np.arcsinh((a * t + b) / sq)) / sa
+        return math.asinh((a * t + b) / sq) / sa
 
     def absw(t):
-        return float(np.sqrt(a * t * t + 2 * b * t + c))
+        return math.sqrt(a * t * t + 2 * b * t + c)
 
     I0 = F0(hi) - F0(lo)
     I1 = (absw(hi) - absw(lo)) / a - (b / a) * I0
-    return p * I0 + d * I1
-
-
-def _linear_mean(p, d, lo, hi, scale):
-    """Integral of (p + t d)/scale over [lo, hi] (exact)."""
-    return (p * (hi - lo) + d * (hi * hi - lo * lo) / 2.0) / scale
+    return p0 * I0 + d0 * I1, p1 * I0 + d1 * I1
 
 
 def _huber_segment_mean(p, d, delta):
-    a = float(d @ d)
-    b = float(p @ d)
-    c0 = float(p @ p) - delta * delta
+    a = d[0] * d[0] + d[1] * d[1]
+    b = p[0] * d[0] + p[1] * d[1]
+    c0 = p[0] * p[0] + p[1] * p[1] - delta * delta
     cuts = [0.0, 1.0]
     disc = b * b - a * c0
     if disc > 0.0 and a > 0.0:
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         for t in ((-b - sq) / a, (-b + sq) / a):
             if 0.0 < t < 1.0:
-                cuts.append(float(t))
+                cuts.append(t)
     cuts = sorted(set(cuts))
-    total = np.zeros(2)
+    m0 = m1 = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         tm = 0.5 * (lo + hi)
         if a * tm * tm + 2 * b * tm + c0 <= 0.0:  # |w| <= delta: inner branch
-            total += _linear_mean(p, d, lo, hi, delta)
+            # integral of (p + t d)/delta over [lo, hi]
+            half = (hi * hi - lo * lo) / 2.0
+            m0 += (p[0] * (hi - lo) + d[0] * half) / delta
+            m1 += (p[1] * (hi - lo) + d[1] * half) / delta
         else:
-            total += _unit_direction_mean(p, d, lo, hi)
-    return total
+            u0, u1 = _unit_direction_mean(p, d, lo, hi)
+            m0 += u0
+            m1 += u1
+    return m0, m1
 
 
 def _max_affine_segment_mean(pieces, p, d):
-    A = np.array([np.asarray(q[0], dtype=float) for q in pieces])
-    b = np.array([float(q[1]) for q in pieces])
-    cuts = {0.0, 1.0}
+    """Segment mean of the active slope; pieces are ((a0, a1), c) floats."""
     k = len(pieces)
+    cuts = {0.0, 1.0}
     for i in range(k):
+        (ai0, ai1), ci = pieces[i]
         for j in range(i + 1, k):
-            da = A[i] - A[j]
-            den = float(da @ d)
+            (aj0, aj1), cj = pieces[j]
+            da0, da1 = ai0 - aj0, ai1 - aj1
+            den = da0 * d[0] + da1 * d[1]
             if den != 0.0:
-                t = -(float(da @ p) + (b[i] - b[j])) / den
+                t = -(da0 * p[0] + da1 * p[1] + (ci - cj)) / den
                 if 0.0 < t < 1.0:
-                    cuts.add(float(t))
+                    cuts.add(t)
     cuts = sorted(cuts)
-    total = np.zeros(2)
+    m0 = m1 = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         tm = 0.5 * (lo + hi)
-        vals = A @ (p + tm * d) + b
-        total += (hi - lo) * A[int(np.argmax(vals))]
-    return total
+        w0, w1 = p[0] + tm * d[0], p[1] + tm * d[1]
+        vals = [a0 * w0 + a1 * w1 + c for (a0, a1), c in pieces]
+        a0, a1 = pieces[vals.index(max(vals))][0]  # first maximum: lowest index
+        m0 += (hi - lo) * a0
+        m1 += (hi - lo) * a1
+    return m0, m1
 
 
 def _adaptive_simpson(f, lo, hi, tol, depth=60):
@@ -412,21 +376,23 @@ def _adaptive_simpson(f, lo, hi, tol, depth=60):
 
 
 def mean_value_matrix(model: HamiltonianModel, x, z1, z2) -> np.ndarray:
-    """Vector A with A . (z1 - z2) = H(x, z1) - H(x, z2) to roundoff.
+    """Vector A with A . (z1 - z2) = H(z1) - H(z2) to roundoff.
 
     A is the average of the Clarke selection along the segment [z2, z1]
     (hence inside the convex hull of the subdifferentials there, up to
     quadrature roundoff) plus a correction parallel to z1 - z2 that makes
-    the secant identity exact.
+    the secant identity exact. x is ignored, as in the per-point maps.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    if np.array_equal(z1, z2):
+    dz = z1 - z2
+    if not dz.any():
         return model.clarke_selection(x, z1)
-    d = z1 - z2
-    p = z2
+    # scalar arithmetic on (x, y) pairs: this oracle runs once per pair
+    p = z2.tolist()
+    d = dz.tolist()
     if model.name == "zero":
-        mean = np.zeros(2)
+        mean = (0.0, 0.0)
     elif model.name == "eikonal":
         mean = _unit_direction_mean(p, d, 0.0, 1.0)
     elif model.name == "huber":
@@ -435,23 +401,26 @@ def mean_value_matrix(model: HamiltonianModel, x, z1, z2) -> np.ndarray:
         mean = _max_affine_segment_mean(model.params["pieces"], p, d)
     else:
         mean = _adaptive_simpson(
-            lambda t: np.asarray(model.clarke_selection(x, p + t * d), dtype=float),
+            lambda t: np.asarray(model.clarke_selection(x, z2 + t * dz), dtype=float),
             0.0,
             1.0,
             1e-13,
-        )
-    dh = model.eval(x, z1) - model.eval(x, z2)
+        ).tolist()
+    h1, h2 = model.h(np.array([z1, z2])).tolist()
     # correction along d/|d|: its exact-arithmetic value is zero (the
     # segment mean telescopes), so it only sweeps up quadrature and
     # rounding residue; the rescaled frame keeps subnormal segments usable
-    s = float(np.abs(d).max())
-    dhat = d / s
-    nhat = float(np.hypot(dhat[0], dhat[1]))
-    A = mean + ((dh / s - float(mean @ dhat)) / nhat) * (dhat / nhat)
+    s = max(abs(d[0]), abs(d[1]))
+    e0, e1 = d[0] / s, d[1] / s
+    nhat = math.hypot(e0, e1)
+    k = ((h1 - h2) / s - (mean[0] * e0 + mean[1] * e1)) / nhat
+    A0 = mean[0] + k * (e0 / nhat)
+    A1 = mean[1] + k * (e1 / nhat)
     # the exact mean-value vector lies in the Lipschitz ball; rounding can
     # push the computed one out (by eps normally, by order one only where
     # the increment itself dissolves into rounding), so project it back
-    nA = float(np.hypot(A[0], A[1]))
+    nA = math.hypot(A0, A1)
     if nA > model.lipschitz_C_H:
-        A = A * (model.lipschitz_C_H / nA)
-    return A
+        scale = model.lipschitz_C_H / nA
+        A0, A1 = A0 * scale, A1 * scale
+    return np.array([A0, A1])

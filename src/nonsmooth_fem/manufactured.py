@@ -57,13 +57,11 @@ def bump(X):
 
 
 def hj_source(model: hm.HamiltonianModel, lam: float):
-    """Source f with -Delta u* + H(x, Du*) + lam u* = f."""
+    """Source f with -Delta u* + H(Du*) + lam u* = f."""
 
     def f(X):
         X = _pts(X)
-        return (2.0 * _PI**2 + lam) * u_star(X) + hm.eval_many(
-            model, X, grad_u_star(X)
-        )
+        return (2.0 * _PI**2 + lam) * u_star(X) + hm.eval_many(model, grad_u_star(X))
 
     return f
 
@@ -77,22 +75,22 @@ def mfg_sources(model: hm.HamiltonianModel, coupling, lam: float):
     lam m0 source cancels against lam m* up to the nodal-interpolation error
     in m0, which is of higher order than the rates being measured.
     """
-    if model.hp_eval is None:
+    if model.hp is None:
         raise ValueError(f"model {model.name!r} has no gradient map for the transport term")
 
     def g_hjb(X):
         X = _pts(X)
         return (
             (2.0 * _PI**2 + lam) * u_star(X)
-            + hm.eval_many(model, X, grad_u_star(X))
+            + hm.eval_many(model, grad_u_star(X))
             - coupling.f_of_m(X, m_star(X))
         )
 
     def g_fp(X):
         X = _pts(X)
         Z = grad_u_star(X)
-        hp = hm.hp_many(model, X, Z)
-        xi = hm.hp_selection_many(model, X, Z)
+        hp = hm.hp_many(model, Z)
+        xi = hm.hp_selection_many(model, Z)
         div_hp = np.einsum("nij,nji->n", xi, hess_u_star(X))
         transport = (grad_m_star(X) * hp).sum(axis=1) + m_star(X) * div_hp
         return 2.0 * _PI**2 * m_star(X) - transport

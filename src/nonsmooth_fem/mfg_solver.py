@@ -3,11 +3,12 @@
 The discrete stationary system couples a viscous HJ equation for the value
 u with a linear transport-diffusion equation for the density m:
 
-    (Du, Dphi) + (H(x, Du), phi) + lam (u, phi) = (F[m] + g_hjb, phi)
-    (Dm, Dpsi) + (m H_p(x, Du), Dpsi) + lam (m, psi) = lam (m0, psi) + (g_fp, psi)
+    (Du, Dphi) + (H(Du), phi) + lam (u, phi) = (F[m] + g_hjb, phi)
+    (Dm, Dpsi) + (m H_p(Du), Dpsi) + lam (m, psi) = lam (m0, psi) + (g_fp, psi)
 
+H and H_p depend on the gradient only and are evaluated once per element.
 Block Newton linearizes both equations at once. With B the drift form
-B[i][j] = (H_p(x,Du).Dphi_j, phi_i), Q the coupling-weighted mass, and G
+B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the coupling-weighted mass, and G
 the advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i) built from one
 generalized-Jacobian selection xi of H_p per element, the system matrix is
 
@@ -138,7 +139,7 @@ class MfgProblem:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.model.hp_eval is None or self.model.hp_clarke_selection is None:
+        if self.model.hp is None or self.model.hp_jacobian is None:
             raise ValueError(
                 f"model {self.model.name!r} lacks the gradient data the density "
                 "equation needs"
@@ -279,16 +280,13 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    bary, weights, X = fem.quad_points(space, 3)
+    bary, weights, _ = fem.quad_points(space, 3)
     u, m = np.asarray(state.u, dtype=float), np.asarray(state.m, dtype=float)
     lam = problem.lam
     Du = fem.element_gradients(space, u)
-    nq, nt, _ = X.shape
 
-    # value equation: nonlinearity and coupling loads at quadrature points
-    h_vals = np.empty((nq, nt))
-    for q in range(nq):
-        h_vals[q] = hm.eval_many(problem.model, X[q], Du)
+    # value equation: nonlinearity per element, coupling at quadrature points
+    h_vals = hm.eval_many(problem.model, Du)
     f_vals = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.f_of_m)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
@@ -302,9 +300,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
 
     # density equation: transport term against elementwise-constant gradients
     m_quad = fem.element_values(space, m, bary)
-    hp = np.empty((nq, nt, 2))
-    for q in range(nq):
-        hp[q] = hm.hp_many(problem.model, X[q], Du)
+    hp = np.broadcast_to(hm.hp_many(problem.model, Du), (len(weights),) + Du.shape)
     momentum = np.einsum("q,qt,qtd->td", weights, m_quad, hp)
     adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
     r_adv = np.zeros(space.n_free)
@@ -319,20 +315,17 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
 
 
 def drift_matrix(problem: MfgProblem, u: np.ndarray) -> sp.csr_matrix:
-    """B[i][j] = (H_p(x, Du).Dphi_j, phi_i), H_p constant per element."""
+    """B[i][j] = (H_p(Du).Dphi_j, phi_i), H_p constant per element."""
     space = problem.space
-    mesh = space.mesh
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    hp = hm.hp_many(problem.model, centroids, fem.element_gradients(space, u))
+    hp = hm.hp_many(problem.model, fem.element_gradients(space, u))
     return fem.drift_matrix(space, hp)
 
 
 def hp_selection_elements(problem: MfgProblem, u: np.ndarray) -> np.ndarray:
     """One generalized-Jacobian selection of H_p per element: (nt, 2, 2)."""
-    space = problem.space
-    mesh = space.mesh
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    return hm.hp_selection_many(problem.model, centroids, fem.element_gradients(space, u))
+    return hm.hp_selection_many(
+        problem.model, fem.element_gradients(problem.space, u)
+    )
 
 
 def advection_sensitivity(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:

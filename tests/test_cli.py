@@ -7,6 +7,7 @@ against direct library calls and against a second identical run.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -267,6 +268,7 @@ def test_diagnose_stability_csv(capsys, tmp_path, mfg_report_path):
     assert all(s > 0 for s in smins)
     assert max(smins) / min(smins) <= 10.0
     assert "ratio_max_min=" in out
+    assert re.search(r"kink_elements=\[\d+, \d+\] ", out)  # one count per level
 
 
 def test_diagnose_stability_reads_old_report_with_seed(capsys, tmp_path):

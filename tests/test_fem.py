@@ -210,11 +210,16 @@ def test_load_nonfinite_value_reports_point():
         assemble_load(space, f, 2)
 
 
-def test_load_accepts_scalar_callable():
+def test_load_rejects_per_point_callable():
+    # fields are vectorized over (N, 2) point arrays; a per-point callable
+    # is an error, not something to retry point by point
     space = make_space(unit_square_mesh(2))
-    b_scalar = assemble_load(space, lambda p: float(p[0] + p[1]), 3)
-    b_vec = assemble_load(space, lambda p: np.atleast_2d(p).sum(axis=1), 3)
-    assert np.allclose(b_scalar, b_vec, atol=0, rtol=1e-15)
+    with pytest.raises(TypeError):
+        assemble_load(space, lambda p: math.sin(p[0]), 3)
+    with pytest.raises(FemError, match=r"shape \(2,\) on 8 points, expected \(8,\)"):
+        assemble_load(space, lambda p: p[0] + p[1], 3)
+    with pytest.raises(FemError, match=r"expected \(8, 2\)"):
+        error_vs_exact(space, np.zeros(space.n_free), u_star, lambda p: p[:, 0], "H1")
 
 
 # ---------------------------------------------------------- solution operator
@@ -258,12 +263,22 @@ def test_solve_residual_bound_certificate():
     assert res <= 1e-12
 
 
-def test_solve_iteration_cap_raises(monkeypatch):
+def test_solve_certificate_failure_raises(monkeypatch):
     space = make_space(unit_square_mesh(6))
     b = assemble_load(space, f_poisson, 3)
-    monkeypatch.setattr(fem, "_CG_CAP_FACTOR", 0)
+    monkeypatch.setattr(fem, "_SOLVE_TOL", 0.0)
     with pytest.raises(NonconvergenceError, match="residual"):
         solve_operator_Th(space, 0.0, b)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_solve_meets_certificate_at_n128(lam):
+    # the finest level that meets the 1e-12 certificate (n=256 misses it)
+    space = make_space(unit_square_mesh(128))
+    b = assemble_load(space, f_poisson, 3)
+    v = solve_operator_Th(space, lam, b)
+    W = assemble_stiffness(space) + lam * assemble_mass(space)
+    assert np.linalg.norm(b - W @ v) <= 1e-12 * np.linalg.norm(b)
 
 
 # -------------------------------------------------------------- interpolation

@@ -65,8 +65,8 @@ def test_eikonal_kink_tie_break_is_zero():
 
 def test_eikonal_has_no_gradient_fields():
     m = builtin_model("eikonal")
-    assert m.hp_eval is None
-    assert m.hp_clarke_selection is None
+    assert m.hp is None
+    assert m.hp_jacobian is None
 
 
 def test_huber_inner_branch():
@@ -165,6 +165,55 @@ def test_model_from_spec_strings(tmp_path):
 # -------------------------------------------------------------- batch helpers
 
 
+def _pointwise_reference(name, kwargs):
+    """Per-point closed forms (h, selection, hp, hp_jacobian) written out
+    independently of the vectorized kernels; hp entries are None where the
+    model has no gradient map."""
+    if name == "zero":
+        return (
+            lambda z: 0.0,
+            lambda z: np.zeros(2),
+            lambda z: np.zeros(2),
+            lambda z: np.zeros((2, 2)),
+        )
+    if name == "eikonal":
+
+        def sel(z):
+            s = float(np.abs(z).max())
+            if s == 0.0:
+                return np.zeros(2)
+            w = z / s
+            return w / float(np.hypot(w[0], w[1]))
+
+        return lambda z: float(np.hypot(z[0], z[1])), sel, None, None
+    if name == "huber":
+        delta = kwargs["delta"]
+
+        def h(z):
+            r = float(np.hypot(z[0], z[1]))
+            return r * r / (2 * delta) if r <= delta else r - delta / 2
+
+        def hp(z):
+            r = float(np.hypot(z[0], z[1]))
+            return z / delta if r <= delta else z / r
+
+        def hp_jac(z):
+            r = float(np.hypot(z[0], z[1]))
+            if r <= delta:
+                return np.eye(2) / delta
+            return (np.eye(2) - np.outer(z, z) / (r * r)) / r
+
+        return h, hp, hp, hp_jac
+    A = np.array([p[0] for p in kwargs["pieces"]], dtype=float)
+    b = np.array([p[1] for p in kwargs["pieces"]], dtype=float)
+    return (
+        lambda z: float((A @ z + b).max()),
+        lambda z: A[int(np.argmax(A @ z + b))],
+        None,
+        None,
+    )
+
+
 @pytest.mark.parametrize(
     "name,kwargs",
     [
@@ -176,20 +225,28 @@ def test_model_from_spec_strings(tmp_path):
 )
 def test_batch_evaluators_match_pointwise(name, kwargs):
     m = builtin_model(name, **kwargs)
+    h, sel, hp, hp_jac = _pointwise_reference(name, kwargs)
     g = rng(11)
-    X = g.uniform(0, 1, size=(64, 2))
     Z = g.uniform(-3, 3, size=(64, 2))
-    hv = eval_many(m, X, Z)
-    sv = selection_many(m, X, Z)
+    Z[0] = 0.0  # the kink tie-breaks of eikonal and huber
+    hv = eval_many(m, Z)
+    sv = selection_many(m, Z)
     for k in range(64):
-        assert hv[k] == pytest.approx(m.eval(X[k], Z[k]), abs=1e-15)
-        assert np.allclose(sv[k], m.clarke_selection(X[k], Z[k]), atol=1e-15)
-    if m.hp_eval is not None:
-        pv = hp_many(m, X, Z)
-        jv = hp_selection_many(m, X, Z)
-        for k in range(64):
-            assert np.allclose(pv[k], m.hp_eval(X[k], Z[k]), atol=1e-15)
-            assert np.allclose(jv[k], m.hp_clarke_selection(X[k], Z[k]), atol=1e-15)
+        assert hv[k] == pytest.approx(h(Z[k]), rel=1e-14, abs=1e-15)
+        assert np.allclose(sv[k], sel(Z[k]), rtol=1e-14, atol=1e-15)
+        # the per-point methods are rows of the batch maps
+        assert m.eval(None, Z[k]) == hv[k]
+        assert np.array_equal(m.clarke_selection(None, Z[k]), sv[k])
+    if hp is None:
+        assert m.hp is None and m.hp_jacobian is None
+        return
+    pv = hp_many(m, Z)
+    jv = hp_selection_many(m, Z)
+    for k in range(64):
+        assert np.allclose(pv[k], hp(Z[k]), rtol=1e-14, atol=1e-15)
+        assert np.allclose(jv[k], hp_jac(Z[k]), rtol=1e-14, atol=1e-15)
+        assert np.array_equal(m.hp_eval(None, Z[k]), pv[k])
+        assert np.array_equal(m.hp_clarke_selection(None, Z[k]), jv[k])
 
 
 # ----------------------------------------------------------- Lipschitz bounds
@@ -213,9 +270,8 @@ def test_value_lipschitz_bound(model):
     g = rng(23)
     Z1 = g.uniform(-5, 5, size=(10_000, 2))
     Z2 = g.uniform(-5, 5, size=(10_000, 2))
-    X = g.uniform(0, 1, size=(10_000, 2))
     d = np.linalg.norm(Z1 - Z2, axis=1)
-    gap = np.abs(eval_many(model, X, Z1) - eval_many(model, X, Z2))
+    gap = np.abs(eval_many(model, Z1) - eval_many(model, Z2))
     assert (gap <= model.lipschitz_C_H * d * (1 + 1e-12) + 1e-15).all()
 
 
@@ -224,8 +280,7 @@ def test_selection_norm_bound(model):
     g = rng(29)
     Z = g.uniform(-5, 5, size=(10_000, 2))
     Z[:100] = 0.0  # hit the kinks too
-    X = g.uniform(0, 1, size=(10_000, 2))
-    norms = np.linalg.norm(selection_many(model, X, Z), axis=1)
+    norms = np.linalg.norm(selection_many(model, Z), axis=1)
     assert (norms <= model.lipschitz_C_H + 1e-12).all()
 
 
@@ -235,9 +290,8 @@ def test_huber_hp_bounds():
         g = rng(31)
         P = g.uniform(-4, 4, size=(10_000, 2))
         Q = g.uniform(-4, 4, size=(10_000, 2))
-        X = np.zeros_like(P)
-        hp_p = hp_many(m, X, P)
-        hp_q = hp_many(m, X, Q)
+        hp_p = hp_many(m, P)
+        hp_q = hp_many(m, Q)
         assert (np.linalg.norm(hp_p, axis=1) <= 1.0 + 1e-12).all()
         lhs = np.linalg.norm(hp_p - hp_q, axis=1)
         rhs = np.linalg.norm(P - Q, axis=1) / delta
@@ -247,11 +301,11 @@ def test_huber_hp_bounds():
 # ------------------------------------------------- gradient consistency by FD
 
 
-def _fd_gradient(model, X, Z, eps=1e-5):
+def _fd_gradient(model, Z, eps=1e-5):
     g = np.empty_like(Z)
     for k, e in enumerate(np.eye(2)):
-        up = eval_many(model, X, Z + eps * e)
-        dn = eval_many(model, X, Z - eps * e)
+        up = eval_many(model, Z + eps * e)
+        dn = eval_many(model, Z - eps * e)
         g[:, k] = (up - dn) / (2 * eps)
     return g
 
@@ -277,12 +331,10 @@ def _away_from_kinks(model, Z):
 def test_selection_matches_fd_gradient_off_kinks(model):
     g = rng(37)
     Z = g.uniform(-3, 3, size=(10_000, 2))
-    X = g.uniform(0, 1, size=(10_000, 2))
-    keep = _away_from_kinks(model, Z)
-    Z, X = Z[keep], X[keep]
+    Z = Z[_away_from_kinks(model, Z)]
     assert len(Z) > 8_000
-    sel = selection_many(model, X, Z)
-    fd = _fd_gradient(model, X, Z)
+    sel = selection_many(model, Z)
+    fd = _fd_gradient(model, Z)
     scale = 1.0 + np.linalg.norm(sel, axis=1)
     err = np.linalg.norm(sel - fd, axis=1)
     assert (err <= 1e-6 * scale).all()
@@ -454,8 +506,8 @@ def test_mean_value_custom_model_fallback():
         name="quadratic",
         lipschitz_C_H=100.0,
         is_convex_in_z=True,
-        eval=lambda x, z: 0.5 * float(z @ z),
-        clarke_selection=lambda x, z: np.asarray(z, dtype=float),
+        h=lambda Z: 0.5 * (Z * Z).sum(axis=1),
+        selection=lambda Z: Z.copy(),
     )
     z1 = np.array([1.0, 2.0])
     z2 = np.array([-0.5, 0.25])

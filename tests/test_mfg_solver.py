@@ -30,10 +30,10 @@ def quadratic_model():
         name="quadratic",
         lipschitz_C_H=10.0,
         is_convex_in_z=True,
-        eval=lambda x, z: 0.5 * float(np.dot(z, z)),
-        clarke_selection=lambda x, z: np.asarray(z, dtype=float),
-        hp_eval=lambda x, z: np.asarray(z, dtype=float),
-        hp_clarke_selection=lambda x, z: np.eye(2),
+        h=lambda Z: 0.5 * (Z * Z).sum(axis=1),
+        selection=lambda Z: Z.copy(),
+        hp=lambda Z: Z.copy(),
+        hp_jacobian=lambda Z: np.tile(np.eye(2), (len(Z), 1, 1)),
     )
 
 
@@ -451,12 +451,12 @@ def test_mfg_sources_reproduce_strong_form():
     Du = man.grad_u_star(X)
     Hess = man.hess_u_star(X)
     lap = Hess[:, 0, 0] + Hess[:, 1, 1]
-    h_vals = hm.eval_many(model, X, Du)
+    h_vals = hm.eval_many(model, Du)
     expect_hjb = -lap + h_vals + lam * u - coup.f_of_m(X, man.m_star(X))
     assert np.max(np.abs(g_hjb(X) - expect_hjb)) <= 1e-12
     # density equation: -div(m H_p(Du)) expands via the chain rule
-    hp = hm.hp_many(model, X, Du)
-    xi = hm.hp_selection_many(model, X, Du)
+    hp = hm.hp_many(model, Du)
+    xi = hm.hp_selection_many(model, Du)
     div_hp = np.einsum("nij,nji->n", xi, Hess)
     m, Dm = man.m_star(X), man.grad_m_star(X)
     expect_fp = -lap - (np.einsum("nd,nd->n", Dm, hp) + m * div_hp)
