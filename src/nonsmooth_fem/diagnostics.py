@@ -164,7 +164,7 @@ def banach_constant(A, grams: GramPair | None = None) -> float:
     n = A.shape[1]
     if grams is None:
         grams = GramPair(gram_X=np.eye(n), gram_Y=np.eye(A.shape[0]))
-    if A.shape[0] != _shape_of(grams.gram_Y) or n != _shape_of(grams.gram_X):
+    if A.shape[0] != grams.gram_Y.shape[0] or n != grams.gram_X.shape[0]:
         raise ValueError("gram shapes do not match the operator")
     if n <= _DENSE_CUTOFF:
         Ad = _dense(A)
@@ -184,10 +184,6 @@ def banach_constant(A, grams: GramPair | None = None) -> float:
         return_eigenvectors=False,
     )
     return float(np.sqrt(max(vals[0], 0.0)))
-
-
-def _shape_of(G) -> int:
-    return G.shape[0]
 
 
 def operator_norm(S, grams: GramPair | None = None) -> float:

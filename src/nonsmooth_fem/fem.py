@@ -278,10 +278,11 @@ def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
     return b
 
 
-def load_from_values(space: FeSpace, vals: np.ndarray, quad_order: int = 3) -> np.ndarray:
-    """Like assemble_load but from precomputed quadrature values (nq, nt);
-    per-element values (nt,) stand for a field constant on each element."""
-    bary, weights = triangle_rule(quad_order)
+def load_from_values(space: FeSpace, vals: np.ndarray) -> np.ndarray:
+    """Like assemble_load but from precomputed values (nq, nt) at the order-3
+    points of quad_points(space, 3); per-element values (nt,) stand for a
+    field constant on each element."""
+    bary, weights = triangle_rule(3)
     vals = np.broadcast_to(vals, (len(weights), space.mesh.n_triangles))
     b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
     b = np.zeros(space.n_free)

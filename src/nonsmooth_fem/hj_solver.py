@@ -41,7 +41,6 @@ class HjProblem:
     model: hm.HamiltonianModel
     lam: float
     f: object
-    extra_source: object = None
 
     def __post_init__(self):
         if self.lam < 0:
@@ -64,8 +63,6 @@ def load_vector(problem: HjProblem) -> np.ndarray:
             raise ValueError("precomputed load has the wrong length")
     else:
         b = fem.assemble_load(problem.space, problem.f)
-    if problem.extra_source is not None:
-        b = b + fem.assemble_load(problem.space, problem.extra_source)
     return b
 
 

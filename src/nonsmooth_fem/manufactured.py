@@ -83,7 +83,7 @@ def mfg_sources(model: hm.HamiltonianModel, coupling, lam: float):
         return (
             (2.0 * _PI**2 + lam) * u_star(X)
             + hm.eval_many(model, grad_u_star(X))
-            - coupling.f_of_m(X, m_star(X))
+            - coupling.f(m_star(X))
         )
 
     def g_fp(X):

@@ -7,9 +7,14 @@ u with a linear transport-diffusion equation for the density m:
     (Dm, Dpsi) + (m H_p(Du), Dpsi) + lam (m, psi) = lam (m0, psi) + (g_fp, psi)
 
 H and H_p depend on the gradient only and are evaluated once per element.
+The coupling depends on the density only: F[m] = f(m) (local) or f(S m)
+(nonlocal), with S a discrete mollifier; f is evaluated in one call on
+the density values at all quadrature points.
+
 Block Newton linearizes both equations at once. With B the drift form
-B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the coupling-weighted mass, and G
-the advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i) built from one
+B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the f'-weighted mass (composed with
+S on the trial side for a nonlocal coupling), and G the
+advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i) built from one
 generalized-Jacobian selection xi of H_p per element, the system matrix is
 
     [ K + lam M + B        -Q  ]
@@ -29,7 +34,8 @@ data, which changes nothing in the linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,19 +48,22 @@ from .diagnostics import ConvergenceReport, refinement_study
 from .fem import FemError, NonconvergenceError
 
 
+# applications of the mollifier's one-step map in every nonlocal coupling
+_SMOOTHING_STEPS = 2
+
+
 @dataclass(frozen=True)
 class CouplingModel:
-    """Density coupling F[m](x) = f(x, m(x)) (local) or f(x, (S m)(x)) with
-    S a discrete mollifier (nonlocal). f_of_m and df_dm are vectorized:
-    (X (N,2), m (N,)) -> (N,). bound_C_F bounds |df_dm|."""
+    """Density coupling F[m] = f(m) (local) or f(S m) with S a discrete
+    mollifier (nonlocal). f and df = f' act elementwise on density arrays of
+    any shape; bound_C_F bounds |df|."""
 
     kind: str  # "local" | "nonlocal"
     name: str
-    f_of_m: object
-    df_dm: object
+    f: object
+    df: object
     bound_C_F: float
     monotone: bool
-    smoothing_steps: int = 2
 
     def __post_init__(self):
         if self.kind not in ("local", "nonlocal"):
@@ -66,8 +75,8 @@ def local_linear(c: float = 1.0) -> CouplingModel:
     return CouplingModel(
         kind="local",
         name=f"linear:{c:g}",
-        f_of_m=lambda X, m: c * np.asarray(m, dtype=float),
-        df_dm=lambda X, m: np.full(np.shape(m), c),
+        f=lambda m: c * m,
+        df=lambda m: np.full(np.shape(m), c),
         bound_C_F=abs(c),
         monotone=c > 0,
     )
@@ -77,35 +86,19 @@ def local_arctan() -> CouplingModel:
     return CouplingModel(
         kind="local",
         name="arctan",
-        f_of_m=lambda X, m: np.arctan(np.asarray(m, dtype=float)),
-        df_dm=lambda X, m: 1.0 / (1.0 + np.asarray(m, dtype=float) ** 2),
+        f=np.arctan,
+        df=lambda m: 1.0 / (1.0 + m**2),
         bound_C_F=1.0,
         monotone=True,
     )
 
 
 def zero_coupling() -> CouplingModel:
-    return CouplingModel(
-        kind="local",
-        name="zero",
-        f_of_m=lambda X, m: np.zeros(np.shape(m)),
-        df_dm=lambda X, m: np.zeros(np.shape(m)),
-        bound_C_F=0.0,
-        monotone=False,
-    )
+    return replace(local_linear(0.0), name="zero")
 
 
-def nonlocal_linear(c: float = 1.0, steps: int = 2) -> CouplingModel:
-    c = float(c)
-    return CouplingModel(
-        kind="nonlocal",
-        name=f"nonlocal-linear:{c:g}",
-        f_of_m=lambda X, m: c * np.asarray(m, dtype=float),
-        df_dm=lambda X, m: np.full(np.shape(m), c),
-        bound_C_F=abs(c),
-        monotone=c > 0,
-        smoothing_steps=int(steps),
-    )
+def nonlocal_linear(c: float = 1.0) -> CouplingModel:
+    return replace(local_linear(c), kind="nonlocal", name=f"nonlocal-linear:{float(c):g}")
 
 
 def coupling_from_spec(text: str) -> CouplingModel:
@@ -195,39 +188,40 @@ def state_distance(space, s1: MfgState, s2: MfgState) -> float:
 
 
 class _Smoother:
-    """Discrete mollifier: s applications of (M_lump + sigma K)^{-1} M_lump
-    on all-vertex nodal values, sigma = h^2. Symmetric in the lumped inner
-    product and bounded on L2."""
+    """Discrete mollifier S: _SMOOTHING_STEPS applications of
+    (M_lump + sigma K)^{-1} M_lump on all-vertex nodal values, sigma = h^2.
+    Symmetric in the lumped inner product and bounded on L2."""
 
-    def __init__(self, mesh, steps: int):
+    def __init__(self, space):
+        mesh = space.mesh
         K = fem.full_stiffness(mesh)
         Ml = np.asarray(fem.full_mass(mesh).sum(axis=1)).ravel()
         sigma = mesh.mesh_size_h**2
         self._lu = spla.splu((sp.diags(Ml) + sigma * K).tocsc())
         self._Ml = Ml
-        self.steps = steps
-        self._dense = None
+        self._space = space
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.asarray(nodal, dtype=float)
         scale = self._Ml if out.ndim == 1 else self._Ml[:, None]
-        for _ in range(self.steps):
+        for _ in range(_SMOOTHING_STEPS):
             out = self._lu.solve(scale * out)
         return out
 
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            n = len(self._Ml)
-            self._dense = self.apply(np.eye(n))
-        return self._dense
+    @cached_property
+    def free_columns(self) -> np.ndarray:
+        """S E, the columns of S at the free vertices: (n_v, n_free)."""
+        space = self._space
+        unit = np.zeros((len(self._Ml), space.n_free))
+        unit[space.free_dofs, np.arange(space.n_free)] = 1.0
+        return self.apply(unit)
 
 
 def _smoother(problem: MfgProblem) -> _Smoother:
-    key = ("smoother", problem.coupling.smoothing_steps)
     cache = problem.space._cache
-    if key not in cache:
-        cache[key] = _Smoother(problem.space.mesh, problem.coupling.smoothing_steps)
-    return cache[key]
+    if "smoother" not in cache:
+        cache["smoother"] = _Smoother(problem.space)
+    return cache["smoother"]
 
 
 def _coupling_nodal(problem: MfgProblem, m: np.ndarray) -> np.ndarray:
@@ -240,14 +234,10 @@ def _coupling_nodal(problem: MfgProblem, m: np.ndarray) -> np.ndarray:
 
 
 def _coupling_at_quad(space, nodal, fn) -> np.ndarray:
-    """fn(x, m~) at the order-3 quadrature points: (nq, nt), with m~ the P1
+    """fn(m~) at the order-3 quadrature points: (nq, nt), with m~ the P1
     function of the all-vertex values `nodal`."""
-    bary, _, X = fem.quad_points(space, 3)
-    m_seen = np.einsum("qk,tk->qt", bary, nodal[np.asarray(space.mesh.triangles)])
-    vals = np.empty(m_seen.shape)
-    for q in range(len(X)):
-        vals[q] = fn(X[q], m_seen[q])
-    return vals
+    bary, _, _ = fem.quad_points(space, 3)
+    return fn(np.einsum("qk,tk->qt", bary, nodal[np.asarray(space.mesh.triangles)]))
 
 
 def _weighted_local_mass(space, df: np.ndarray) -> np.ndarray:
@@ -287,7 +277,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
 
     # value equation: nonlinearity per element, coupling at quadrature points
     h_vals = hm.eval_many(problem.model, Du)
-    f_vals = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.f_of_m)
+    f_vals = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.f)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
     r_u = (
@@ -343,28 +333,24 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi=None) -> sp.c
 
 
 def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray):
-    """Q with Q[i][j] = (df_dm(x, m~) phi_j~, phi_i): sparse weighted mass
-    for local couplings, dense composition with the mollifier otherwise."""
+    """Q with Q[i][j] = (df(m~) phi_j~, phi_i), where m~, phi_j~ are m, phi_j
+    (local) or S m, S phi_j (nonlocal). Local: the sparse weighted mass.
+    Nonlocal: the sparse free-by-vertex weighted mass times the mollifier's
+    cached free columns S E, a dense (n_free, n_free) array."""
     space = problem.space
-    df = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.df_dm)
+    df = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.df)
     local = _weighted_local_mass(space, df)
     if problem.coupling.kind == "local":
         return fem.assemble_from_local(space, local)
-    # nonlocal: Q_fv couples free test dofs to all trial vertices, then the
-    # mollifier and the boundary extension compose on the trial side
-    tris = np.asarray(space.mesh.triangles)
+    # free test dofs against all trial vertices
     rows = np.repeat(space.elem_dofs[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(tris[:, None, :], 3, axis=1).ravel()
-    vals = local.ravel()
+    cols = np.repeat(np.asarray(space.mesh.triangles)[:, None, :], 3, axis=1).ravel()
     keep = rows >= 0
-    n_v = space.mesh.n_vertices
-    Q_fv = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(space.n_free, n_v)
-    ).toarray()
-    S = _smoother(problem).dense()
-    E = np.zeros((n_v, space.n_free))
-    E[space.free_dofs, np.arange(space.n_free)] = 1.0
-    return Q_fv @ S @ E
+    Q_fv = sp.csr_matrix(
+        (local.ravel()[keep], (rows[keep], cols[keep])),
+        shape=(space.n_free, space.mesh.n_vertices),
+    )
+    return Q_fv @ _smoother(problem).free_columns
 
 
 def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
@@ -377,11 +363,7 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     B = drift_matrix(problem, state.u)
     Q = coupling_weighted_mass(problem, state.m)
     G = advection_sensitivity(problem, state, xi=xi)
-    if sp.issparse(Q):
-        return sp.bmat([[A + B, -Q], [G, A + B.T]], format="csr")
-    top = sp.hstack([(A + B).tocsr(), sp.csr_matrix(-Q)])
-    bottom = sp.hstack([G.tocsr(), (A + B.T).tocsr()])
-    return sp.vstack([top, bottom]).tocsr()
+    return sp.bmat([[A + B, -Q], [G, A + B.T]], format="csr")
 
 
 # -------------------------------------------------------------------- solvers
@@ -456,7 +438,7 @@ def mfg_picard(
             break
         # coupling load at the current density
         f_vals = _coupling_at_quad(
-            space, _coupling_nodal(problem, state.m), problem.coupling.f_of_m
+            space, _coupling_nodal(problem, state.m), problem.coupling.f
         )
         b_u = fem.load_from_values(space, f_vals) + b_hjb
         hj_prob = hj_solver.HjProblem(
@@ -488,7 +470,7 @@ def mfg_picard(
 
 
 def check_monotonicity(coupling: CouplingModel, space, samples=3, n_rho=100, seed=0):
-    """Sampled sign check of the coupling form rho -> (df_dm(., m) rho, rho).
+    """Sampled sign check of the coupling form rho -> (df(m) rho, rho).
 
     Returns (verdict, margin): margin is the minimum of the quadratic form
     over unit-norm random rho and `samples` sampled densities (zero plus
@@ -503,7 +485,7 @@ def check_monotonicity(coupling: CouplingModel, space, samples=3, n_rho=100, see
     g = np.random.default_rng(seed + 1)
     margin = np.inf
     for m in m_samples:
-        df = _coupling_at_quad(space, fem.extend_to_vertices(space, m), coupling.df_dm)
+        df = _coupling_at_quad(space, fem.extend_to_vertices(space, m), coupling.df)
         Q = fem.assemble_from_local(space, _weighted_local_mass(space, df))
         for _ in range(n_rho):
             rho = g.normal(size=space.n_free)

@@ -5,6 +5,8 @@ coupling vanishes, finite-difference consistency of the block Jacobian in a
 smooth regime, cross-solver agreement, and manufactured-solution rates.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -59,36 +61,34 @@ def monotone16(space16):
 
 
 def test_coupling_builtins_pointwise():
-    X = np.array([[0.3, 0.4], [0.7, 0.2]])
     m = np.array([0.5, -2.0])
     lin = mfg.local_linear(2.5)
-    assert np.allclose(lin.f_of_m(X, m), 2.5 * m)
-    assert np.allclose(lin.df_dm(X, m), 2.5)
+    assert np.allclose(lin.f(m), 2.5 * m)
+    assert np.allclose(lin.df(m), 2.5)
     assert lin.bound_C_F == 2.5 and lin.monotone
     assert not mfg.local_linear(-1.0).monotone
 
     at = mfg.local_arctan()
-    assert np.allclose(at.f_of_m(X, m), np.arctan(m))
-    assert np.allclose(at.df_dm(X, m), 1.0 / (1.0 + m**2))
+    assert np.allclose(at.f(m), np.arctan(m))
+    assert np.allclose(at.df(m), 1.0 / (1.0 + m**2))
     assert at.bound_C_F == 1.0 and at.monotone
 
     z = mfg.zero_coupling()
-    assert np.array_equal(z.f_of_m(X, m), np.zeros(2))
+    assert np.array_equal(z.f(m), np.zeros(2))
     assert z.bound_C_F == 0.0 and not z.monotone
 
 
 def test_coupling_derivative_bound_sampled():
     rng = np.random.default_rng(11)
-    X = rng.uniform(size=(500, 2))
     m = rng.normal(scale=5.0, size=500)
     for coup in (mfg.local_linear(3.0), mfg.local_arctan(), mfg.zero_coupling()):
-        assert np.all(np.abs(coup.df_dm(X, m)) <= coup.bound_C_F + 1e-12)
+        assert np.all(np.abs(coup.df(m)) <= coup.bound_C_F + 1e-12)
 
 
 def test_coupling_from_spec():
     assert mfg.coupling_from_spec("zero").name == "zero"
     assert mfg.coupling_from_spec("local:linear").bound_C_F == 1.0
-    assert mfg.coupling_from_spec("local:linear:-5").f_of_m(None, np.array([2.0]))[0] == -10.0
+    assert mfg.coupling_from_spec("local:linear:-5").f(np.array([2.0]))[0] == -10.0
     assert mfg.coupling_from_spec("local:arctan").name == "arctan"
     assert mfg.coupling_from_spec("nonlocal:linear").kind == "nonlocal"
     with pytest.raises(ValueError, match="wibble"):
@@ -98,7 +98,7 @@ def test_coupling_from_spec():
 def test_coupling_kind_validated():
     with pytest.raises(ValueError, match="global"):
         mfg.CouplingModel(
-            kind="global", name="x", f_of_m=None, df_dm=None, bound_C_F=0.0, monotone=False
+            kind="global", name="x", f=None, df=None, bound_C_F=0.0, monotone=False
         )
 
 
@@ -173,6 +173,23 @@ def test_residual_of_interpolants_shrinks_linearly():
     assert fit_rate(hs, vals).slope >= 0.8
 
 
+@pytest.mark.parametrize("kind", ["local", "nonlocal"])
+def test_residual_calls_coupling_once(space8, kind):
+    # the coupling reads density values only, so one call covers every
+    # quadrature point of every element
+    arctan = mfg.local_arctan()
+    shapes = []
+
+    def counted(m):
+        shapes.append(m.shape)
+        return arctan.f(m)
+
+    coupling = dataclasses.replace(arctan, kind=kind, f=counted)
+    problem = mfg.make_mfg_problem(space8, huber(), coupling, 1.0, man.bump)
+    mfg.mfg_residual(problem, mfg.MfgState(u=np.zeros(space8.n_free), m=problem.m0))
+    assert shapes == [(6, space8.mesh.n_triangles)]
+
+
 # ------------------------------------------------------------------ jacobian
 
 
@@ -198,12 +215,29 @@ def test_block_jacobian_matches_finite_differences(space8, make_coupling):
 def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
     problem = mfg.make_mfg_problem(space8, huber(), mfg.nonlocal_linear(1.0), 1.0, man.bump)
     smoother = mfg._smoother(problem)
-    S = smoother.dense()
+    S = smoother.apply(np.eye(space8.mesh.n_vertices))
     D = np.diag(smoother._Ml)
     DS = D @ S
     assert np.max(np.abs(DS - DS.T)) <= 1e-12
     ones = np.ones(space8.mesh.n_vertices)
     assert np.max(np.abs(smoother.apply(ones) - ones)) <= 1e-10
+
+
+def test_nonlocal_coupling_mass_matches_dense_composition(space8):
+    # reference: the dense product Q_fv @ S @ E, with S built column by
+    # column and, for a linear coupling, Q_fv = c * (full mass at free rows)
+    c = 2.5
+    problem = mfg.make_mfg_problem(space8, huber(), mfg.nonlocal_linear(c), 1.0, man.bump)
+    m = np.random.default_rng(5).normal(size=space8.n_free)
+    n_v, n = space8.mesh.n_vertices, space8.n_free
+    S = mfg._smoother(problem).apply(np.eye(n_v))
+    E = np.zeros((n_v, n))
+    E[space8.free_dofs, np.arange(n)] = 1.0
+    Q_fv = c * fem.full_mass(space8.mesh).toarray()[space8.free_dofs]
+    expected = Q_fv @ S @ E
+    Q = mfg.coupling_weighted_mass(problem, m)
+    assert Q.shape == (n, n)
+    assert np.max(np.abs(Q - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # -------------------------------------------------------------------- newton
@@ -452,7 +486,7 @@ def test_mfg_sources_reproduce_strong_form():
     Hess = man.hess_u_star(X)
     lap = Hess[:, 0, 0] + Hess[:, 1, 1]
     h_vals = hm.eval_many(model, Du)
-    expect_hjb = -lap + h_vals + lam * u - coup.f_of_m(X, man.m_star(X))
+    expect_hjb = -lap + h_vals + lam * u - coup.f(man.m_star(X))
     assert np.max(np.abs(g_hjb(X) - expect_hjb)) <= 1e-12
     # density equation: -div(m H_p(Du)) expands via the chain rule
     hp = hm.hp_many(model, Du)
