@@ -97,10 +97,23 @@ def newton_matrix(problem: HjProblem, u: np.ndarray):
     return (K + problem.lam * M + C).tocsr()
 
 
+def _newton_step(J, r: np.ndarray) -> np.ndarray:
+    """The leading len(r) entries of the solution of J y = (r, 0, ..., 0)
+    by sparse LU. J and its factors are freed on return, so they do not
+    stay alive through the line search and raise the peak memory."""
+    lu = spla.splu(J)
+    return lu.solve(np.pad(r, (0, J.shape[0] - len(r))))[: len(r)]
+
+
 def damped_newton(residual, jacobian, norm, x0, tol, max_iter) -> SolveReport:
     """Damped semismooth Newton on x; stops when norm(residual(x)) <= tol.
 
-    Each step solves jacobian(x) dx = residual(x) by sparse LU. Damping
+    Each step solves jacobian(x) dx = residual(x) by sparse LU. The
+    Jacobian may carry trailing auxiliary unknowns: a square matrix of size
+    N >= len(x) whose leading len(x) unknowns are x's and whose trailing rows
+    have zero right side (mfg_solver's lifted nonlocal system). The step is
+    then the leading len(x) entries of the solution with r padded by zeros;
+    with N == len(x) it is the plain Newton step. Damping
     tries s = 1, 1/2, ..., 2^-10 and accepts the first x - s dx that
     strictly decreases the residual norm; if none does, or max_iter steps
     pass, the report comes back converged=False rather than raising. A
@@ -118,7 +131,7 @@ def damped_newton(residual, jacobian, norm, x0, tol, max_iter) -> SolveReport:
             message = f"iteration limit {max_iter} reached"
             break
         try:
-            dx = spla.splu(jacobian(x).tocsc()).solve(r)
+            dx = _newton_step(jacobian(x).tocsc(), r)
         except RuntimeError as exc:
             raise FemError(f"newton linear system is singular: {exc}") from exc
         for k in range(_MAX_HALVINGS + 1):

@@ -13,15 +13,28 @@ the density values at all quadrature points.
 
 Block Newton linearizes both equations at once. With B the drift form
 B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the f'-weighted mass (composed with
-S on the trial side for a nonlocal coupling), and G the
-advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i) built from one
-generalized-Jacobian selection xi of H_p per element, the system matrix is
+S E on the trial side for a nonlocal coupling, E the free-to-vertex
+injection), and G the advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i)
+built from one generalized-Jacobian selection xi of H_p per element, the
+reduced system matrix (mfg_jacobian) is
 
-    [ K + lam M + B        -Q  ]
-    [ G            K + lam M + B^T ]
+    J = [ K + lam M + B        -Q  ]
+        [ G            K + lam M + B^T ]
 
 Block Newton runs hj_solver.damped_newton, the Newton loop shared with the
 value equation, on the stacked vector (u, m) with the stacked dual norm.
+For a local coupling it factors J. For a nonlocal coupling S E is dense,
+so Newton factors instead the sparse lifted system in (du, dm, w_1, ...,
+w_k), k = _SMOOTHING_STEPS, L = M_lump + h^2 K the smoother's matrix and
+Q_fv the sparse free-by-vertex weighted mass:
+
+    (K + lam M + B) du - Q_fv w_k = r_u
+    G du + (K + lam M + B^T) dm  = r_m
+    L w_1 - M_lump E dm           = 0
+    L w_{j+1} - M_lump w_j        = 0
+
+Eliminating the w's gives w_k = S E dm and hence J, so the step is the
+Newton step of J up to roundoff, with O(n_v) storage instead of O(n_v^2).
 Picard alternates a full HJ Newton solve for u at frozen m with one linear
 transport solve for m at frozen u, relaxing only m. Newton is fast near a
 solution; Picard is the derivative-free cross-check.
@@ -189,30 +202,34 @@ def state_distance(space, s1: MfgState, s2: MfgState) -> float:
 
 class _Smoother:
     """Discrete mollifier S: _SMOOTHING_STEPS applications of
-    (M_lump + sigma K)^{-1} M_lump on all-vertex nodal values, sigma = h^2.
-    Symmetric in the lumped inner product and bounded on L2."""
+    L^{-1} M_lump on all-vertex nodal values, L = M_lump + sigma K with
+    sigma = h^2. Symmetric in the lumped inner product and bounded on L2.
+
+    L (sparse, CSC) and M_lump (the lumped-mass diagonal) are the blocks of
+    the lifted Newton rows. free_columns, the dense S E, is built only on
+    demand for the reduced Jacobian; the Newton solve never reads it."""
 
     def __init__(self, space):
         mesh = space.mesh
         K = fem.full_stiffness(mesh)
-        Ml = np.asarray(fem.full_mass(mesh).sum(axis=1)).ravel()
+        self.M_lump = np.asarray(fem.full_mass(mesh).sum(axis=1)).ravel()
         sigma = mesh.mesh_size_h**2
-        self._lu = spla.splu((sp.diags(Ml) + sigma * K).tocsc())
-        self._Ml = Ml
+        self.L = (sp.diags(self.M_lump) + sigma * K).tocsc()
+        self._lu = spla.splu(self.L)
         self._space = space
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.asarray(nodal, dtype=float)
-        scale = self._Ml if out.ndim == 1 else self._Ml[:, None]
+        scale = self.M_lump if out.ndim == 1 else self.M_lump[:, None]
         for _ in range(_SMOOTHING_STEPS):
             out = self._lu.solve(scale * out)
         return out
 
     @cached_property
     def free_columns(self) -> np.ndarray:
-        """S E, the columns of S at the free vertices: (n_v, n_free)."""
+        """S E, the columns of S at the free vertices: dense (n_v, n_free)."""
         space = self._space
-        unit = np.zeros((len(self._Ml), space.n_free))
+        unit = np.zeros((len(self.M_lump), space.n_free))
         unit[space.free_dofs, np.arange(space.n_free)] = 1.0
         return self.apply(unit)
 
@@ -332,30 +349,31 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi=None) -> sp.c
     return fem.assemble_from_local(space, local)
 
 
-def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray):
-    """Q with Q[i][j] = (df(m~) phi_j~, phi_i), where m~, phi_j~ are m, phi_j
-    (local) or S m, S phi_j (nonlocal). Local: the sparse weighted mass.
-    Nonlocal: the sparse free-by-vertex weighted mass times the mollifier's
-    cached free columns S E, a dense (n_free, n_free) array."""
+def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
+    """The sparse df-weighted mass Q[i][j] = (df(m~) phi_j, phi_i), with m~
+    the density the coupling sees (m, or S m for a nonlocal coupling).
+
+    Local: the (n_free, n_free) matrix, the coupling block itself. Nonlocal:
+    Q_fv, free test dofs against all trial vertices, (n_free, n_v); the
+    coupling block is Q_fv S E, which mfg_jacobian forms and the lifted
+    Newton system keeps factored as Q_fv w_k."""
     space = problem.space
     df = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.df)
     local = _weighted_local_mass(space, df)
     if problem.coupling.kind == "local":
         return fem.assemble_from_local(space, local)
-    # free test dofs against all trial vertices
     rows = np.repeat(space.elem_dofs[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(np.asarray(space.mesh.triangles)[:, None, :], 3, axis=1).ravel()
     keep = rows >= 0
-    Q_fv = sp.csr_matrix(
+    return sp.csr_matrix(
         (local.ravel()[keep], (rows[keep], cols[keep])),
         shape=(space.n_free, space.mesh.n_vertices),
     )
-    return Q_fv @ _smoother(problem).free_columns
 
 
-def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
-    """Block matrix [[K+lam M+B, -Q], [G, K+lam M+B^T]] at the given state;
-    xi optionally overrides the per-element Jacobian selection in G."""
+def _jacobian_blocks(problem: MfgProblem, state: MfgState, xi=None) -> list:
+    """Block rows [[K+lam M+B, -Q], [G, K+lam M+B^T]], with Q as
+    coupling_weighted_mass returns it (Q_fv for a nonlocal coupling)."""
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
@@ -363,7 +381,43 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     B = drift_matrix(problem, state.u)
     Q = coupling_weighted_mass(problem, state.m)
     G = advection_sensitivity(problem, state, xi=xi)
-    return sp.bmat([[A + B, -Q], [G, A + B.T]], format="csr")
+    return [[A + B, -Q], [G, A + B.T]]
+
+
+def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
+    """The reduced Jacobian [[K+lam M+B, -Q], [G, K+lam M+B^T]] at the given
+    state; xi optionally overrides the per-element Jacobian selection in G.
+
+    For a nonlocal coupling Q = Q_fv S E with S E the smoother's dense free
+    columns, so this matrix stores O(n_v^2) entries; mfg_newton factors
+    the sparse lifted system (_lifted_jacobian) instead."""
+    blocks = _jacobian_blocks(problem, state, xi)
+    if problem.coupling.kind == "nonlocal":
+        blocks[0][1] = blocks[0][1] @ _smoother(problem).free_columns
+    return sp.bmat(blocks, format="csr")
+
+
+def _lifted_jacobian(problem: MfgProblem, state: MfgState) -> sp.csr_matrix:
+    """Nonlocal Newton matrix in (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS
+    (module docstring): square of size 2 n_free + k n_v, with the w's as
+    trailing auxiliary unknowns for hj_solver.damped_newton."""
+    space = problem.space
+    smoother = _smoother(problem)
+    n_free, n_v = space.n_free, space.mesh.n_vertices
+    k = _SMOOTHING_STEPS
+    (AB, minus_Q_fv), (G, ABt) = _jacobian_blocks(problem, state)
+    Ml_E = sp.csr_matrix(
+        (smoother.M_lump[space.free_dofs], (space.free_dofs, np.arange(n_free))),
+        shape=(n_v, n_free),
+    )
+    rows = [[AB] + [None] * k + [minus_Q_fv], [G, ABt] + [None] * k]
+    for j in range(k):
+        # L w_{j+1} - M_lump w_j = 0, with w_0 = E dm
+        row = [None] * (k + 2)
+        row[1 + j] = -Ml_E if j == 0 else -sp.diags(smoother.M_lump)
+        row[2 + j] = smoother.L
+        rows.append(row)
+    return sp.bmat(rows, format="csr")
 
 
 # -------------------------------------------------------------------- solvers
@@ -387,7 +441,9 @@ def _initial_state(problem, state0) -> MfgState:
 
 
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
-    """Damped block Newton on the stacked residual (see hj_solver.damped_newton)."""
+    """Damped block Newton on the stacked residual (see hj_solver.damped_newton).
+    Each step factors mfg_jacobian (local coupling) or the sparse lifted
+    system (nonlocal coupling; see the module docstring)."""
     space = problem.space
     n = space.n_free
     state = _initial_state(problem, state0)
@@ -396,9 +452,10 @@ def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSo
     def split(x):
         return MfgState(u=x[:n], m=x[n:])
 
+    jacobian = mfg_jacobian if problem.coupling.kind == "local" else _lifted_jacobian
     rep = hj_solver.damped_newton(
         lambda x: _residual(problem, split(x), b_hjb, b_fp),
-        lambda x: mfg_jacobian(problem, split(x)),
+        lambda x: jacobian(problem, split(x)),
         _stacked_norm(space),
         np.concatenate([state.u, state.m]),
         tol,

@@ -271,6 +271,31 @@ def test_diagnose_stability_csv(capsys, tmp_path, mfg_report_path):
     assert re.search(r"kink_elements=\[\d+, \d+\] ", out)  # one count per level
 
 
+def test_diagnose_stability_nonlocal_coupling(capsys, tmp_path):
+    # the scan assembles the reduced Jacobian, whose nonlocal coupling block
+    # is built from the smoother's free columns
+    state_path, csv_path = tmp_path / "s.json", tmp_path / "scan.csv"
+    code, _, _ = run_cli(
+        capsys,
+        ["solve-mfg", "--n", "12", "--coupling", "nonlocal:linear", "--out", str(state_path)],
+    )
+    assert code == 0
+    assert read_json(state_path)["converged"] is True
+    code, out, _ = run_cli(
+        capsys,
+        ["diagnose-stability", "--from", str(state_path), "--levels", "8,12",
+         "--samples", "2", "--out", str(csv_path)],
+    )
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "h,sample,smin"
+    rows = [line.split(",") for line in lines[1:]]
+    hs = sorted({float(r[0]) for r in rows}, reverse=True)
+    assert hs == pytest.approx([np.sqrt(2.0) / 8.0, np.sqrt(2.0) / 12.0], rel=1e-12)
+    assert all(float(r[2]) > 0 for r in rows)
+    assert re.search(r"^min=\S+ ratio_max_min=\S+ kink_elements=\[\d+, \d+\] ", out, re.M)
+
+
 def test_diagnose_stability_reads_old_report_with_seed(capsys, tmp_path):
     # reports written before --seed was removed still carry it in the echo
     old = tmp_path / "old.json"

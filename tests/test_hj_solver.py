@@ -186,6 +186,25 @@ def test_damped_newton_singular_jacobian_raises():
         )
 
 
+def test_damped_newton_auxiliary_unknowns_give_the_reduced_step():
+    # reduced J = [[4, -1], [1, 3]]; the lifted system writes -x2 as -2 w
+    # with the trailing row 2 w - x2 = 0, so eliminating w gives J back
+    J = sp.csr_matrix([[4.0, -1.0], [1.0, 3.0]])
+    lifted = sp.csr_matrix([[4.0, 0.0, -2.0], [1.0, 3.0, 0.0], [0.0, -1.0, 2.0]])
+    b = np.array([1.0, -2.0])
+    x0 = np.array([0.3, 0.7])
+    reps = [
+        hj_solver.damped_newton(
+            lambda x: J @ x - b, lambda x, A=A: A, np.linalg.norm, x0, tol=1e-12, max_iter=5,
+        )
+        for A in (J, lifted)
+    ]
+    assert all(rep.converged and rep.iterations == 1 for rep in reps)
+    reduced, aux = (rep.final_u for rep in reps)
+    assert aux.shape == x0.shape
+    assert np.linalg.norm(aux - reduced) <= 1e-15 * np.linalg.norm(reduced)
+
+
 def test_newton_jacobian_matches_directional_difference():
     model = builtin_model("huber", delta=1.0)
     space = space_of(8)

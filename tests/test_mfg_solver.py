@@ -216,7 +216,7 @@ def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
     problem = mfg.make_mfg_problem(space8, huber(), mfg.nonlocal_linear(1.0), 1.0, man.bump)
     smoother = mfg._smoother(problem)
     S = smoother.apply(np.eye(space8.mesh.n_vertices))
-    D = np.diag(smoother._Ml)
+    D = np.diag(smoother.M_lump)
     DS = D @ S
     assert np.max(np.abs(DS - DS.T)) <= 1e-12
     ones = np.ones(space8.mesh.n_vertices)
@@ -224,20 +224,58 @@ def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
 
 
 def test_nonlocal_coupling_mass_matches_dense_composition(space8):
-    # reference: the dense product Q_fv @ S @ E, with S built column by
-    # column and, for a linear coupling, Q_fv = c * (full mass at free rows)
+    # reference: for a linear coupling Q_fv = c * (full mass at free rows),
+    # and the Jacobian's coupling block is -Q_fv @ S @ E, with S built
+    # column by column
     c = 2.5
     problem = mfg.make_mfg_problem(space8, huber(), mfg.nonlocal_linear(c), 1.0, man.bump)
-    m = np.random.default_rng(5).normal(size=space8.n_free)
+    rng = np.random.default_rng(5)
     n_v, n = space8.mesh.n_vertices, space8.n_free
+    state = mfg.MfgState(u=0.01 * rng.normal(size=n), m=rng.normal(size=n))
+    Q_fv = c * fem.full_mass(space8.mesh).toarray()[space8.free_dofs]
+    Q = mfg.coupling_weighted_mass(problem, state.m)
+    assert Q.shape == (n, n_v)
+    assert np.max(np.abs(Q.toarray() - Q_fv)) <= 1e-12 * np.max(np.abs(Q_fv))
     S = mfg._smoother(problem).apply(np.eye(n_v))
     E = np.zeros((n_v, n))
     E[space8.free_dofs, np.arange(n)] = 1.0
-    Q_fv = c * fem.full_mass(space8.mesh).toarray()[space8.free_dofs]
     expected = Q_fv @ S @ E
-    Q = mfg.coupling_weighted_mass(problem, m)
-    assert Q.shape == (n, n)
-    assert np.max(np.abs(Q - expected)) <= 1e-12 * np.max(np.abs(expected))
+    block = -mfg.mfg_jacobian(problem, state)[:n, n:].toarray()
+    assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("c", [2.5, -5.0])
+def test_lifted_nonlocal_step_matches_reduced_jacobian(c):
+    space = space_of(12)
+    n = space.n_free
+    problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(c), 1.0, man.bump)
+    rng = np.random.default_rng(7)
+    state = mfg.MfgState(u=0.1 * rng.normal(size=n), m=0.5 + 0.1 * rng.normal(size=n))
+    r = mfg.mfg_residual(problem, state)
+    reduced = spla.spsolve(mfg.mfg_jacobian(problem, state).tocsc(), r)
+    lifted_J = mfg._lifted_jacobian(problem, state)
+    assert lifted_J.shape[0] == 2 * n + mfg._SMOOTHING_STEPS * space.mesh.n_vertices
+    lifted = spla.spsolve(lifted_J.tocsc(), np.pad(r, (0, lifted_J.shape[0] - 2 * n)))
+    assert np.linalg.norm(lifted[: 2 * n] - reduced) <= 1e-12 * np.linalg.norm(reduced)
+
+
+def test_nonlocal_newton_factors_a_sparse_system(monkeypatch):
+    space = space_of(12)  # fresh space: no smoother cached by other tests
+    problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(1.0), 1.0, man.bump)
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    report = mfg.mfg_newton(problem, tol=1e-9)
+    assert report.converged
+    assert "free_columns" not in vars(mfg._smoother(problem))
+    newton = [A for A in factored if A.shape[0] >= 2 * space.n_free]
+    assert len(newton) == report.iterations
+    assert all(A.nnz / A.shape[0] <= 12 for A in newton)
 
 
 # -------------------------------------------------------------------- newton
