@@ -145,10 +145,6 @@ def _dense(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-def identity_grams(n: int) -> GramPair:
-    return GramPair(gram_X=np.eye(n), gram_Y=np.eye(n))
-
-
 _DENSE_CUTOFF = 800
 
 

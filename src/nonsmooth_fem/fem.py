@@ -3,8 +3,8 @@
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant),
 quadrature-based load vectors, the linear solution operator
-(K + lambda*M)^{-1} by a cached sparse LU, nodal interpolation, and discrete
-norms.
+(K + lambda*M)^{-1} by a cached sparse LU with one step of iterative
+refinement, nodal interpolation, and discrete norms.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -173,6 +172,15 @@ def _assemble_p1(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((v[keep], (i[keep], j[keep])), shape=(n, n)).tocsr()
 
 
+def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
+    """Sum (nt, 3) element vectors into a free-dof vector, skipping dof -1."""
+    out = np.zeros(space.n_free)
+    dofs = space.elem_dofs.ravel()
+    keep = dofs >= 0
+    np.add.at(out, dofs[keep], local.ravel()[keep])
+    return out
+
+
 def assemble_from_local(space: "FeSpace", local: np.ndarray) -> sp.csr_matrix:
     """Sum per-element (nt, 3, 3) contributions into a free-dof CSR matrix.
 
@@ -271,11 +279,7 @@ def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
         )
     # b_local[t, k] = area_t * sum_q w_q bary[q, k] vals[q, t]
     b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
-    b = np.zeros(space.n_free)
-    dofs = space.elem_dofs.ravel()
-    keep = dofs >= 0
-    np.add.at(b, dofs[keep], b_local.ravel()[keep])
-    return b
+    return _assemble_p1_vector(space, b_local)
 
 
 def load_from_values(space: FeSpace, vals: np.ndarray) -> np.ndarray:
@@ -285,11 +289,7 @@ def load_from_values(space: FeSpace, vals: np.ndarray) -> np.ndarray:
     bary, weights = triangle_rule(3)
     vals = np.broadcast_to(vals, (len(weights), space.mesh.n_triangles))
     b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
-    b = np.zeros(space.n_free)
-    dofs = space.elem_dofs.ravel()
-    keep = dofs >= 0
-    np.add.at(b, dofs[keep], b_local.ravel()[keep])
-    return b
+    return _assemble_p1_vector(space, b_local)
 
 
 def interpolate_nodal(space: FeSpace, g) -> np.ndarray:
@@ -377,8 +377,9 @@ def _operator(space: FeSpace, lam: float):
 
 
 def solve_operator_Th(space: FeSpace, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + lam*M) v = rhs with the cached sparse LU of K + lam*M; the
-    solution must certify relative residual <= 1e-12."""
+    """Solve (K + lam*M) v = rhs with the cached sparse LU of K + lam*M and
+    one step of iterative refinement; the solution must certify relative
+    residual <= 1e-12."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     rhs = np.asarray(rhs, dtype=float)
@@ -388,6 +389,7 @@ def solve_operator_Th(space: FeSpace, lam: float, rhs: np.ndarray) -> np.ndarray
         return np.zeros(space.n_free)
     W, lu = _operator(space, lam)
     v = lu.solve(rhs)
+    v += lu.solve(rhs - W @ v)  # one step of iterative refinement
     rel = float(np.linalg.norm(rhs - W @ v) / np.linalg.norm(rhs))
     if not rel <= _SOLVE_TOL:
         raise NonconvergenceError(
@@ -508,28 +510,3 @@ def error_vs_exact(
         (weights[:, None] * ge2 ** (p / 2.0) * space.elem_areas).sum()
     )
     return (lr + gr) ** (1.0 / p)
-
-
-# -------------------------------------------------------------------- export
-
-
-def write_matrix_market(A: sp.spmatrix, path) -> None:
-    """MatrixMarket coordinate text."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A))
-
-
-def write_matrix_csv(A: sp.spmatrix, path) -> None:
-    """Triplet CSV: header row,col,value; one stored entry per line."""
-    coo = sp.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("row,col,value\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{int(i)},{int(j)},{float(v)!r}\n")
-
-
-def write_vector_csv(v: np.ndarray, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("index,value\n")
-        for i, x in enumerate(np.asarray(v, dtype=float)):
-            fh.write(f"{i},{float(x)!r}\n")

@@ -1,10 +1,13 @@
-"""Conforming triangulations of polygonal domains.
+"""Triangulations of the unit square and their uniform refinement.
 
 The built-in family triangulates the unit square with a fixed diagonal
 convention (lower-left to upper-right) so runs are bit-reproducible.
 Uniform midpoint refinement splits every triangle into four congruent
 children, which keeps the shape-regularity ratio of the initial mesh and
-halves the mesh size exactly on dyadic grids.
+halves the mesh size exactly on dyadic grids. Both are built by index
+arithmetic on whole arrays: refinement numbers its midpoints through
+edge_map, whose sorted unique edges come from one np.unique on the 1-D key
+i * n_vertices + j of each sorted vertex pair.
 
 Meshes are immutable value objects: the coordinate and index arrays are
 frozen after construction and safe to share across threads.
@@ -18,7 +21,7 @@ import numpy as np
 
 
 class MeshError(ValueError):
-    """Invalid mesh data (orientation, conformity, file format)."""
+    """Invalid mesh data (array shapes, subdivision count)."""
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
@@ -75,76 +78,23 @@ def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.sqrt((e * e).sum(axis=-1)).max())
 
 
-def edge_counts(mesh: TriMesh) -> dict:
-    """Multiset of edges as {sorted (i, j): number of incident triangles}."""
-    counts: dict = {}
-    for i, j, k in np.asarray(mesh.triangles):
-        for a, b in ((i, j), (j, k), (k, i)):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def edge_map(mesh: TriMesh):
+    """Unique edges of a triangulation: (edges, tri_edges, counts).
 
-
-def min_angle_deg(mesh: TriMesh) -> float:
-    """Smallest interior angle over all triangles, in degrees."""
-    p = mesh.vertices[mesh.triangles]
-    worst = np.inf
-    for local in range(3):
-        a = p[:, local]
-        b = p[:, (local + 1) % 3]
-        c = p[:, (local + 2) % 3]
-        u = b - a
-        v = c - a
-        cosang = (u * v).sum(axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        worst = min(worst, float(np.degrees(np.arccos(np.clip(cosang, -1, 1))).min()))
-    return worst
-
-
-def shape_regularity(mesh: TriMesh) -> float:
-    """Max over elements of diameter / inradius (inradius = 2*area/perimeter)."""
-    p = mesh.vertices[mesh.triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    lengths = np.sqrt((e * e).sum(axis=-1))
-    diam = lengths.max(axis=0)
-    perimeter = lengths.sum(axis=0)
-    areas = np.abs(signed_areas(mesh))
-    inradius = 2.0 * areas / perimeter
-    return float((diam / inradius).max())
-
-
-def validate_mesh(mesh: TriMesh) -> None:
-    """Raise MeshError on inverted/degenerate elements, bad indices, hanging nodes."""
-    tris = np.asarray(mesh.triangles)
-    if tris.size and (tris.min() < 0 or tris.max() >= mesh.n_vertices):
-        raise MeshError("triangle vertex index out of range")
-    areas = signed_areas(mesh)
-    bad = np.where(areas <= 0.0)[0]
-    if bad.size:
-        raise MeshError(
-            f"triangle {int(bad[0])} has nonpositive signed area {areas[bad[0]]:g}"
-        )
-    for (i, j), count in edge_counts(mesh).items():
-        if count > 2:
-            raise MeshError(f"edge ({i},{j}) shared by {count} > 2 triangles")
-    # hanging node: a vertex lying strictly inside another triangle's edge
-    verts = np.asarray(mesh.vertices)
-    edge_set = set(edge_counts(mesh).keys())
-    for i, j in edge_set:
-        a, b = verts[i], verts[j]
-        ab = b - a
-        len2 = float(ab @ ab)
-        for k in range(mesh.n_vertices):
-            if k in (i, j):
-                continue
-            t = float((verts[k] - a) @ ab) / len2
-            if 1e-12 < t < 1 - 1e-12:
-                close = verts[k] - (a + t * ab)
-                if float(close @ close) <= 1e-24 * len2:
-                    raise MeshError(
-                        f"vertex {k} hangs on edge ({i},{j}): mesh not conforming"
-                    )
+    edges (ne, 2) holds the sorted vertex pairs i < j in lexicographic
+    order; tri_edges (nt, 3) gives the index into edges of the sides (i, j),
+    (j, k), (k, i) of each triangle (i, j, k); counts (ne,) is the number of
+    incident triangles, 1 on the boundary and 2 inside a conforming mesh.
+    """
+    tris = mesh.triangles
+    pairs = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1).reshape(-1, 2)
+    pairs.sort(axis=1)
+    n_v = mesh.n_vertices
+    keys, inverse, counts = np.unique(
+        pairs[:, 0] * n_v + pairs[:, 1], return_inverse=True, return_counts=True
+    )
+    edges = np.column_stack(np.divmod(keys, n_v))
+    return edges, inverse.reshape(-1, 3), counts
 
 
 def unit_square_mesh(n: int) -> TriMesh:
@@ -160,17 +110,11 @@ def unit_square_mesh(n: int) -> TriMesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):  # column i, row j
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    triangles = np.asarray(triangles, dtype=np.int64)
+    # corner ids of every grid cell, row-major by cell (column i, row j)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     boundary = (
         (vertices[:, 0] == 0.0)
         | (vertices[:, 0] == 1.0)
@@ -184,92 +128,21 @@ def unit_square_mesh(n: int) -> TriMesh:
 def refine_uniform(mesh: TriMesh) -> TriMesh:
     """Split each triangle into 4 congruent children via edge midpoints.
 
-    New midpoint vertices are flagged as boundary exactly when their parent
-    edge lies on the boundary (is incident to a single triangle).
+    The midpoint of edge e of edge_map(mesh) gets vertex id n_vertices + e,
+    so that map is also the P1 prolongation from this mesh to the refined
+    one. Midpoints are flagged as boundary exactly when their parent edge
+    lies on the boundary (is incident to a single triangle). Triangle
+    (i, j, k) has children (i, mij, mki), (j, mjk, mij), (k, mki, mjk) and
+    (mij, mjk, mki), in that order.
     """
-    verts = np.asarray(mesh.vertices)
-    tris = np.asarray(mesh.triangles)
-    counts = edge_counts(mesh)
-    midpoint_id: dict = {}
-    new_vertices = [verts]
-    new_flags = [np.asarray(mesh.boundary_vertex)]
-    next_id = mesh.n_vertices
-    mid_coords = []
-    mid_flags = []
-    for (i, j), count in sorted(counts.items()):
-        midpoint_id[(i, j)] = next_id
-        mid_coords.append(0.5 * (verts[i] + verts[j]))
-        mid_flags.append(count == 1)
-        next_id += 1
-    new_vertices.append(np.asarray(mid_coords).reshape(-1, 2))
-    new_flags.append(np.asarray(mid_flags, dtype=bool))
-
-    def mid(a, b):
-        return midpoint_id[(a, b) if a < b else (b, a)]
-
-    children = []
-    for i, j, k in tris:
-        i, j, k = int(i), int(j), int(k)
-        mij, mjk, mki = mid(i, j), mid(j, k), mid(k, i)
-        children.extend(
-            [(i, mij, mki), (j, mjk, mij), (k, mki, mjk), (mij, mjk, mki)]
-        )
-    vertices = np.vstack(new_vertices)
-    flags = np.concatenate(new_flags)
-    triangles = np.asarray(children, dtype=np.int64)
+    edges, tri_edges, counts = edge_map(mesh)
+    verts = mesh.vertices
+    vertices = np.vstack([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
+    flags = np.concatenate([mesh.boundary_vertex, counts == 1])
+    i, j, k = mesh.triangles.T
+    mij, mjk, mki = (mesh.n_vertices + tri_edges).T
+    triangles = np.stack(
+        [i, mij, mki, j, mjk, mij, k, mki, mjk, mij, mjk, mki], axis=1
+    ).reshape(-1, 3)
     h = _max_edge_length(vertices, triangles)
     return TriMesh(vertices, triangles, flags, h)
-
-
-def write_mesh(mesh: TriMesh, path) -> None:
-    """Plain-text format: header 'vertices N triangles M', N lines 'x y b',
-    M lines 'i j k' (0-based)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"vertices {mesh.n_vertices} triangles {mesh.n_triangles}\n")
-        for (x, y), b in zip(np.asarray(mesh.vertices), mesh.boundary_vertex):
-            fh.write(f"{float(x)!r} {float(y)!r} {int(b)}\n")
-        for i, j, k in np.asarray(mesh.triangles):
-            fh.write(f"{i} {j} {k}\n")
-
-
-def read_mesh(path) -> TriMesh:
-    """Parse the plain-text format of write_mesh and validate the mesh."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise MeshError(f"{path}: empty mesh file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
-        raise MeshError(f"{path}: bad header {lines[0]!r}")
-    try:
-        n_v, n_t = int(header[1]), int(header[3])
-    except ValueError as exc:
-        raise MeshError(f"{path}: bad header counts {lines[0]!r}") from exc
-    if len(lines) != 1 + n_v + n_t:
-        raise MeshError(
-            f"{path}: expected {1 + n_v + n_t} lines, found {len(lines)}"
-        )
-    vertices = np.empty((n_v, 2))
-    flags = np.empty(n_v, dtype=bool)
-    for row, ln in enumerate(lines[1 : 1 + n_v]):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MeshError(f"{path}: vertex line {row} must be 'x y b'")
-        vertices[row] = float(parts[0]), float(parts[1])
-        if parts[2] not in ("0", "1"):
-            raise MeshError(f"{path}: boundary flag must be 0 or 1, got {parts[2]!r}")
-        flags[row] = parts[2] == "1"
-    triangles = np.empty((n_t, 3), dtype=np.int64)
-    for row, ln in enumerate(lines[1 + n_v :]):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MeshError(f"{path}: triangle line {row} must be 'i j k'")
-        triangles[row] = [int(p) for p in parts]
-    if np.isfinite(vertices).sum() != vertices.size:
-        raise MeshError(f"{path}: non-finite vertex coordinate")
-    if n_t and (triangles.min() < 0 or triangles.max() >= n_v):
-        raise MeshError(f"{path}: triangle vertex index out of range")
-    h = _max_edge_length(vertices, triangles) if n_t else 0.0
-    mesh = TriMesh(vertices, triangles, flags, h)
-    validate_mesh(mesh)
-    return mesh

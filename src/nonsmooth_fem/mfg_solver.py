@@ -310,10 +310,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     hp = np.broadcast_to(hm.hp_many(problem.model, Du), (len(weights),) + Du.shape)
     momentum = np.einsum("q,qt,qtd->td", weights, m_quad, hp)
     adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
-    r_adv = np.zeros(space.n_free)
-    dofs = space.elem_dofs.ravel()
-    keep = dofs >= 0
-    np.add.at(r_adv, dofs[keep], adv_local.ravel()[keep])
+    r_adv = fem._assemble_p1_vector(space, adv_local)
     r_m = K @ m + lam * (M @ m) + r_adv - lam * (M @ problem.m0) - b_fp
     return np.concatenate([r_u, r_m])
 

@@ -121,7 +121,7 @@ def test_banach_sparse_path_matches_dense():
 
 def test_banach_shape_validation():
     with pytest.raises(ValueError):
-        dg.banach_constant(np.eye(4), dg.identity_grams(5))
+        dg.banach_constant(np.eye(4), dg.GramPair(np.eye(5), np.eye(5)))
 
 
 def test_gram_pair_validation():

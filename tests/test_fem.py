@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse
 
 from nonsmooth_fem import fem
 from nonsmooth_fem.fem import (
@@ -30,9 +28,6 @@ from nonsmooth_fem.fem import (
     norm,
     solve_operator_Th,
     triangle_rule,
-    write_matrix_csv,
-    write_matrix_market,
-    write_vector_csv,
 )
 from nonsmooth_fem.mesh import unit_square_mesh
 
@@ -159,10 +154,12 @@ def test_degenerate_triangle_rejected_with_element_index():
     from nonsmooth_fem.mesh import TriMesh
 
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-    triangles = np.array([[0, 1, 2], [0, 1, 3]])  # second is degenerate
-    mesh = TriMesh(vertices, triangles, np.ones(4, dtype=bool), 2.0)
-    with pytest.raises(FemError, match="1"):
-        make_space(mesh)
+    # the second element is degenerate (collinear), then inverted (clockwise)
+    for bad in ([0, 1, 3], [0, 2, 1]):
+        triangles = np.array([[0, 1, 2], bad])
+        mesh = TriMesh(vertices, triangles, np.ones(4, dtype=bool), 2.0)
+        with pytest.raises(FemError, match=r"triangle 1 \("):
+            make_space(mesh)
 
 
 # ---------------------------------------------------------------------- load
@@ -272,9 +269,9 @@ def test_solve_certificate_failure_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
-def test_solve_meets_certificate_at_n128(lam):
-    # the finest level that meets the 1e-12 certificate (n=256 misses it)
-    space = make_space(unit_square_mesh(128))
+@pytest.mark.parametrize("n", [128, 256])
+def test_solve_meets_certificate(n, lam):
+    space = make_space(unit_square_mesh(n))
     b = assemble_load(space, f_poisson, 3)
     v = solve_operator_Th(space, lam, b)
     W = assemble_stiffness(space) + lam * assemble_mass(space)
@@ -426,34 +423,3 @@ def test_cea_constant_and_aubin_nitsche():
     h1_slope = np.polyfit(np.log(hs), np.log(h1_errs), 1)[0]
     assert 1.8 <= l2_slope <= 2.2
     assert 0.9 <= h1_slope <= 1.1
-
-
-# -------------------------------------------------------------------- export
-
-
-def test_matrix_market_round_trip(tmp_path):
-    space = make_space(unit_square_mesh(3))
-    K = assemble_stiffness(space)
-    path = tmp_path / "K.mtx"
-    write_matrix_market(K, path)
-    back = scipy.io.mmread(path).tocsr()
-    assert (K - back).nnz == 0 or np.abs((K - back).toarray()).max() <= 1e-15
-
-
-def test_csv_export_round_trip(tmp_path):
-    space = make_space(unit_square_mesh(3))
-    K = assemble_stiffness(space)
-    mpath = tmp_path / "K.csv"
-    write_matrix_csv(K, mpath)
-    rows = np.loadtxt(mpath, delimiter=",", skiprows=1, ndmin=2)
-    rebuilt = scipy.sparse.coo_matrix(
-        (rows[:, 2], (rows[:, 0].astype(int), rows[:, 1].astype(int))),
-        shape=K.shape,
-    ).tocsr()
-    assert np.abs((K - rebuilt).toarray()).max() <= 1e-15
-
-    v = np.arange(space.n_free, dtype=float)
-    vpath = tmp_path / "v.csv"
-    write_vector_csv(v, vpath)
-    data = np.loadtxt(vpath, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(data[:, 1], v)

@@ -1,7 +1,8 @@
 """Oracle tests for the triangulation module.
 
-Expected values are hand-derived (counts, angles, Euler formula) or
-recomputed in-test by independent routes (edge multisets, area sums).
+Expected values are hand-derived (counts, refinement numbering, Euler
+formula) or recomputed in-test by independent routes (edge multisets, area
+sums, the structured mesh of double resolution).
 """
 
 import math
@@ -11,16 +12,10 @@ import pytest
 
 from nonsmooth_fem.mesh import (
     MeshError,
-    TriMesh,
-    edge_counts,
-    min_angle_deg,
-    read_mesh,
+    edge_map,
     refine_uniform,
-    shape_regularity,
     signed_areas,
     unit_square_mesh,
-    validate_mesh,
-    write_mesh,
 )
 
 
@@ -76,13 +71,12 @@ def test_orientation_positive():
 
 def test_conformity_interior_edges_twice():
     m = unit_square_mesh(3)
-    for (_, _), count in edge_counts(m).items():
-        assert count in (1, 2)
+    _, _, counts = edge_map(m)
+    assert set(counts.tolist()) <= {1, 2}
     m2 = refine_uniform(m)
-    interior = [c for c in edge_counts(m2).values() if c == 2]
-    boundary = [c for c in edge_counts(m2).values() if c == 1]
-    assert len(boundary) == 4 * 6  # 6 subdivisions per side after refining n=3
-    assert len(interior) + len(boundary) == len(edge_counts(m2))
+    _, _, counts = edge_map(m2)
+    assert (counts == 1).sum() == 4 * 6  # 6 subdivisions per side after refining n=3
+    assert (counts == 2).sum() + (counts == 1).sum() == counts.size
 
 
 def test_refine_counts_and_h():
@@ -100,17 +94,45 @@ def test_refine_h_halves_exactly():
     assert rr.mesh_size_h == m.mesh_size_h / 4
 
 
-def test_refine_preserves_min_angle():
-    m = unit_square_mesh(2)
-    rr = refine_uniform(refine_uniform(m))
-    assert min_angle_deg(m) == pytest.approx(45.0, abs=1e-12)
-    assert min_angle_deg(rr) == pytest.approx(min_angle_deg(m), abs=1e-12)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_refine_gives_the_structured_mesh_of_double_resolution(n):
+    # equal triangle sets imply congruent children, the 45 degree minimum
+    # angle and a shape ratio that refinement keeps constant
+    # coordinates in units of 1/(2n): for n=3 a midpoint such as
+    # (2/3 + 1)/2 differs from 5/6 in the last bit
+    def triangle_set(m):
+        lattice = np.asarray(m.vertices) * (2 * n)
+        ij = np.rint(lattice).astype(int)
+        assert np.abs(lattice - ij).max() <= 1e-12
+        return {frozenset(map(tuple, ij[t].tolist())) for t in np.asarray(m.triangles)}
+
+    r = refine_uniform(unit_square_mesh(n))
+    s = unit_square_mesh(2 * n)
+    assert r.n_triangles == s.n_triangles
+    assert triangle_set(r) == triangle_set(s)
+
+
+def test_refine_numbering_of_the_single_cell():
+    # corners 0..3 = (0,0), (1,0), (0,1), (1,1); triangles (0,1,3), (0,3,2);
+    # sorted edges (0,1), (0,2), (0,3), (1,3), (2,3) give midpoints 4..8
+    r = refine_uniform(unit_square_mesh(1))
+    expected = [
+        [0, 4, 6], [1, 7, 4], [3, 6, 7], [4, 7, 6],
+        [0, 6, 5], [3, 8, 6], [2, 5, 8], [6, 8, 5],
+    ]
+    assert np.array_equal(np.asarray(r.triangles), expected)
+    # only the diagonal's midpoint (0.5, 0.5) is interior
+    assert np.array_equal(
+        np.asarray(r.boundary_vertex), [True] * 6 + [False] + [True] * 2
+    )
 
 
 def test_refine_vertex_count_is_v_plus_e():
     m = unit_square_mesh(2)
-    n_edges = len(edge_counts(m))
+    edges, tri_edges, _ = edge_map(m)
+    n_edges = len(edges)
     assert n_edges == 16  # 2*(2*3) lattice edges + 4 diagonals
+    assert np.array_equal(np.unique(tri_edges), np.arange(n_edges))
     r = refine_uniform(m)
     assert r.n_vertices == m.n_vertices + n_edges
     # and matches the structured mesh of double resolution
@@ -138,18 +160,6 @@ def test_refined_midpoint_boundary_flags():
     assert np.array_equal(np.asarray(r.boundary_vertex), on_boundary)
 
 
-def test_shape_regularity_constant_across_refinements():
-    m = unit_square_mesh(2)
-    ratios = [shape_regularity(m)]
-    for _ in range(2):
-        m = refine_uniform(m)
-        ratios.append(shape_regularity(m))
-    # right isoceles triangle: diameter/inradius = 2*sqrt(2)/(2-sqrt(2))
-    expected = 2 * math.sqrt(2.0) / (2 - math.sqrt(2.0))
-    for rho in ratios:
-        assert rho == pytest.approx(expected, rel=1e-12)
-
-
 def test_area_partition_along_refinement_sequence():
     m = unit_square_mesh(3)
     for _ in range(3):
@@ -157,81 +167,7 @@ def test_area_partition_along_refinement_sequence():
         m = refine_uniform(m)
 
 
-def test_validate_rejects_degenerate_triangle():
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    triangles = np.array([[0, 1, 2]])
-    flags = np.array([True, True, True])
-    with pytest.raises(MeshError):
-        validate_mesh(TriMesh(vertices, triangles, flags, 2.0))
-
-
-def test_validate_rejects_negative_orientation():
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    triangles = np.array([[0, 2, 1]])  # clockwise
-    flags = np.array([True, True, True])
-    with pytest.raises(MeshError):
-        validate_mesh(TriMesh(vertices, triangles, flags, 1.5))
-
-
-def test_validate_rejects_hanging_node():
-    # edge (0,1) shared by a triangle and split by vertex 4 in the neighbor
-    vertices = np.array(
-        [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 0.0]]
-    )
-    triangles = np.array([[0, 1, 2], [0, 4, 3], [4, 1, 3]])
-    flags = np.ones(5, dtype=bool)
-    with pytest.raises(MeshError):
-        validate_mesh(TriMesh(vertices, triangles, flags, 2.0))
-
-
 def test_mesh_immutable():
     m = unit_square_mesh(2)
     with pytest.raises((ValueError, RuntimeError)):
         np.asarray(m.vertices)[0, 0] = 5.0
-
-
-def test_mesh_file_round_trip(tmp_path):
-    m = refine_uniform(unit_square_mesh(2))
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    back = read_mesh(path)
-    assert np.array_equal(np.asarray(back.triangles), np.asarray(m.triangles))
-    assert np.allclose(np.asarray(back.vertices), np.asarray(m.vertices), atol=0)
-    assert np.array_equal(
-        np.asarray(back.boundary_vertex), np.asarray(m.boundary_vertex)
-    )
-    assert back.mesh_size_h == pytest.approx(m.mesh_size_h, rel=1e-15)
-
-
-def test_mesh_file_format_is_plain_text(tmp_path):
-    path = tmp_path / "tri.txt"
-    path.write_text(
-        "vertices 4 triangles 2\n"
-        "0 0 1\n"
-        "1 0 1\n"
-        "1 1 1\n"
-        "0 1 1\n"
-        "0 1 2\n"
-        "0 2 3\n"
-    )
-    m = read_mesh(path)
-    assert m.n_vertices == 4
-    assert m.n_triangles == 2
-    assert np.all(np.asarray(m.boundary_vertex))
-    assert m.mesh_size_h == pytest.approx(math.sqrt(2.0))
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        "not a header\n0 0 1\n",
-        "vertices 2 triangles 1\n0 0 1\n1 0 1\n0 1 2\n",  # index out of range
-        "vertices 3 triangles 1\n0 0 1\n1 0 1\n",  # truncated vertex block
-        "vertices 3 triangles 1\n0 0 7\n1 0 1\n0 1 1\n0 1 2\n",  # bad flag
-    ],
-)
-def test_mesh_file_rejects_malformed(tmp_path, content):
-    path = tmp_path / "bad.txt"
-    path.write_text(content)
-    with pytest.raises((MeshError, ValueError)):
-        read_mesh(path)
