@@ -11,6 +11,7 @@ checkable shadow of the stability assumptions behind the error estimates.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -111,20 +112,33 @@ def refinement_study(solve_level, level_errors, levels, threads, meta) -> Conver
 
 @dataclass(frozen=True)
 class GramPair:
-    """SPD weights fixing the norms on domain (X) and range (Y) spaces."""
+    """SPD weights fixing the norms on domain (X) and range (Y) spaces.
+
+    Both weights are checked on construction, dense or sparse alike, and
+    never densified. Symmetry: max |G - G^T| <= 1e-12 (1 + max |G|).
+    Definiteness, by Sylvester's criterion: one sparse LU in symmetric mode
+    with no pivoting (a symmetric fill-reducing permutation, P G P^T = L U)
+    must keep perm_r equal to perm_c and every pivot on U's diagonal
+    positive, since those pivots are the D of P G P^T = L D L^T.
+    """
 
     gram_X: object
     gram_Y: object
 
     def __post_init__(self):
         for name, G in (("gram_X", self.gram_X), ("gram_Y", self.gram_Y)):
-            A = _dense(G)
-            if not np.allclose(A, A.T, atol=1e-12 * (1 + np.abs(A).max())):
+            G = sp.csc_matrix(G, dtype=float)
+            if abs(G - G.T).max() > 1e-12 * (1 + abs(G).max()):
                 raise ValueError(f"{name} must be symmetric")
             try:
-                scipy.linalg.cholesky(A)
-            except scipy.linalg.LinAlgError as exc:
+                lu = spla.splu(
+                    G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:  # an exactly zero pivot
                 raise ValueError(f"{name} must be positive definite") from exc
+            if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+                raise ValueError(f"{name} must be positive definite")
 
 
 @dataclass
@@ -146,20 +160,37 @@ def _dense(A) -> np.ndarray:
 
 
 _DENSE_CUTOFF = 800
+_EIG_TOL = 1e-10
+_WARM_MIX = 1e-2
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed-seed Gaussian start vector for Lanczos: generic, so it has a
+    component along every eigenvector, whatever the symmetry of the problem."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity_grams(m: int, n: int) -> GramPair:
+    """Unweighted geometry for an m x n operator. Cached, so that loops of
+    small default-weighted constants pay the sparse check once per shape."""
+    return GramPair(gram_X=sp.identity(n, format="csr"), gram_Y=sp.identity(m, format="csr"))
 
 
 def banach_constant(A, grams: GramPair | None = None) -> float:
     """Smallest singular value of A measured between the Gram-weighted
-    spaces: min ||A x||_{gram_Y} over ||x||_{gram_X} = 1.
+    spaces: min ||A x||_{gram_Y} over ||x||_{gram_X} = 1. Without grams
+    both weights are sparse identities.
 
     Dense path (n below ~800): whiten both sides by Cholesky factors and
     take the smallest SVD value, accurate to roundoff. Large sparse path:
     shift-invert Lanczos on the generalized eigenproblem
-    A^T gram_Y A x = s^2 gram_X x with a deterministic start vector.
+    A^T gram_Y A x = s^2 gram_X x, started from the fixed-seed random
+    vector of _start_vector and run to machine precision (tol=0).
     """
     n = A.shape[1]
     if grams is None:
-        grams = GramPair(gram_X=np.eye(n), gram_Y=np.eye(A.shape[0]))
+        grams = _identity_grams(*A.shape)
     if A.shape[0] != grams.gram_Y.shape[0] or n != grams.gram_X.shape[0]:
         raise ValueError("gram shapes do not match the operator")
     if n <= _DENSE_CUTOFF:
@@ -174,9 +205,8 @@ def banach_constant(A, grams: GramPair | None = None) -> float:
     Gy = sp.csr_matrix(grams.gram_Y)
     Gx = sp.csr_matrix(grams.gram_X)
     ata = (A.T @ (Gy @ A)).tocsc()
-    v0 = np.full(n, 1.0 / np.sqrt(n))
     vals = spla.eigsh(
-        ata, k=1, M=Gx.tocsc(), sigma=0.0, which="LM", v0=v0,
+        ata, k=1, M=Gx.tocsc(), sigma=0.0, which="LM", v0=_start_vector(n),
         return_eigenvectors=False,
     )
     return float(np.sqrt(max(vals[0], 0.0)))
@@ -184,9 +214,8 @@ def banach_constant(A, grams: GramPair | None = None) -> float:
 
 def operator_norm(S, grams: GramPair | None = None) -> float:
     """Largest weighted singular value (dense computation)."""
-    n = S.shape[1]
     if grams is None:
-        grams = GramPair(gram_X=np.eye(n), gram_Y=np.eye(S.shape[0]))
+        grams = _identity_grams(*S.shape)
     Sd = _dense(S)
     Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
     Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
@@ -252,7 +281,7 @@ def state_space_grams(space) -> GramPair:
     return GramPair(gram_X=G, gram_Y=G)
 
 
-def preconditioned_constant(J, G) -> float:
+def preconditioned_constant(J, G, start=None) -> float:
     """Banach constant of G^{-1} J in the G-weighted geometry.
 
     The assembled Jacobian maps state perturbations to dual residuals;
@@ -260,8 +289,29 @@ def preconditioned_constant(J, G) -> float:
     state space itself, whose smallest weighted singular value is the
     mesh-comparable stability constant (it equals 1 for J = G). Computed as
     the smallest eigenvalue of J^T G^{-1} J x = s^2 G x: densely below the
-    cutoff, otherwise by shift-invert Lanczos with (J^T G^{-1} J)^{-1}
-    applied through factorizations of J and G. Returns 0.0 for singular J.
+    cutoff, otherwise by one shift-invert Lanczos solve (ARPACK) whose
+    operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one LU of J and no
+    factorization of G. Returns 0.0 for singular J.
+
+    The Lanczos solve stops at ARPACK's relative tolerance _EIG_TOL = 1e-10.
+    The smallest value sits at the bottom of a cluster at 1, so tol=0
+    (machine precision) costs thousands of LU solves per level. On the
+    kinked manufactured state (huber:1, sinsin) at n = 24, whose two lowest
+    modes are only 6.2e-9 apart, over start seeds 0-4: tol=1e-8 stopped up
+    to 6e-9 from the dense value, 1e-9 up to 4e-10, and 3e-10 and 1e-10
+    within 1.2e-12 (as at n = 32).
+
+    start (sparse path only) warm-starts the solve of a nearby operator:
+    the solve starts from start plus a _WARM_MIX = 1e-2 share of the
+    seeded vector (both G-normalized) and overwrites start with the
+    converged eigenvector. The seeded share keeps every mode in the Krylov
+    space: started from the bare previous eigenvector, the lambda grid of
+    the scan converged to a wrong mode (1.8e-4 off at n = 32). Without
+    start the solve starts from the seeded vector alone; the uniform vector
+    is invariant under every symmetry of the mesh and of the state, so
+    Lanczos would see only the symmetric modes and could miss the smallest.
+    The LU of J uses the MMD_AT_PLUS_A ordering: on the kinked state at
+    n = 48 its fill is 28% below COLAMD's, with the same solve count.
     """
     n = J.shape[1]
     if J.shape[0] != n or G.shape != (n, n):
@@ -273,24 +323,27 @@ def preconditioned_constant(J, G) -> float:
     Jc = sp.csc_matrix(J)
     Gc = sp.csc_matrix(G)
     try:
-        lu_j = spla.splu(Jc)
+        lu_j = spla.splu(Jc, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return 0.0
-    lu_g = spla.splu(Gc)
-
-    def ata(x):
-        return Jc.T @ lu_g.solve(Jc @ x)
 
     def ata_inv(x):
         return lu_j.solve(Gc @ lu_j.solve(x, trans="T"))
 
-    op = spla.LinearOperator((n, n), matvec=ata)
+    def g_unit(v):
+        return v / np.sqrt(v @ (Gc @ v))
+
     opinv = spla.LinearOperator((n, n), matvec=ata_inv)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    vals = spla.eigsh(
-        op, k=1, M=Gc, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
-        return_eigenvectors=False,
+    v0 = _start_vector(n)
+    if start is not None:
+        v0 = g_unit(start) + _WARM_MIX * g_unit(v0)
+    # in shift-invert mode ARPACK reads only the shape and dtype of its
+    # first argument and never applies it
+    vals, vecs = spla.eigsh(
+        opinv, k=1, M=Gc, sigma=0.0, which="LM", OPinv=opinv, v0=v0, tol=_EIG_TOL,
     )
+    if start is not None:
+        start[:] = vecs[:, 0]
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
@@ -300,8 +353,13 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
 
     cases: a (problem, converged-state) pair or a list of them (one per mesh
     level). With a lambda grid, each case is re-assembled at every grid value
-    using its deterministic selection; the per-level minima land in
+    using its first selection sample; the per-level minima land in
     meta["lambda_scan"].
+
+    The Gram pair is built and checked (sparse, see GramPair) once per
+    level. Within a level every eigensolve of preconditioned_constant after
+    the first is warm-started from the eigenvector of the previous one,
+    first across the selection samples, then along the lambda grid.
     """
     import dataclasses
 
@@ -318,13 +376,14 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     for problem, state in cases:
         G = state_space_grams(problem.space).gram_X
         samples, n_kink = _selection_samples(problem, state, n_selection_samples)
+        start = _start_vector(G.shape[0])
         vals = []
         seen = {}
         for xi in samples:
             key = xi.tobytes()
             if key not in seen:
                 J = mfg_solver.mfg_jacobian(problem, state, xi=xi)
-                seen[key] = preconditioned_constant(J, G)
+                seen[key] = preconditioned_constant(J, G, start)
             vals.append(seen[key])
         hs.append(problem.space.mesh.mesh_size_h)
         smin.append(vals)
@@ -334,7 +393,7 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
             for lam in lambdas:
                 shifted = dataclasses.replace(problem, lam=float(lam))
                 J = mfg_solver.mfg_jacobian(shifted, state, xi=samples[0])
-                row.append(preconditioned_constant(J, G))
+                row.append(preconditioned_constant(J, G, start))
             lambda_scan.append(row)
     min_per_level = [min(vals) for vals in smin]
     ratio = max(min_per_level) / min(min_per_level)

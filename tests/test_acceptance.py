@@ -185,6 +185,31 @@ def test_criterion_7_uniform_stability_scan():
     )
 
 
+def test_criterion_7_kinked_stability_scan():
+    # criterion 7's bump data puts no element on the kink; manufactured
+    # sinsin crosses |Du| = delta, so the scan samples both branches
+    model = builtin_model("huber", delta=1.0)
+    coupling = mfg.local_linear(1.0)
+    g_hjb, g_fp = man.mfg_sources(model, coupling, 1.0)
+    cases = []
+    for n in (16, 32):
+        space = fem.make_space(unit_square_mesh(n))
+        problem = mfg.make_mfg_problem(
+            space, model, coupling, 1.0, man.m_star, g_hjb=g_hjb, g_fp=g_fp
+        )
+        report = mfg.mfg_newton(problem, tol=MFG_TOL)
+        assert report.converged
+        cases.append((problem, report.final_state))
+    scan = dg.stability_scan(cases, n_selection_samples=3)
+    kinks = scan.meta["kink_elements"]
+    lo = min(scan.min_per_level)
+    ok = min(kinks) > 0 and lo > 0 and scan.ratio_max_min <= 10.0
+    verdict(
+        7, "stability scan on a kinked state",
+        ok, f"kink_elements={kinks} min={lo:.4f} ratio={scan.ratio_max_min:.3f}",
+    )
+
+
 def test_criterion_8_cross_solver_agreement():
     worst_hj = 0.0
     model = builtin_model("eikonal")

@@ -5,6 +5,8 @@ Oracles: dense SVD for singular values, closed-form equality cases, and
 structural identities (orthogonal invariance, exact decoupled constants).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -126,11 +128,39 @@ def test_banach_shape_validation():
 
 def test_gram_pair_validation():
     bad_sym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        dg.GramPair(gram_X=bad_sym, gram_Y=np.eye(2))
     indefinite = np.diag([1.0, -1.0])
-    with pytest.raises(ValueError, match="positive definite"):
-        dg.GramPair(gram_X=np.eye(2), gram_Y=indefinite)
+    # symmetric with a zero diagonal: needs an off-diagonal pivot
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    singular = np.diag([1.0, 0.0, 2.0])
+    spd = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    for form in (np.asarray, sp.csc_matrix, sp.csr_matrix):
+        with pytest.raises(ValueError, match="symmetric"):
+            dg.GramPair(gram_X=form(bad_sym), gram_Y=np.eye(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            dg.GramPair(gram_X=np.eye(2), gram_Y=form(indefinite))
+        with pytest.raises(ValueError, match="positive definite"):
+            dg.GramPair(gram_X=form(swap), gram_Y=np.eye(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            dg.GramPair(gram_X=form(singular), gram_Y=np.eye(3))
+        dg.GramPair(gram_X=form(spd), gram_Y=form(spd))
+
+
+def test_sparse_grams_and_constants_never_densify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("densified a sparse matrix")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix,
+                sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    G = dg.state_space_grams(space_of(64)).gram_X
+    assert G.shape[0] > dg._DENSE_CUTOFF
+    assert abs(dg.preconditioned_constant(G, G) - 1.0) <= 1e-10
+    # default weights of the sparse path are sparse identities
+    monkeypatch.setattr(np, "eye", refuse)
+    n = dg._DENSE_CUTOFF + 1
+    A = sp.diags(np.linspace(1.0, 2.0, n), format="csr")
+    assert abs(dg.banach_constant(A) - 1.0) <= 1e-10
 
 
 # --------------------------------------------------------- perturbation_check
@@ -209,6 +239,64 @@ def test_preconditioned_singular_returns_zero():
     assert dg.preconditioned_constant(J, G) <= 1e-12
 
 
+def kinked_case(n):
+    """Manufactured sinsin with huber:1: the state crosses |Du| = delta."""
+    model = hm.builtin_model("huber", delta=1.0)
+    coup = mfg.local_linear(1.0)
+    g_hjb, g_fp = man.mfg_sources(model, coup, 1.0)
+    problem = mfg.make_mfg_problem(
+        space_of(n), model, coup, 1.0, man.m_star, g_hjb=g_hjb, g_fp=g_fp
+    )
+    return problem, mfg.mfg_newton(problem, tol=1e-9).final_state
+
+
+@pytest.fixture(scope="module")
+def kinked_24():
+    return kinked_case(24)
+
+
+def test_sparse_path_and_scan_match_dense_on_kinked_state(kinked_24):
+    # the two lowest modes of this state are 6.2e-9 apart; a start vector
+    # that shares the symmetry of the mesh and the state sees only one, and
+    # a loose Lanczos tolerance stops between them
+    problem, state = kinked_24
+    G = dg.state_space_grams(problem.space).gram_X
+    assert G.shape[0] > dg._DENSE_CUTOFF
+    samples, _ = dg._selection_samples(problem, state, 3)
+    Js = [mfg.mfg_jacobian(problem, state)]
+    Js += [mfg.mfg_jacobian(problem, state, xi=xi) for xi in samples]
+    sparse_vals = [dg.preconditioned_constant(J, G) for J in Js]
+    scan = dg.stability_scan((problem, state), n_selection_samples=3)
+    saved = dg._DENSE_CUTOFF
+    try:
+        dg._DENSE_CUTOFF = G.shape[0]
+        dense_vals = [dg.preconditioned_constant(J, G) for J in Js]
+    finally:
+        dg._DENSE_CUTOFF = saved
+    for got, ref in zip(sparse_vals + scan.smin[0], dense_vals + dense_vals[1:]):
+        assert abs(got - ref) <= 1e-10
+
+
+def test_warm_started_scan_matches_cold_solves(kinked_24):
+    problem, state = kinked_24
+    lambdas = [0.25, 1.0, 4.0]
+    report = dg.stability_scan((problem, state), n_selection_samples=3, lambdas=lambdas)
+    G = dg.state_space_grams(problem.space).gram_X
+    samples, _ = dg._selection_samples(problem, state, 3)
+    cold = [
+        dg.preconditioned_constant(mfg.mfg_jacobian(problem, state, xi=xi), G)
+        for xi in samples
+    ]
+    cold_lambda = [
+        dg.preconditioned_constant(
+            mfg.mfg_jacobian(dataclasses.replace(problem, lam=lam), state, xi=samples[0]), G
+        )
+        for lam in lambdas
+    ]
+    for warm, ref in zip(report.smin[0] + report.meta["lambda_scan"][0], cold + cold_lambda):
+        assert abs(warm - ref) <= 1e-9 * ref
+
+
 # ------------------------------------------------------------- stability scan
 
 
@@ -257,15 +345,7 @@ def test_scan_family_is_h_uniform(monotone_family):
 
 
 def test_scan_samples_kink_selections():
-    model = hm.builtin_model("huber", delta=1.0)
-    coup = mfg.local_linear(1.0)
-    g_hjb, g_fp = man.mfg_sources(model, coup, 1.0)
-    space = space_of(16)
-    problem = mfg.make_mfg_problem(
-        space, model, coup, 1.0, man.m_star, g_hjb=g_hjb, g_fp=g_fp
-    )
-    state = mfg.mfg_newton(problem, tol=1e-9).final_state
-    report = dg.stability_scan((problem, state), n_selection_samples=6)
+    report = dg.stability_scan(kinked_case(16), n_selection_samples=6)
     assert report.meta["kink_elements"][0] > 0
     vals = report.smin[0]
     assert min(vals) > 0
