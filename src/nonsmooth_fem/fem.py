@@ -4,7 +4,8 @@ Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant),
 quadrature-based load vectors, the linear solution operator
 (K + lambda*M)^{-1} by a cached sparse LU with one step of iterative
-refinement, nodal interpolation, and discrete norms.
+refinement, nodal interpolation, discrete norms, and the P1 prolongations
+of the unit-square grid hierarchy that the Newton solvers' V-cycles use.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TriMesh, signed_areas
+from .mesh import TriMesh, signed_areas, unit_square_mesh
 
 
 class FemError(RuntimeError):
@@ -372,7 +373,7 @@ def _operator(space: FeSpace, lam: float):
     key = ("operator", float(lam))
     if key not in space._cache:
         W = (assemble_stiffness(space) + lam * assemble_mass(space)).tocsc()
-        space._cache[key] = (W, spla.splu(W))
+        space._cache[key] = (W, spla.splu(W, permc_spec="MMD_AT_PLUS_A"))
     return space._cache[key]
 
 
@@ -421,6 +422,65 @@ def residual_norm(space: FeSpace) -> ResidualNorm:
     if "residual_norm" not in space._cache:
         space._cache["residual_norm"] = ResidualNorm(space)
     return space._cache["residual_norm"]
+
+
+# ------------------------------------------------------------- grid hierarchy
+
+
+_COARSEST_N = 8  # coarsening stops at n <= 8 and at odd n
+
+
+def _unit_square_n(mesh: TriMesh) -> int | None:
+    """n if mesh is unit_square_mesh(n), vertex numbering included; else None."""
+    n = int(round(np.sqrt(mesh.n_vertices))) - 1
+    if n < 1 or (n + 1) ** 2 != mesh.n_vertices:
+        return None
+    grid = unit_square_mesh(n)
+    same = np.array_equal(mesh.vertices, grid.vertices) and np.array_equal(
+        mesh.triangles, grid.triangles
+    )
+    return n if same else None
+
+
+def _grid_interior(n: int) -> np.ndarray:
+    """Vertex ids of the interior vertices of unit_square_mesh(n), ascending:
+    its free dofs."""
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    return np.flatnonzero((0 < i) & (i < n) & (0 < j) & (j < n))
+
+
+def _grid_prolongation(n: int) -> sp.csr_matrix:
+    """P1 prolongation from unit_square_mesh(n // 2) to unit_square_mesh(n)
+    on all vertices, n even. Fine vertex (i, j) takes the mean of the coarse
+    vertices (floor(i/2), floor(j/2)) and (ceil(i/2), ceil(j/2)): injection
+    where i and j are both even, else the mean of the two ends of the coarse
+    edge it bisects (horizontal, vertical or lower-left to upper-right)."""
+    nc = n // 2
+    fine = np.arange((n + 1) ** 2)
+    j, i = np.divmod(fine, n + 1)
+    lo = (j // 2) * (nc + 1) + i // 2
+    hi = ((j + 1) // 2) * (nc + 1) + (i + 1) // 2
+    return sp.csr_matrix(
+        (np.full(2 * fine.size, 0.5), (np.tile(fine, 2), np.concatenate([lo, hi]))),
+        shape=(fine.size, (nc + 1) ** 2),
+    )
+
+
+def prolongations(space: FeSpace) -> tuple:
+    """The grid hierarchy below the space: one pair (P, P_v) per coarsening,
+    finest first, with P the P1 prolongation between free dofs and P_v
+    between all vertices. n is halved while it is even and above 8, so the
+    tuple is empty for odd n, for n <= 8 and for any mesh that is not
+    unit_square_mesh(n). Cached on the space."""
+    if "prolongations" not in space._cache:
+        levels = []
+        n = _unit_square_n(space.mesh)
+        while n is not None and n % 2 == 0 and n > _COARSEST_N:
+            P_v = _grid_prolongation(n)
+            levels.append((P_v[_grid_interior(n)][:, _grid_interior(n // 2)], P_v))
+            n //= 2
+        space._cache["prolongations"] = tuple(levels)
+    return space._cache["prolongations"]
 
 
 # ---------------------------------------------------------------------- norms

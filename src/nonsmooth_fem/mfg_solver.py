@@ -22,11 +22,13 @@ reduced system matrix (mfg_jacobian) is
         [ G            K + lam M + B^T ]
 
 Block Newton runs hj_solver.damped_newton, the Newton loop shared with the
-value equation, on the stacked vector (u, m) with the stacked dual norm.
-For a local coupling it factors J. For a nonlocal coupling S E is dense,
-so Newton factors instead the sparse lifted system in (du, dm, w_1, ...,
-w_k), k = _SMOOTHING_STEPS, L = M_lump + h^2 K the smoother's matrix and
-Q_fv the sparse free-by-vertex weighted mass:
+value equation, on the stacked vector (u, m) with the stacked dual norm;
+its steps are V-cycle-preconditioned GMRES solves with block-diagonal
+prolongations, one block per field. For a local coupling it solves with J.
+For a nonlocal coupling S E is dense, so Newton solves instead with the
+sparse lifted system in (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS,
+L = M_lump + h^2 K the smoother's matrix and Q_fv the sparse free-by-vertex
+weighted mass:
 
     (K + lam M + B) du - Q_fv w_k = r_u
     G du + (K + lam M + B^T) dm  = r_m
@@ -215,7 +217,7 @@ class _Smoother:
         self.M_lump = np.asarray(fem.full_mass(mesh).sum(axis=1)).ravel()
         sigma = mesh.mesh_size_h**2
         self.L = (sp.diags(self.M_lump) + sigma * K).tocsc()
-        self._lu = spla.splu(self.L)
+        self._lu = spla.splu(self.L, permc_spec="MMD_AT_PLUS_A")
         self._space = space
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
@@ -386,8 +388,8 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     state; xi optionally overrides the per-element Jacobian selection in G.
 
     For a nonlocal coupling Q = Q_fv S E with S E the smoother's dense free
-    columns, so this matrix stores O(n_v^2) entries; mfg_newton factors
-    the sparse lifted system (_lifted_jacobian) instead."""
+    columns, so this matrix stores O(n_v^2) entries; mfg_newton solves
+    with the sparse lifted system (_lifted_jacobian) instead."""
     blocks = _jacobian_blocks(problem, state, xi)
     if problem.coupling.kind == "nonlocal":
         blocks[0][1] = blocks[0][1] @ _smoother(problem).free_columns
@@ -439,8 +441,10 @@ def _initial_state(problem, state0) -> MfgState:
 
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
     """Damped block Newton on the stacked residual (see hj_solver.damped_newton).
-    Each step factors mfg_jacobian (local coupling) or the sparse lifted
-    system (nonlocal coupling; see the module docstring)."""
+    Each step solves with mfg_jacobian (local coupling) or the sparse lifted
+    system (nonlocal coupling; see the module docstring), preconditioned by
+    a V-cycle with prolongation block_diag(P, P) or block_diag(P, P, P_v,
+    ..., P_v), P_v acting on the all-vertex w's."""
     space = problem.space
     n = space.n_free
     state = _initial_state(problem, state0)
@@ -449,7 +453,14 @@ def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSo
     def split(x):
         return MfgState(u=x[:n], m=x[n:])
 
-    jacobian = mfg_jacobian if problem.coupling.kind == "local" else _lifted_jacobian
+    local = problem.coupling.kind == "local"
+    jacobian = mfg_jacobian if local else _lifted_jacobian
+    # block prolongations for (du, dm) and the all-vertex w_1, ..., w_k
+    n_w = 0 if local else _SMOOTHING_STEPS
+    prolongations = [
+        sp.block_diag((P, P) + (P_v,) * n_w, format="csr")
+        for P, P_v in fem.prolongations(space)
+    ]
     rep = hj_solver.damped_newton(
         lambda x: _residual(problem, split(x), b_hjb, b_fp),
         lambda x: jacobian(problem, split(x)),
@@ -457,6 +468,7 @@ def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSo
         np.concatenate([state.u, state.m]),
         tol,
         max_iter,
+        prolongations,
     )
     return MfgSolveReport(
         converged=rep.converged,
@@ -507,7 +519,7 @@ def mfg_picard(
         u = inner.final_u
         T = (K + problem.lam * M + drift_matrix(problem, u).T).tocsc()
         rhs = problem.lam * (M @ problem.m0) + b_fp
-        m_new = spla.splu(T).solve(rhs)
+        m_new = spla.splu(T, permc_spec="MMD_AT_PLUS_A").solve(rhs)
         state = MfgState(u=u, m=(1.0 - theta_p) * state.m + theta_p * m_new)
         iterations += 1
         history.append(norm(_residual(problem, state, b_hjb, b_fp)))

@@ -29,7 +29,7 @@ from nonsmooth_fem.fem import (
     solve_operator_Th,
     triangle_rule,
 )
-from nonsmooth_fem.mesh import unit_square_mesh
+from nonsmooth_fem.mesh import refine_uniform, unit_square_mesh
 
 
 def u_star(p):
@@ -276,6 +276,45 @@ def test_solve_meets_certificate(n, lam):
     v = solve_operator_Th(space, lam, b)
     W = assemble_stiffness(space) + lam * assemble_mass(space)
     assert np.linalg.norm(b - W @ v) <= 1e-12 * np.linalg.norm(b)
+
+
+# -------------------------------------------------------------- grid hierarchy
+
+
+@pytest.mark.parametrize("n", [10, 16, 32])
+def test_prolongation_is_p1_interpolation(n):
+    fine, coarse = make_space(unit_square_mesh(n)), make_space(unit_square_mesh(n // 2))
+    (P, P_v), *_ = fem.prolongations(fine)
+    rng = np.random.default_rng(n)
+    u_c = rng.standard_normal(coarse.n_free)
+    exact = fem.evaluate(coarse, u_c, fine.mesh.vertices[fine.free_dofs])
+    assert np.max(np.abs(P @ u_c - exact)) <= 1e-14
+    # the all-vertex map reproduces the coarse nodal values of any P1
+    # function, boundary included: here a linear one
+    linear = lambda X: 1.0 + 2.0 * X[:, 0] - 3.0 * X[:, 1]
+    assert np.allclose(
+        P_v @ linear(coarse.mesh.vertices), linear(fine.mesh.vertices), atol=1e-14, rtol=0
+    )
+
+
+@pytest.mark.parametrize(
+    "n, depth", [(64, 3), (48, 3), (40, 3), (12, 1), (10, 1), (8, 0), (9, 0), (33, 0)]
+)
+def test_hierarchy_halves_even_n_above_eight(n, depth):
+    levels = fem.prolongations(make_space(unit_square_mesh(n)))
+    assert len(levels) == depth
+    sizes = [n]
+    for P, P_v in levels:
+        sizes.append(sizes[-1] // 2)
+        assert P.shape == ((sizes[-2] - 1) ** 2, (sizes[-1] - 1) ** 2)
+        assert P_v.shape == ((sizes[-2] + 1) ** 2, (sizes[-1] + 1) ** 2)
+
+
+def test_hierarchy_is_empty_off_the_unit_square_numbering():
+    # geometrically unit_square_mesh(16), numbered by midpoint refinement
+    refined = refine_uniform(unit_square_mesh(8))
+    assert refined.n_vertices == unit_square_mesh(16).n_vertices
+    assert fem.prolongations(make_space(refined)) == ()
 
 
 # -------------------------------------------------------------- interpolation

@@ -5,6 +5,8 @@ one-step convergence), manufactured solutions u* = sin(pi x) sin(pi y) with
 analytically compensated sources, and cross-solver agreement.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -203,6 +205,29 @@ def test_damped_newton_auxiliary_unknowns_give_the_reduced_step():
     reduced, aux = (rep.final_u for rep in reps)
     assert aux.shape == x0.shape
     assert np.linalg.norm(aux - reduced) <= 1e-15 * np.linalg.norm(reduced)
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_odd_n_krylov_solve_is_one_iteration(n):
+    # no hierarchy below odd n: the V-cycle is the coarse LU, an exact solve
+    prob = eikonal_problem(n)
+    assert fem.prolongations(prob.space) == ()
+    J = hj_solver.newton_matrix(prob, np.zeros(prob.space.n_free))
+    b = np.random.default_rng(n).normal(size=prob.space.n_free)
+    y, iterations = hj_solver.krylov_solve(J, b)
+    assert iterations == 1
+    assert np.linalg.norm(b - J @ y) <= 1e-10 * np.linalg.norm(b)
+    assert solve_newton(prob, tol=1e-10).converged
+
+
+def test_krylov_nonconvergence_raises_with_iterations_and_residual(monkeypatch):
+    prob = eikonal_problem(32)
+    monkeypatch.setattr(hj_solver, "_KRYLOV_RTOL", 1e-30)  # below roundoff
+    with pytest.raises(FemError) as err:
+        solve_newton(prob, tol=1e-10)
+    message = str(err.value)
+    assert f"on {prob.space.n_free} unknowns" in message
+    assert re.search(r"after \d+ iterations at relative residual \d\.\d{3}e-\d+", message)
 
 
 def test_newton_jacobian_matches_directional_difference():
