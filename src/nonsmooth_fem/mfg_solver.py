@@ -423,10 +423,11 @@ def _lifted_jacobian(problem: MfgProblem, state: MfgState) -> sp.csr_matrix:
 
 
 def _stacked_norm(space):
-    """Dual norm of a stacked residual (r_u, r_m): hypot of the block norms."""
+    """Dual norm of a stacked residual (r_u, r_m): hypot of the block norms,
+    by one call of fem.residual_norm on the two columns r_u, r_m."""
     rn = fem.residual_norm(space)
     n = space.n_free
-    return lambda r: float(np.hypot(rn(r[:n]), rn(r[n:])))
+    return lambda r: rn(r.reshape(2, n).T)
 
 
 def _initial_state(problem, state0) -> MfgState:

@@ -8,11 +8,13 @@ manufactured-solution convergence rates.
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from nonsmooth_fem import fem
+from nonsmooth_fem import fem, hj_solver, manufactured
 from nonsmooth_fem.fem import (
     FemError,
     NonconvergenceError,
@@ -29,6 +31,7 @@ from nonsmooth_fem.fem import (
     solve_operator_Th,
     triangle_rule,
 )
+from nonsmooth_fem.hamiltonian import builtin_model
 from nonsmooth_fem.mesh import refine_uniform, unit_square_mesh
 
 
@@ -315,6 +318,91 @@ def test_hierarchy_is_empty_off_the_unit_square_numbering():
     refined = refine_uniform(unit_square_mesh(8))
     assert refined.n_vertices == unit_square_mesh(16).n_vertices
     assert fem.prolongations(make_space(refined)) == ()
+
+
+# ------------------------------------------------------------------ dual norm
+
+
+def _lu_dual_norm(space, r):
+    W = (assemble_stiffness(space) + assemble_mass(space)).tocsc()
+    return math.sqrt(r @ spla.splu(W).solve(r))
+
+
+def _dual_norm_loads(space):
+    """Random, smooth and Newton residuals: the eikonal HJ residual at zero
+    and after one Newton step."""
+    model = builtin_model("eikonal")
+    prob = hj_solver.HjProblem(space, model, 1.0, manufactured.hj_source(model, 1.0))
+    r0 = hj_solver.hj_residual(prob, np.zeros(space.n_free))
+    J = hj_solver.newton_matrix(prob, np.zeros(space.n_free))
+    u1 = -hj_solver.krylov_solve(J, r0, [P for P, _ in fem.prolongations(space)])[0]
+    return {
+        "random": np.random.default_rng(space.n_free).standard_normal(space.n_free),
+        "smooth": interpolate_nodal(space, lambda X: np.sin(np.pi * X[:, 0]) * X[:, 1]),
+        "newton-0": r0,
+        "newton-1": hj_solver.hj_residual(prob, u1),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_dual_norm_matches_lu_within_stated_bound(n):
+    # stated bound: relative error of ||r||^2 <= eps^2 / lambda_min(BW) = 1.4e-10;
+    # measured <= 4e-11 on ||r||, with 4-5 iterations at every n
+    space = make_space(unit_square_mesh(n))
+    rn = fem.residual_norm(space)
+    for name, r in _dual_norm_loads(space).items():
+        reference = _lu_dual_norm(space, r)
+        assert abs(rn(r) - reference) <= 1e-9 * reference, name
+        assert rn._riesz(r)[1] <= 6, name
+
+
+def test_dual_norm_of_columns_is_the_hypot_of_their_norms():
+    space = make_space(unit_square_mesh(32))
+    rn = fem.residual_norm(space)
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal(space.n_free), 1e-3 * rng.standard_normal(space.n_free)
+    assert rn(np.column_stack([a, b])) == pytest.approx(math.hypot(rn(a), rn(b)), rel=1e-14)
+    assert rn(np.column_stack([a, np.zeros(space.n_free)])) == pytest.approx(rn(a), rel=1e-14)
+    assert rn(np.zeros(space.n_free)) == 0.0
+    assert rn(np.zeros((space.n_free, 2))) == 0.0
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_dual_norm_without_hierarchy_is_one_exact_iteration(n):
+    # no hierarchy below odd n: the V-cycle is the LU of W = K + M
+    space = make_space(unit_square_mesh(n))
+    assert fem.prolongations(space) == ()
+    rn = fem.residual_norm(space)
+    r = np.random.default_rng(n).standard_normal(space.n_free)
+    assert rn._riesz(r)[1] == 1
+    assert abs(rn(r) - _lu_dual_norm(space, r)) <= 1e-14 * rn(r)
+
+
+def test_dual_norm_iteration_cap_raises(monkeypatch):
+    space = make_space(unit_square_mesh(32))
+    monkeypatch.setattr(fem, "_NORM_MAX_ITER", 2)
+    with pytest.raises(NonconvergenceError) as err:
+        fem.residual_norm(space)(np.ones(space.n_free))
+    assert re.search(
+        rf"on {space.n_free} unknowns stopped after 2 iterations at ratio .* = "
+        r"\d\.\d{3}e-\d+, above its target 1e-05",
+        str(err.value),
+    )
+
+
+# ------------------------------------------------------------------- assembly
+
+
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), refine_uniform(unit_square_mesh(3))])
+def test_pattern_assembly_matches_coo_assembly(mesh):
+    space = make_space(mesh)
+    local = np.random.default_rng(0).standard_normal((mesh.n_triangles, 3, 3))
+    A = fem.assemble_from_local(space, local)
+    reference = fem._assemble_p1(local, space.elem_dofs, space.n_free)
+    assert A.has_canonical_format
+    assert np.array_equal(A.indptr, reference.indptr)
+    assert np.array_equal(A.indices, reference.indices)
+    assert np.abs(A.data - reference.data).max() <= 1e-14 * np.abs(reference.data).max()
 
 
 # -------------------------------------------------------------- interpolation

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import fem, hj_solver, manufactured
 from nonsmooth_fem.diagnostics import fit_rate
@@ -218,6 +219,22 @@ def test_odd_n_krylov_solve_is_one_iteration(n):
     assert iterations == 1
     assert np.linalg.norm(b - J @ y) <= 1e-10 * np.linalg.norm(b)
     assert solve_newton(prob, tol=1e-10).converged
+
+
+def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
+    # n = 64 coarsens to n = 8, 49 unknowns: the Newton steps' V-cycles and
+    # the dual norm's PCG are the only factorizations, both at that grid
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rep = solve_newton(eikonal_problem(64), tol=1e-10)
+    assert rep.converged
+    assert factored and set(factored) == {49}
 
 
 def test_krylov_nonconvergence_raises_with_iterations_and_residual(monkeypatch):

@@ -320,6 +320,24 @@ def test_krylov_iterations_are_mesh_independent():
         assert max(its) - min(its) <= 2, (name, its)
 
 
+def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
+    # n = 64 coarsens to n = 8: 49 unknowns per field, 98 for the block
+    # V-cycle's (u, m) coarse system; the dual norm never factors K + M
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    problem = mfg.make_mfg_problem(space_of(64), huber(), mfg.local_linear(1.0), 1.0, man.bump)
+    report = mfg.mfg_newton(problem, tol=1e-9)
+    assert report.converged
+    assert factored and max(factored) == 98
+    assert set(factored) <= {49, 98}
+
+
 # -------------------------------------------------------------------- newton
 
 
