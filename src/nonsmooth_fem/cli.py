@@ -88,30 +88,18 @@ def _m0_field(name: str):
     return _M0_FIELDS[name]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # bool is an int subclass, test first
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+def _json_default(obj):
+    """What json cannot write unaided: numpy scalars (np.float64 is a float
+    and needs no help), numpy arrays and rate fits."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     if isinstance(obj, dg.RateFit):
-        return {
-            "slope": float(obj.slope),
-            "r_squared": float(obj.r_squared),
-            "intercept": float(obj.intercept),
-        }
-    return obj
+        return {"slope": obj.slope, "r_squared": obj.r_squared, "intercept": obj.intercept}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_report(path: str | None, report: dict) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -129,7 +117,7 @@ def _write_study(path, command: str, config: dict, study: dg.ConvergenceReport, 
         "hs": study.hs,
         "dofs": study.dofs,
         "errors": study.errors,
-        "rates": {k: _jsonable(v) for k, v in study.rates.items()},
+        "rates": study.rates,
         "meta": study.meta,
         "wall_time_s": time.perf_counter() - t0,
     })
@@ -150,8 +138,11 @@ def _cmd_mesh_info(args) -> int:
 
 def _solver_config(args) -> dict:
     """Config echo of the flags the HJ and MFG subcommands share."""
+    n = getattr(args, "n", None)
+    if n is not None and n < 2:
+        raise UsageError("n must be at least 2")
     return {
-        "n": getattr(args, "n", None),
+        "n": n,
         "hamiltonian": args.hamiltonian,
         "lambda": _check_finite("lambda", args.lam),
         "solver": args.solver,
@@ -212,7 +203,6 @@ def _mfg_config(args) -> dict:
     return {
         **_solver_config(args),
         "coupling": args.coupling,
-        "m0": args.m0,
         "manufactured": _manufactured_name(args.manufactured) if args.manufactured else None,
     }
 
@@ -243,7 +233,7 @@ def _solve_mfg_once(config: dict, n: int) -> tuple:
 
 
 def _cmd_solve_mfg(args) -> int:
-    config = _mfg_config(args)
+    config = {**_mfg_config(args), "m0": args.m0}
     t0 = time.perf_counter()
     problem, report = _solve_mfg_once(config, config["n"])
     space = problem.space
@@ -374,8 +364,8 @@ def _selftest_cases():
 
     def eikonal_pointwise():
         model = hm.builtin_model("eikonal")
-        assert model.eval(None, np.array([3.0, 4.0])) == 5.0
-        assert np.array_equal(model.clarke_selection(None, np.zeros(2)), np.zeros(2))
+        assert hm.eval_many(model, np.array([3.0, 4.0]))[0] == 5.0
+        assert np.array_equal(hm.selection_many(model, np.zeros(2))[0], np.zeros(2))
 
     def banach_identity():
         assert abs(dg.banach_constant(np.eye(5)) - 1.0) <= 1e-14
@@ -489,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="8,16,32,64")
     p.add_argument("--hamiltonian", default="huber:1.0")
     p.add_argument("--coupling", default="local:linear")
-    p.add_argument("--m0", default="sinsin")
     p.add_argument("--manufactured", default="sinsin")
     p.add_argument("--r", type=float, default=4.0)
     _add_common_solver_flags(p, 1e-9)

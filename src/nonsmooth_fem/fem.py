@@ -2,14 +2,13 @@
 
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant)
-by one bincount into a CSR pattern cached per space, quadrature-based load
-vectors, the linear solution operator (K + lambda*M)^{-1} by a cached
-sparse LU with one step of iterative refinement (Picard's only linear
-solve), nodal interpolation, discrete norms, the P1 prolongations of the
-unit-square grid hierarchy, and the geometric V-cycle on that hierarchy.
-The V-cycle preconditions the Newton solvers' GMRES and the conjugate
-gradients of the dual norm (ResidualNorm), so neither factors a fine-grid
-matrix.
+by one bincount into a CSR pattern cached per space, load vectors, the
+linear solution operator (K + lambda*M)^{-1} by a cached sparse LU with one
+step of iterative refinement (Picard's only linear solve), nodal
+interpolation, discrete norms, the P1 prolongations of the unit-square
+grid hierarchy, and the geometric V-cycle on that hierarchy. The V-cycle
+preconditions the Newton solvers' GMRES and the conjugate gradients of the
+dual norm (ResidualNorm), so neither factors a fine-grid matrix.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -20,12 +19,14 @@ Conventions:
       returning an (N,) array; vector fields return (N, 2). Any other
       result shape raises FemError.
 
-Norm evaluation uses the mass/stiffness quadratic forms for L2/H1 (exact)
-and a fixed symmetric quadrature of stated order for Lr/W1r; the gradient
-part of W1r is summed exactly elementwise. Negative/fractional-order norms
-are never computed here; solvers report residuals in the discrete dual
-norm induced by (K + M)^{-1} instead, evaluated to a stated relative
-accuracy (ResidualNorm).
+Every integral over elements (loads, norms, errors, and the solvers'
+coupling terms through quad_points) uses one rule: the symmetric positive
+6-point rule of Dunavant (1985), exact through total degree 4, hence exact
+for the L2 and H1 norms of a P1 function. The norms are L2, H1, Lr and
+W1r (2 <= r <= 6). Negative/fractional-order norms are never computed
+here; solvers report residuals in the discrete dual norm induced by
+(K + M)^{-1} instead, evaluated to a stated relative accuracy
+(ResidualNorm).
 
 The inverse inequality between discrete norms on quasi-uniform P1 spaces
 is relied upon implicitly and its constant is not verified.
@@ -60,52 +61,21 @@ _NORM_MAX_ITER = 50
 _JACOBI_SWEEPS = 2
 _JACOBI_OMEGA = 0.7
 
-# Symmetric triangle quadrature rules in barycentric coordinates.
-# Weights sum to one (scale by element area). The order-3 rule is the
-# classic positive 6-point rule, exact through total degree 4.
-_TRI_RULES = {
-    1: (
-        np.array([[1 / 3, 1 / 3, 1 / 3]]),
-        np.array([1.0]),
-    ),
-    2: (
-        np.array(
-            [[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]
-        ),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    3: (
-        np.array(
-            [
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-            ]
-        ),
-        np.array(
-            [
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-            ]
-        ),
-    ),
-}
-
-
-def triangle_rule(order: int):
-    """Barycentric points and weights (summing to 1) for order in {1, 2, 3}."""
-    if order not in _TRI_RULES:
-        raise ValueError(f"quadrature order must be one of 1, 2, 3; got {order!r}")
-    bary, weights = _TRI_RULES[order]
-    return bary.copy(), weights.copy()
-
+# The quadrature rule: barycentric points and weights summing to one (scale
+# by element area) of the positive 6-point rule, exact through degree 4
+_QUAD_BARY = np.array(
+    [
+        [0.108103018168070, 0.445948490915965, 0.445948490915965],
+        [0.445948490915965, 0.108103018168070, 0.445948490915965],
+        [0.445948490915965, 0.445948490915965, 0.108103018168070],
+        [0.816847572980459, 0.091576213509771, 0.091576213509771],
+        [0.091576213509771, 0.816847572980459, 0.091576213509771],
+        [0.091576213509771, 0.091576213509771, 0.816847572980459],
+    ]
+)
+_QUAD_WEIGHTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+_QUAD_BARY.flags.writeable = False
+_QUAD_WEIGHTS.flags.writeable = False
 
 _P1_MASS = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
 
@@ -294,26 +264,33 @@ def _eval_field(f, pts: np.ndarray, shape: tuple) -> np.ndarray:
     return vals
 
 
-def quad_points(space: FeSpace, order: int):
-    """Quadrature nodes per element: returns (bary, weights, X) where X has
+def quad_points(space: FeSpace):
+    """The rule's nodes per element: returns (bary, weights, X) where X has
     shape (nq, nt, 2). Cached on the space; the arrays are read-only."""
-    key = ("quad_points", order)
-    if key not in space._cache:
-        bary, weights = triangle_rule(order)
+    if "quad_points" not in space._cache:
         p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
-        X = np.einsum("qk,tkd->qtd", bary, p)
-        for a in (bary, weights, X):
-            a.flags.writeable = False
-        space._cache[key] = (bary, weights, X)
-    return space._cache[key]
+        X = np.einsum("qk,tkd->qtd", _QUAD_BARY, p)
+        X.flags.writeable = False
+        space._cache["quad_points"] = (_QUAD_BARY, _QUAD_WEIGHTS, X)
+    return space._cache["quad_points"]
 
 
-def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
-    """b[i] = sum_T |T| * sum_q w_q f(x_q) phi_i(x_q)."""
-    bary, weights, X = quad_points(space, quad_order)
-    nq, nt, _ = X.shape
-    vals = np.empty((nq, nt))
-    for q in range(nq):
+def _load(space: FeSpace, vals: np.ndarray) -> np.ndarray:
+    """b[i] = sum_T |T| * sum_q w_q vals[q, T] phi_i(x_q), vals broadcast to
+    (nq, nt)."""
+    vals = np.broadcast_to(vals, (len(_QUAD_WEIGHTS), space.mesh.n_triangles))
+    b_local = (
+        np.einsum("q,qk,qt->tk", _QUAD_WEIGHTS, _QUAD_BARY, vals)
+        * space.elem_areas[:, None]
+    )
+    return _assemble_p1_vector(space, b_local)
+
+
+def assemble_load(space: FeSpace, f) -> np.ndarray:
+    """b[i] = integral of f phi_i by the rule: f evaluated at quad_points."""
+    _, _, X = quad_points(space)
+    vals = np.empty(X.shape[:2])
+    for q in range(len(X)):
         vals[q] = _eval_field(f, X[q], ())
     if not np.isfinite(vals).all():
         q, t = np.argwhere(~np.isfinite(vals))[0]
@@ -322,19 +299,14 @@ def assemble_load(space: FeSpace, f, quad_order: int = 3) -> np.ndarray:
             f"non-finite load value {vals[q, t]!r} at quadrature point "
             f"({x:.6g}, {y:.6g})"
         )
-    # b_local[t, k] = area_t * sum_q w_q bary[q, k] vals[q, t]
-    b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
-    return _assemble_p1_vector(space, b_local)
+    return _load(space, vals)
 
 
 def load_from_values(space: FeSpace, vals: np.ndarray) -> np.ndarray:
-    """Like assemble_load but from precomputed values (nq, nt) at the order-3
-    points of quad_points(space, 3); per-element values (nt,) stand for a
-    field constant on each element."""
-    bary, weights = triangle_rule(3)
-    vals = np.broadcast_to(vals, (len(weights), space.mesh.n_triangles))
-    b_local = np.einsum("q,qk,qt->tk", weights, bary, vals) * space.elem_areas[:, None]
-    return _assemble_p1_vector(space, b_local)
+    """Like assemble_load but from precomputed values (nq, nt) at
+    quad_points(space); per-element values (nt,) stand for a field constant
+    on each element."""
+    return _load(space, vals)
 
 
 def interpolate_nodal(space: FeSpace, g) -> np.ndarray:
@@ -356,11 +328,11 @@ def extend_to_vertices(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return full
 
 
-def element_values(space: FeSpace, u: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """u_h at quadrature points: (nq, nt) from barycentric weights."""
+def element_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
+    """u_h at the rule's points: (nq, nt)."""
     full = extend_to_vertices(space, u)
     nodal = full[np.asarray(space.mesh.triangles)]  # (nt, 3)
-    return np.einsum("qk,tk->qt", bary, nodal)
+    return np.einsum("qk,tk->qt", _QUAD_BARY, nodal)
 
 
 def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
@@ -370,43 +342,37 @@ def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return np.einsum("tk,tkd->td", nodal, space.elem_grads)
 
 
-def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
-    """Point evaluation of u_h (test/debug helper; brute-force location)."""
+def _locate(space: FeSpace, pts) -> tuple:
+    """(elements, barycentric coordinates) of each point, (N,) and (N, 3), by
+    brute force over all elements; a point outside the mesh raises
+    FemError."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    p = space.mesh.vertices[space.mesh.triangles]
-    full = extend_to_vertices(space, u)
-    nodal = full[np.asarray(space.mesh.triangles)]
-    out = np.empty(pts.shape[0])
+    p0 = space.mesh.vertices[space.mesh.triangles[:, 0]]  # (nt, 2)
+    elems = np.empty(len(pts), dtype=np.int64)
+    lams = np.empty((len(pts), 3))
     for row, x in enumerate(pts):
-        lam = _barycentric_all(space, p, x)
-        t = int(np.argmax((lam >= -1e-12).all(axis=1)))
-        if not (lam[t] >= -1e-12).all():
+        # lambda_k(x) = Dphi_k . (x - p_0) for k = 1, 2; lambda_0 = 1 - both
+        lam12 = np.einsum("tkd,td->tk", space.elem_grads[:, 1:, :], x - p0)
+        lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+        inside = (lam >= -1e-12).all(axis=1)
+        t = int(np.argmax(inside))
+        if not inside[t]:
             raise FemError(f"point ({x[0]:.6g}, {x[1]:.6g}) outside the mesh")
-        out[row] = nodal[t] @ lam[t]
-    return out
+        elems[row], lams[row] = t, lam[t]
+    return elems, lams
+
+
+def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
+    """Point evaluation of u_h (test helper)."""
+    elems, lams = _locate(space, pts)
+    nodal = extend_to_vertices(space, u)[space.mesh.triangles[elems]]  # (N, 3)
+    return np.einsum("nk,nk->n", nodal, lams)
 
 
 def evaluate_gradient(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    p = space.mesh.vertices[space.mesh.triangles]
-    grads = element_gradients(space, u)
-    out = np.empty((pts.shape[0], 2))
-    for row, x in enumerate(pts):
-        lam = _barycentric_all(space, p, x)
-        t = int(np.argmax((lam >= -1e-12).all(axis=1)))
-        if not (lam[t] >= -1e-12).all():
-            raise FemError(f"point ({x[0]:.6g}, {x[1]:.6g}) outside the mesh")
-        out[row] = grads[t]
-    return out
-
-
-def _barycentric_all(space: FeSpace, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    d = x[None, None, :] - p  # (nt, 3, 2)
-    # lambda_i(x) = 1/ (2A) * cross(edge opposite i) ... use grads: lam_i =
-    # grad_i . (x - p_j) + delta_ij at vertices; simplest: affine solve per element
-    lam12 = np.einsum("tkd,td->tk", space.elem_grads[:, 1:, :], d[:, 0, :])
-    lam0 = 1.0 - lam12.sum(axis=1)
-    return np.column_stack([lam0, lam12])
+    """Point evaluation of Du_h, (N, 2) (test helper)."""
+    elems, _ = _locate(space, pts)
+    return element_gradients(space, u)[elems]
 
 
 # ------------------------------------------------------------------- operator
@@ -611,7 +577,7 @@ def prolongations(space: FeSpace) -> tuple:
 # ---------------------------------------------------------------------- norms
 
 
-_NORM_KINDS = ("L2", "H1semi", "H1", "Lr", "W1r")
+_NORM_KINDS = ("L2", "H1", "Lr", "W1r")
 
 
 def _check_norm_args(kind: str, r):
@@ -624,74 +590,48 @@ def _check_norm_args(kind: str, r):
             raise ValueError(f"exponent r must lie in [2, 6], got {r}")
 
 
-def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> float:
-    """Discrete norm of a coefficient vector.
+def _integrate(space: FeSpace, vals, grad_sq, kind: str, r) -> float:
+    """Norm of the given kind by the rule, from values and squared gradient
+    magnitudes at quad_points, both (nq, nt); grad_sq is unused for L2 and
+    Lr."""
+    w, areas = _QUAD_WEIGHTS[:, None], space.elem_areas
+    if kind == "H1":
+        l2sq = float((w * vals * vals * areas).sum())
+        return float(np.sqrt(l2sq + float((w * grad_sq * areas).sum())))
+    p = 2.0 if kind == "L2" else float(r)
+    lr = float((w * np.abs(vals) ** p * areas).sum())
+    if kind in ("L2", "Lr"):
+        return lr ** (1.0 / p)
+    return (lr + float((w * grad_sq ** (p / 2.0) * areas).sum())) ** (1.0 / p)
 
-    L2/H1 use the exact mass/stiffness quadratic forms; Lr (and the Lr part
-    of W1r) uses the order-3 quadrature of |u_h|^r; the gradient part of W1r
-    is exact (piecewise-constant gradients).
-    """
+
+def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> float:
+    """Discrete norm of a coefficient vector by the rule; exact for L2 and
+    H1, since u_h^2 is a polynomial of degree 2 per element."""
     _check_norm_args(kind, r)
     u = np.asarray(u, dtype=float)
-    if kind == "L2":
-        M = assemble_mass(space)
-        return float(np.sqrt(max(0.0, u @ (M @ u))))
-    if kind == "H1semi":
-        K = assemble_stiffness(space)
-        return float(np.sqrt(max(0.0, u @ (K @ u))))
-    if kind == "H1":
-        return float(
-            np.sqrt(norm(space, u, "L2") ** 2 + norm(space, u, "H1semi") ** 2)
-        )
-    r = float(r)
-    bary, weights = triangle_rule(3)
-    vals = element_values(space, u, bary)  # (nq, nt)
-    lr_r = float((weights[:, None] * np.abs(vals) ** r * space.elem_areas).sum())
-    if kind == "Lr":
-        return lr_r ** (1.0 / r)
+    vals = element_values(space, u)
     grads = element_gradients(space, u)
-    grad_r = float((np.linalg.norm(grads, axis=1) ** r * space.elem_areas).sum())
-    return (lr_r + grad_r) ** (1.0 / r)
+    grad_sq = np.broadcast_to((grads * grads).sum(axis=1), vals.shape)
+    return _integrate(space, vals, grad_sq, kind, r)
 
 
 def error_vs_exact(
-    space: FeSpace,
-    u_h: np.ndarray,
-    u_exact,
-    grad_exact,
-    kind: str,
-    r: float | None = None,
+    space: FeSpace, u_h: np.ndarray, u_exact, grad_exact, kind: str, r: float | None = None
 ) -> float:
-    """Norm of (u_exact - u_h) by order-3 quadrature; gradient error uses the
-    elementwise-constant discrete gradient."""
+    """Norm of (u_exact - u_h) by the rule; the gradient error uses the
+    elementwise-constant discrete gradient. Each field is evaluated at one
+    rule point at a time."""
     _check_norm_args(kind, r)
-    bary, weights, X = quad_points(space, 3)
-    nq, nt, _ = X.shape
-    uh_vals = element_values(space, u_h, bary)
-    e = np.empty((nq, nt))
-    for q in range(nq):
-        e[q] = _eval_field(u_exact, X[q], ()) - uh_vals[q]
-    if kind in ("L2", "Lr"):
-        p = 2.0 if kind == "L2" else float(r)
-        val = float((weights[:, None] * np.abs(e) ** p * space.elem_areas).sum())
-        return val ** (1.0 / p)
-    grads_h = element_gradients(space, u_h)
-    ge2 = np.empty((nq, nt))
-    for q in range(nq):
-        diff = _eval_field(grad_exact, X[q], (2,)) - grads_h
-        ge2[q] = (diff * diff).sum(axis=1)
-    if kind == "H1semi":
-        return float(
-            np.sqrt((weights[:, None] * ge2 * space.elem_areas).sum())
-        )
-    if kind == "H1":
-        l2sq = float((weights[:, None] * e * e * space.elem_areas).sum())
-        semisq = float((weights[:, None] * ge2 * space.elem_areas).sum())
-        return float(np.sqrt(l2sq + semisq))
-    # W1r
-    p = float(r)
-    lr = float((weights[:, None] * np.abs(e) ** p * space.elem_areas).sum())
-    gr = float(
-        (weights[:, None] * ge2 ** (p / 2.0) * space.elem_areas).sum()
-    )
-    return (lr + gr) ** (1.0 / p)
+    _, _, X = quad_points(space)
+    e = element_values(space, u_h)
+    for q in range(len(X)):
+        e[q] = _eval_field(u_exact, X[q], ()) - e[q]
+    ge2 = None
+    if kind in ("H1", "W1r"):
+        grads_h = element_gradients(space, u_h)
+        ge2 = np.empty_like(e)
+        for q in range(len(X)):
+            diff = _eval_field(grad_exact, X[q], (2,)) - grads_h
+            ge2[q] = (diff * diff).sum(axis=1)
+    return _integrate(space, e, ge2, kind, r)

@@ -42,10 +42,9 @@ class HamiltonianModel:
 
     h(Z) -> (N,) and selection(Z) -> (N, 2) take Z of shape (N, 2) and are
     mandatory; hp(Z) -> (N, 2) and hp_jacobian(Z) -> (N, 2, 2) are present
-    only when H is C^1 with Lipschitz gradient. The per-point methods
-    eval(x, z), clarke_selection(x, z), hp_eval(x, z) and
-    hp_clarke_selection(x, z) apply these maps to one gradient z; x is
-    accepted for the pointwise notation H(x, z) and ignored.
+    only when H is C^1 with Lipschitz gradient. Callers go through
+    eval_many, selection_many, hp_many and hp_selection_many, which also
+    accept a single gradient z as one row.
     """
 
     name: str
@@ -56,18 +55,6 @@ class HamiltonianModel:
     hp: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hp_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
-
-    def eval(self, x, z) -> float:
-        return float(eval_many(self, z)[0])
-
-    def clarke_selection(self, x, z) -> np.ndarray:
-        return selection_many(self, z)[0]
-
-    def hp_eval(self, x, z) -> np.ndarray:
-        return hp_many(self, z)[0]
-
-    def hp_clarke_selection(self, x, z) -> np.ndarray:
-        return hp_selection_many(self, z)[0]
 
 
 # ------------------------------------------------------------ batch helpers
@@ -375,19 +362,19 @@ def _adaptive_simpson(f, lo, hi, tol, depth=60):
     return rec(lo, hi, fa, fm, fb, whole, tol, depth)
 
 
-def mean_value_matrix(model: HamiltonianModel, x, z1, z2) -> np.ndarray:
+def mean_value_matrix(model: HamiltonianModel, z1, z2) -> np.ndarray:
     """Vector A with A . (z1 - z2) = H(z1) - H(z2) to roundoff.
 
     A is the average of the Clarke selection along the segment [z2, z1]
     (hence inside the convex hull of the subdifferentials there, up to
     quadrature roundoff) plus a correction parallel to z1 - z2 that makes
-    the secant identity exact. x is ignored, as in the per-point maps.
+    the secant identity exact.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     dz = z1 - z2
     if not dz.any():
-        return model.clarke_selection(x, z1)
+        return selection_many(model, z1)[0]
     # scalar arithmetic on (x, y) pairs: this oracle runs once per pair
     p = z2.tolist()
     d = dz.tolist()
@@ -401,7 +388,7 @@ def mean_value_matrix(model: HamiltonianModel, x, z1, z2) -> np.ndarray:
         mean = _max_affine_segment_mean(model.params["pieces"], p, d)
     else:
         mean = _adaptive_simpson(
-            lambda t: np.asarray(model.clarke_selection(x, z2 + t * dz), dtype=float),
+            lambda t: selection_many(model, z2 + t * dz)[0],
             0.0,
             1.0,
             1e-13,

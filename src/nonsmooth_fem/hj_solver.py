@@ -56,8 +56,8 @@ _GMRES_MAX_CYCLES = 4
 
 @dataclass(frozen=True)
 class HjProblem:
-    """Discrete problem data. f may be a scalar field (assembled with
-    order-3 quadrature) or an already-assembled dual load vector."""
+    """Discrete problem data. f may be a scalar field (assembled by
+    fem.assemble_load) or an already-assembled dual load vector."""
 
     space: fem.FeSpace
     model: hm.HamiltonianModel

@@ -253,16 +253,16 @@ def _coupling_nodal(problem: MfgProblem, m: np.ndarray) -> np.ndarray:
 
 
 def _coupling_at_quad(space, nodal, fn) -> np.ndarray:
-    """fn(m~) at the order-3 quadrature points: (nq, nt), with m~ the P1
+    """fn(m~) at the quadrature points: (nq, nt), with m~ the P1
     function of the all-vertex values `nodal`."""
-    bary, _, _ = fem.quad_points(space, 3)
+    bary, _, _ = fem.quad_points(space)
     return fn(np.einsum("qk,tk->qt", bary, nodal[np.asarray(space.mesh.triangles)]))
 
 
 def _weighted_local_mass(space, df: np.ndarray) -> np.ndarray:
     """Element matrices (nt, 3, 3) of the df-weighted P1 mass, df given at
-    the order-3 quadrature points."""
-    bary, weights, _ = fem.quad_points(space, 3)
+    the quadrature points."""
+    bary, weights, _ = fem.quad_points(space)
     local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
     local *= space.elem_areas[:, None, None]
     return local
@@ -289,7 +289,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    bary, weights, _ = fem.quad_points(space, 3)
+    _, weights, _ = fem.quad_points(space)
     u, m = np.asarray(state.u, dtype=float), np.asarray(state.m, dtype=float)
     lam = problem.lam
     Du = fem.element_gradients(space, u)
@@ -308,7 +308,7 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     )
 
     # density equation: transport term against elementwise-constant gradients
-    m_quad = fem.element_values(space, m, bary)
+    m_quad = fem.element_values(space, m)
     hp = np.broadcast_to(hm.hp_many(problem.model, Du), (len(weights),) + Du.shape)
     momentum = np.einsum("q,qt,qtd->td", weights, m_quad, hp)
     adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]

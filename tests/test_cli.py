@@ -110,6 +110,18 @@ def test_non_integer_levels_rejected(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-hj", "--n", "1"], ["solve-mfg", "--n", "1", "--manufactured", "sinsin"]],
+)
+def test_single_cell_grid_rejected(capsys, argv):
+    # unit_square_mesh(1) has no interior vertex, hence no unknowns
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert "n must be at least 2" in err
+    assert run_cli(capsys, ["mesh-info", "--n", "1"])[0] == 0
+
+
 def test_negative_lambda_rejected(capsys):
     code, _, err = run_cli(capsys, ["solve-hj", "--n", "4", "--lambda", "-1"])
     assert code == 1
@@ -368,6 +380,16 @@ def test_convergence_mfg_rates(capsys, tmp_path):
         assert key in report["rates"]
     assert report["rates"]["combined_H1_L2"]["slope"] >= 0.8
     assert report["config"]["r"] == 4.0
+    assert "m0" not in report["config"]
+
+
+def test_convergence_mfg_m0_flag_removed(capsys):
+    # --manufactured, which the study requires, replaces m0 by m*
+    code, _, err = run_cli(
+        capsys, ["convergence-mfg", "--levels", "8,16,32", "--m0", "uniform"]
+    )
+    assert code == 1
+    assert "--m0" in err
 
 
 def test_convergence_mfg_nonconvergent_level_exits_two(capsys, tmp_path):

@@ -29,7 +29,6 @@ from nonsmooth_fem.fem import (
     make_space,
     norm,
     solve_operator_Th,
-    triangle_rule,
 )
 from nonsmooth_fem.hamiltonian import builtin_model
 from nonsmooth_fem.mesh import refine_uniform, unit_square_mesh
@@ -67,25 +66,18 @@ def _exact_bary_integral(a, b, c):
     )
 
 
-@pytest.mark.parametrize("order,degree", [(1, 1), (2, 2), (3, 3)])
-def test_triangle_rule_exact_to_stated_degree(order, degree):
-    bary, weights = triangle_rule(order)
+def test_triangle_rule_exact_to_stated_degree():
+    bary, weights, _ = fem.quad_points(make_space(unit_square_mesh(2)))
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(weights > 0)
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            c_max = degree - a - b
-            for c in range(c_max + 1):
+    for a in range(5):
+        for b in range(5 - a):
+            for c in range(5 - a - b):
                 val = 0.5 * (
                     weights * bary[:, 0] ** a * bary[:, 1] ** b * bary[:, 2] ** c
                 ).sum()
                 exact = _exact_bary_integral(a, b, c)
                 assert val == pytest.approx(exact, rel=1e-14, abs=1e-16)
-
-
-def test_triangle_rule_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        triangle_rule(4)
 
 
 # ------------------------------------------------------------------ assembly
@@ -141,8 +133,8 @@ def test_local_mass_reference_triangle():
     got = fem._local_mass(0.5)
     expected = 0.5 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
     assert np.allclose(got, expected, atol=0, rtol=1e-15)
-    # cross-check against the order-3 quadrature rule
-    bary, weights = triangle_rule(3)
+    # cross-check against the quadrature rule
+    bary, weights, _ = fem.quad_points(make_space(unit_square_mesh(2)))
     quad = 0.5 * np.einsum("q,qi,qj->ij", weights, bary, bary)
     assert np.allclose(got, quad, atol=1e-16, rtol=1e-13)
 
@@ -170,31 +162,27 @@ def test_degenerate_triangle_rejected_with_element_index():
 
 def test_load_zero_field():
     space = make_space(unit_square_mesh(3))
-    b = assemble_load(space, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 2)
+    b = assemble_load(space, lambda p: np.zeros(np.atleast_2d(p).shape[0]))
     assert np.all(b == 0.0)
 
 
 def test_load_constant_matches_mass_row_sums():
     mesh = unit_square_mesh(3)
     space = make_space(mesh)
-    b = assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]), 2)
+    b = assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]))
     rows = np.asarray(full_mass(mesh).sum(axis=1)).ravel()
     expected = rows[np.asarray(space.free_dofs)]
     assert np.allclose(b, expected, rtol=1e-14, atol=1e-16)
 
 
 def test_load_affine_exact_order2_vs_order3():
-    space = make_space(unit_square_mesh(2))
-    f = lambda p: np.atleast_2d(p)[:, 0]
-    b2 = assemble_load(space, f, 2)
-    b3 = assemble_load(space, f, 3)
-    assert np.abs(b2 - b3).max() <= 1e-15
-
-
-def test_load_quad_order_validated():
-    space = make_space(unit_square_mesh(2))
-    with pytest.raises(ValueError):
-        assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]), 5)
+    # f phi_i has degree 2 per element: the rule integrates it exactly, so
+    # the load equals the mass matrix applied to the nodal values of f
+    mesh = unit_square_mesh(4)
+    space = make_space(mesh)
+    f = lambda p: 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
+    exact = (full_mass(mesh) @ f(mesh.vertices))[space.free_dofs]
+    assert np.allclose(assemble_load(space, f), exact, rtol=1e-14, atol=1e-16)
 
 
 def test_load_nonfinite_value_reports_point():
@@ -207,7 +195,7 @@ def test_load_nonfinite_value_reports_point():
         return out
 
     with pytest.raises(FemError, match="non-finite"):
-        assemble_load(space, f, 2)
+        assemble_load(space, f)
 
 
 def test_load_rejects_per_point_callable():
@@ -215,9 +203,9 @@ def test_load_rejects_per_point_callable():
     # is an error, not something to retry point by point
     space = make_space(unit_square_mesh(2))
     with pytest.raises(TypeError):
-        assemble_load(space, lambda p: math.sin(p[0]), 3)
+        assemble_load(space, lambda p: math.sin(p[0]))
     with pytest.raises(FemError, match=r"shape \(2,\) on 8 points, expected \(8,\)"):
-        assemble_load(space, lambda p: p[0] + p[1], 3)
+        assemble_load(space, lambda p: p[0] + p[1])
     with pytest.raises(FemError, match=r"expected \(8, 2\)"):
         error_vs_exact(space, np.zeros(space.n_free), u_star, lambda p: p[:, 0], "H1")
 
@@ -235,7 +223,7 @@ def test_solve_poisson_manufactured_rate_two():
     errs, hs = [], []
     for n in (8, 16, 32):
         space = make_space(unit_square_mesh(n))
-        b = assemble_load(space, f_poisson, 3)
+        b = assemble_load(space, f_poisson)
         v = solve_operator_Th(space, 0.0, b)
         errs.append(error_vs_exact(space, v, u_star, grad_u_star, "L2"))
         hs.append(space.mesh.mesh_size_h)
@@ -248,14 +236,14 @@ def test_solve_poisson_manufactured_rate_two():
 def test_solve_large_lambda_reaction_limit():
     space = make_space(unit_square_mesh(8))
     lam = 1e8
-    b = assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]), 3)
+    b = assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]))
     v = solve_operator_Th(space, lam, b)
     assert norm(space, v, "L2") <= 10.0 / lam
 
 
 def test_solve_residual_bound_certificate():
     space = make_space(unit_square_mesh(8))
-    b = assemble_load(space, f_poisson, 3)
+    b = assemble_load(space, f_poisson)
     v = solve_operator_Th(space, 1.0, b)
     K = assemble_stiffness(space)
     M = assemble_mass(space)
@@ -265,7 +253,7 @@ def test_solve_residual_bound_certificate():
 
 def test_solve_certificate_failure_raises(monkeypatch):
     space = make_space(unit_square_mesh(6))
-    b = assemble_load(space, f_poisson, 3)
+    b = assemble_load(space, f_poisson)
     monkeypatch.setattr(fem, "_SOLVE_TOL", 0.0)
     with pytest.raises(NonconvergenceError, match="residual"):
         solve_operator_Th(space, 0.0, b)
@@ -275,7 +263,7 @@ def test_solve_certificate_failure_raises(monkeypatch):
 @pytest.mark.parametrize("n", [128, 256])
 def test_solve_meets_certificate(n, lam):
     space = make_space(unit_square_mesh(n))
-    b = assemble_load(space, f_poisson, 3)
+    b = assemble_load(space, f_poisson)
     v = solve_operator_Th(space, lam, b)
     W = assemble_stiffness(space) + lam * assemble_mass(space)
     assert np.linalg.norm(b - W @ v) <= 1e-12 * np.linalg.norm(b)
@@ -456,7 +444,7 @@ def test_interpolation_h1_rate_one():
 def test_norms_of_zero_vector():
     space = make_space(unit_square_mesh(3))
     z = np.zeros(space.n_free)
-    for kind in ("L2", "H1semi", "H1"):
+    for kind in ("L2", "H1"):
         assert norm(space, z, kind) == 0.0
     assert norm(space, z, "Lr", r=4) == 0.0
     assert norm(space, z, "W1r", r=4) == 0.0
@@ -467,10 +455,13 @@ def test_l2_norm_two_routes_agree():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(space.n_free)
     M = assemble_mass(space)
+    K = assemble_stiffness(space)
     quadratic = math.sqrt(u @ (M @ u))
     by_quadrature = norm(space, u, "Lr", r=2)
     assert abs(norm(space, u, "L2") - quadratic) <= 1e-14 * max(1, quadratic)
     assert by_quadrature == pytest.approx(quadratic, rel=1e-13)
+    h1 = math.sqrt(u @ (K @ u) + u @ (M @ u))
+    assert abs(norm(space, u, "H1") - h1) <= 1e-14 * max(1, h1)
 
 
 def test_w1r_at_two_equals_h1():
@@ -536,7 +527,7 @@ def test_cea_constant_and_aubin_nitsche():
     h1_errs, l2_errs, interp_errs, hs = [], [], [], []
     for n in (8, 16, 32):
         space = make_space(unit_square_mesh(n))
-        b = assemble_load(space, f_poisson, 3)
+        b = assemble_load(space, f_poisson)
         v = solve_operator_Th(space, 0.0, b)
         h1_errs.append(error_vs_exact(space, v, u_star, grad_u_star, "H1"))
         l2_errs.append(error_vs_exact(space, v, u_star, grad_u_star, "L2"))

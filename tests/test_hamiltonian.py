@@ -25,8 +25,6 @@ from nonsmooth_fem.hamiltonian import (
 )
 from nonsmooth_fem.mesh import unit_square_mesh
 
-ORIGIN = np.zeros(2)
-
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -39,27 +37,27 @@ def test_zero_model_basics():
     m = builtin_model("zero")
     assert m.name == "zero"
     assert m.lipschitz_C_H == 0.0
-    assert m.eval(ORIGIN, np.array([3.0, -4.0])) == 0.0
-    assert np.array_equal(m.clarke_selection(ORIGIN, np.array([1.0, 2.0])), [0.0, 0.0])
+    assert eval_many(m, np.array([3.0, -4.0]))[0] == 0.0
+    assert np.array_equal(selection_many(m, np.array([1.0, 2.0]))[0], [0.0, 0.0])
     # smooth trivial model: gradient data present and identically zero
-    assert np.array_equal(m.hp_eval(ORIGIN, np.array([1.0, 2.0])), [0.0, 0.0])
+    assert np.array_equal(hp_many(m, np.array([1.0, 2.0]))[0], [0.0, 0.0])
     assert np.array_equal(
-        m.hp_clarke_selection(ORIGIN, np.array([1.0, 2.0])), np.zeros((2, 2))
+        hp_selection_many(m, np.array([1.0, 2.0]))[0], np.zeros((2, 2))
     )
 
 
 def test_eikonal_values():
     m = builtin_model("eikonal")
     z = np.array([3.0, 4.0])
-    assert m.eval(ORIGIN, z) == pytest.approx(5.0, abs=1e-15)
-    assert np.allclose(m.clarke_selection(ORIGIN, z), [0.6, 0.8], atol=1e-15)
+    assert eval_many(m, z)[0] == pytest.approx(5.0, abs=1e-15)
+    assert np.allclose(selection_many(m, z)[0], [0.6, 0.8], atol=1e-15)
     assert m.lipschitz_C_H == 1.0
     assert m.is_convex_in_z
 
 
 def test_eikonal_kink_tie_break_is_zero():
     m = builtin_model("eikonal")
-    sel = m.clarke_selection(ORIGIN, np.zeros(2))
+    sel = selection_many(m, np.zeros(2))[0]
     assert np.array_equal(sel, [0.0, 0.0])
 
 
@@ -72,34 +70,34 @@ def test_eikonal_has_no_gradient_fields():
 def test_huber_inner_branch():
     m = builtin_model("huber", delta=1.0)
     z = np.array([0.3, 0.4])  # |z| = 0.5 < delta
-    assert m.eval(ORIGIN, z) == pytest.approx(0.125, abs=1e-15)
-    assert np.allclose(m.hp_eval(ORIGIN, z), z, atol=1e-15)
-    assert np.allclose(m.hp_clarke_selection(ORIGIN, z), np.eye(2), atol=1e-15)
+    assert eval_many(m, z)[0] == pytest.approx(0.125, abs=1e-15)
+    assert np.allclose(hp_many(m, z)[0], z, atol=1e-15)
+    assert np.allclose(hp_selection_many(m, z)[0], np.eye(2), atol=1e-15)
 
 
 def test_huber_outer_branch():
     m = builtin_model("huber", delta=1.0)
     z = np.array([3.0, 4.0])
-    assert m.eval(ORIGIN, z) == pytest.approx(4.5, abs=1e-14)
-    assert np.allclose(m.hp_eval(ORIGIN, z), [0.6, 0.8], atol=1e-15)
+    assert eval_many(m, z)[0] == pytest.approx(4.5, abs=1e-14)
+    assert np.allclose(hp_many(m, z)[0], [0.6, 0.8], atol=1e-15)
     expected = (np.eye(2) - np.outer(z, z) / 25.0) / 5.0
-    assert np.allclose(m.hp_clarke_selection(ORIGIN, z), expected, atol=1e-15)
+    assert np.allclose(hp_selection_many(m, z)[0], expected, atol=1e-15)
 
 
 def test_huber_at_origin():
     m = builtin_model("huber", delta=1.0)
-    assert m.eval(ORIGIN, np.zeros(2)) == 0.0
-    assert np.array_equal(m.hp_eval(ORIGIN, np.zeros(2)), [0.0, 0.0])
-    assert np.allclose(m.hp_clarke_selection(ORIGIN, np.zeros(2)), np.eye(2))
+    assert eval_many(m, np.zeros(2))[0] == 0.0
+    assert np.array_equal(hp_many(m, np.zeros(2))[0], [0.0, 0.0])
+    assert np.allclose(hp_selection_many(m, np.zeros(2))[0], np.eye(2))
 
 
 def test_huber_sphere_tie_break_inner():
     m = builtin_model("huber", delta=1.0)
     z = np.array([0.6, 0.8])  # |z| = delta exactly
-    assert np.allclose(m.hp_clarke_selection(ORIGIN, z), np.eye(2), atol=1e-15)
+    assert np.allclose(hp_selection_many(m, z)[0], np.eye(2), atol=1e-15)
     # value and gradient continuous across the sphere
-    assert m.eval(ORIGIN, z) == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(m.hp_eval(ORIGIN, z), z, atol=1e-15)
+    assert eval_many(m, z)[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.allclose(hp_many(m, z)[0], z, atol=1e-15)
 
 
 def test_huber_lipschitz_constant():
@@ -119,15 +117,15 @@ def test_max_affine_values():
     pieces = [((1.0, 2.0), 0.5), ((-1.0, 0.0), 0.0)]
     m = builtin_model("max_affine", pieces=pieces)
     z = np.array([1.0, 1.0])
-    assert m.eval(ORIGIN, z) == pytest.approx(3.5, abs=1e-15)
-    assert np.array_equal(m.clarke_selection(ORIGIN, z), [1.0, 2.0])
+    assert eval_many(m, z)[0] == pytest.approx(3.5, abs=1e-15)
+    assert np.array_equal(selection_many(m, z)[0], [1.0, 2.0])
     assert m.lipschitz_C_H == pytest.approx(np.sqrt(5.0), rel=1e-15)
 
 
 def test_max_affine_tie_break_lowest_index():
     pieces = [((1.0, 0.0), 0.0), ((-1.0, 0.0), 0.0)]
     m = builtin_model("max_affine", pieces=pieces)
-    sel = m.clarke_selection(ORIGIN, np.array([0.0, 7.0]))
+    sel = selection_many(m, np.array([0.0, 7.0]))[0]
     assert np.array_equal(sel, [1.0, 0.0])
 
 
@@ -153,7 +151,7 @@ def test_model_from_spec_strings(tmp_path):
     csv.write_text("1.0,0.0,0.0\n-1.0,0.0,0.0\n")
     ma = model_from_spec(f"maxaffine:{csv}")
     assert ma.name == "max_affine"
-    assert ma.eval(ORIGIN, np.array([2.0, 0.0])) == pytest.approx(2.0)
+    assert eval_many(ma, np.array([2.0, 0.0]))[0] == pytest.approx(2.0)
     with pytest.raises(ValueError, match="bogus"):
         model_from_spec("bogus")
     with pytest.raises(ValueError):
@@ -234,9 +232,9 @@ def test_batch_evaluators_match_pointwise(name, kwargs):
     for k in range(64):
         assert hv[k] == pytest.approx(h(Z[k]), rel=1e-14, abs=1e-15)
         assert np.allclose(sv[k], sel(Z[k]), rtol=1e-14, atol=1e-15)
-        # the per-point methods are rows of the batch maps
-        assert m.eval(None, Z[k]) == hv[k]
-        assert np.array_equal(m.clarke_selection(None, Z[k]), sv[k])
+        # a one-row call gives the same row
+        assert eval_many(m, Z[k : k + 1])[0] == hv[k]
+        assert np.array_equal(selection_many(m, Z[k : k + 1])[0], sv[k])
     if hp is None:
         assert m.hp is None and m.hp_jacobian is None
         return
@@ -245,8 +243,8 @@ def test_batch_evaluators_match_pointwise(name, kwargs):
     for k in range(64):
         assert np.allclose(pv[k], hp(Z[k]), rtol=1e-14, atol=1e-15)
         assert np.allclose(jv[k], hp_jac(Z[k]), rtol=1e-14, atol=1e-15)
-        assert np.array_equal(m.hp_eval(None, Z[k]), pv[k])
-        assert np.array_equal(m.hp_clarke_selection(None, Z[k]), jv[k])
+        assert np.array_equal(hp_many(m, Z[k : k + 1])[0], pv[k])
+        assert np.array_equal(hp_selection_many(m, Z[k : k + 1])[0], jv[k])
 
 
 # ----------------------------------------------------------- Lipschitz bounds
@@ -343,7 +341,7 @@ def test_selection_matches_fd_gradient_off_kinks(model):
 # ----------------------------------------------------------- mean value oracle
 
 
-def _segment_mean_quad(model, x, z1, z2):
+def _segment_mean_quad(model, z1, z2):
     """Independent oracle: componentwise adaptive quadrature of the Clarke
     selection along t -> z2 + t (z1 - z2), splitting at candidate kinks."""
     d = z1 - z2
@@ -378,7 +376,7 @@ def _segment_mean_quad(model, x, z1, z2):
     mean = np.zeros(2)
     for k in range(2):
         val, _ = quad(
-            lambda t: model.clarke_selection(x, z2 + t * d)[k],
+            lambda t: selection_many(model, z2 + t * d)[0][k],
             0.0,
             1.0,
             points=pts or None,
@@ -390,34 +388,34 @@ def _segment_mean_quad(model, x, z1, z2):
     return mean
 
 
-def _with_secant_correction(model, x, z1, z2, mean):
+def _with_secant_correction(model, z1, z2, mean):
     d = z1 - z2
-    dh = model.eval(x, z1) - model.eval(x, z2)
+    dh = eval_many(model, z1)[0] - eval_many(model, z2)[0]
     return mean + ((dh - mean @ d) / (d @ d)) * d
 
 
 def test_mean_value_equal_arguments():
     m = builtin_model("eikonal")
     z = np.array([0.5, -0.25])
-    assert np.array_equal(mean_value_matrix(m, ORIGIN, z, z), m.clarke_selection(ORIGIN, z))
+    assert np.array_equal(mean_value_matrix(m, z, z), selection_many(m, z)[0])
 
 
 def test_mean_value_zero_model():
     m = builtin_model("zero")
-    A = mean_value_matrix(m, ORIGIN, np.array([1.0, 2.0]), np.array([-3.0, 0.5]))
+    A = mean_value_matrix(m, np.array([1.0, 2.0]), np.array([-3.0, 0.5]))
     assert np.array_equal(A, [0.0, 0.0])
 
 
 def test_mean_value_eikonal_through_origin():
     m = builtin_model("eikonal")
-    A = mean_value_matrix(m, ORIGIN, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    A = mean_value_matrix(m, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert np.abs(A).max() <= 1e-14
 
 
 def test_mean_value_max_affine_symmetric():
     pieces = [((1.0, 0.0), 0.0), ((-1.0, 0.0), 0.0)]
     m = builtin_model("max_affine", pieces=pieces)
-    A = mean_value_matrix(m, ORIGIN, np.array([2.0, 0.0]), np.array([-2.0, 0.0]))
+    A = mean_value_matrix(m, np.array([2.0, 0.0]), np.array([-2.0, 0.0]))
     assert np.abs(A).max() <= 1e-14
     assert np.linalg.norm(A) <= 1.0 + 1e-12
 
@@ -430,10 +428,9 @@ def test_mean_value_matches_quad_oracle(model):
         z2 = g.uniform(-2, 2, size=2)
         if np.linalg.norm(z1 - z2) < 1e-6:
             continue
-        x = g.uniform(0, 1, size=2)
-        A = mean_value_matrix(model, x, z1, z2)
-        mean = _segment_mean_quad(model, x, z1, z2)
-        A_oracle = _with_secant_correction(model, x, z1, z2, mean)
+        A = mean_value_matrix(model, z1, z2)
+        mean = _segment_mean_quad(model, z1, z2)
+        A_oracle = _with_secant_correction(model, z1, z2, mean)
         assert np.linalg.norm(A - A_oracle) <= 1e-9
 
 
@@ -454,13 +451,12 @@ def test_mean_value_secant_identity_random(model):
     g = rng(43)
     n = 2_000
     Z1, Z2 = _random_pairs(g, n)
-    X = g.uniform(0, 1, size=(n, 2))
     for k in range(n):
         if np.array_equal(Z1[k], Z2[k]):
             continue
-        A = mean_value_matrix(model, X[k], Z1[k], Z2[k])
-        h1 = model.eval(X[k], Z1[k])
-        h2 = model.eval(X[k], Z2[k])
+        A = mean_value_matrix(model, Z1[k], Z2[k])
+        h1 = eval_many(model, Z1[k])[0]
+        h2 = eval_many(model, Z2[k])[0]
         gap = abs(A @ (Z1[k] - Z2[k]) - (h1 - h2))
         assert gap <= 1e-10 * (1 + abs(h1) + abs(h2))
         assert np.linalg.norm(A) <= model.lipschitz_C_H + 1e-12
@@ -472,10 +468,10 @@ def test_mean_value_subnormal_arguments_stay_in_ball():
     tiny = np.nextafter(0.0, 1.0)
     m = builtin_model("eikonal")
     z = np.array([tiny, tiny])
-    sel = m.clarke_selection(ORIGIN, z)
+    sel = selection_many(m, z)[0]
     assert np.linalg.norm(sel) <= 1.0 + 1e-15
     assert np.allclose(sel, np.sqrt(0.5), atol=1e-15)
-    A = mean_value_matrix(m, ORIGIN, z, z)
+    A = mean_value_matrix(m, z, z)
     assert np.linalg.norm(A) <= 1.0 + 1e-15
     # subnormal separation: the increment itself dissolves into rounding,
     # and the ball bound must survive the secant correction
@@ -485,7 +481,7 @@ def test_mean_value_subnormal_arguments_stay_in_ball():
         (z, np.zeros(2)),
     ]
     for z1, z2 in pairs:
-        A = mean_value_matrix(m, ORIGIN, z1, z2)
+        A = mean_value_matrix(m, z1, z2)
         assert np.linalg.norm(A) <= 1.0 + 1e-15
 
 
@@ -495,7 +491,7 @@ def test_mean_value_adjacent_floats_stay_in_ball():
     for model in all_models():
         z1 = np.array([10.0, 3.0])
         z2 = np.array([np.nextafter(10.0, 0.0), 3.0])
-        A = mean_value_matrix(model, ORIGIN, z1, z2)
+        A = mean_value_matrix(model, z1, z2)
         assert np.linalg.norm(A) <= model.lipschitz_C_H + 1e-12
 
 
@@ -511,7 +507,7 @@ def test_mean_value_custom_model_fallback():
     )
     z1 = np.array([1.0, 2.0])
     z2 = np.array([-0.5, 0.25])
-    A = mean_value_matrix(m, ORIGIN, z1, z2)
+    A = mean_value_matrix(m, z1, z2)
     assert np.allclose(A, (z1 + z2) / 2, atol=1e-11)
 
 
@@ -557,10 +553,10 @@ def test_property_secant_identity_eikonal(a, b, c, d):
     m = builtin_model("eikonal")
     z1 = np.array([a, b])
     z2 = np.array([c, d])
-    A = mean_value_matrix(m, ORIGIN, z1, z2)
+    A = mean_value_matrix(m, z1, z2)
     assert np.linalg.norm(A) <= 1.0 + 1e-12
     if not np.array_equal(z1, z2):
-        h1, h2 = m.eval(ORIGIN, z1), m.eval(ORIGIN, z2)
+        h1, h2 = eval_many(m, z1)[0], eval_many(m, z2)[0]
         assert abs(A @ (z1 - z2) - (h1 - h2)) <= 1e-10 * (1 + abs(h1) + abs(h2))
 
 
@@ -569,7 +565,7 @@ def test_property_secant_identity_eikonal(a, b, c, d):
 def test_property_huber_selection_bound(a, b, delta):
     m = builtin_model("huber", delta=delta)
     z = np.array([a, b])
-    sel = m.clarke_selection(ORIGIN, z)
+    sel = selection_many(m, z)[0]
     assert np.linalg.norm(sel) <= 1.0 + 1e-12
-    xi = m.hp_clarke_selection(ORIGIN, z)
+    xi = hp_selection_many(m, z)[0]
     assert np.linalg.norm(xi, 2) <= 1.0 / delta + 1e-10
