@@ -2,7 +2,7 @@
 stationary mean field games with Lipschitz (nonsmooth) Hamiltonians.
 
 Modules:
-    mesh         conforming triangulations and uniform refinement
+    mesh         structured triangulations of the unit square
     fem          P1 Lagrange assembly, solution operators, discrete norms
     hamiltonian  Hamiltonian models with pointwise generalized-Jacobian selections
     hj_solver    semismooth Newton / damped Picard for Hamilton-Jacobi problems

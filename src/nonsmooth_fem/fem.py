@@ -342,28 +342,62 @@ def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return np.einsum("tk,tkd->td", nodal, space.elem_grads)
 
 
+def _ragged(counts: np.ndarray) -> tuple:
+    """(owner, rank) of every slot when owner i holds counts[i] slots in a
+    row: owner repeats i counts[i] times, rank runs 0 .. counts[i] - 1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
 def _locate(space: FeSpace, pts) -> tuple:
-    """(elements, barycentric coordinates) of each point, (N,) and (N, 3), by
-    brute force over all elements; a point outside the mesh raises
-    FemError."""
+    """(elements, barycentric coordinates) of each point, (N,) and (N, 3):
+    the lowest-index element whose barycentrics are all >= -1e-12. A point
+    outside the mesh raises FemError.
+
+    Candidates come from a uniform grid of about sqrt(nt) x sqrt(nt) cells
+    over the mesh's bounding box, each element listed, in ascending order,
+    in every cell its (slightly widened) bounding box touches; each point is
+    tested against its cell's list only, all points in one array pass.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    p0 = space.mesh.vertices[space.mesh.triangles[:, 0]]  # (nt, 2)
-    elems = np.empty(len(pts), dtype=np.int64)
-    lams = np.empty((len(pts), 3))
-    for row, x in enumerate(pts):
-        # lambda_k(x) = Dphi_k . (x - p_0) for k = 1, 2; lambda_0 = 1 - both
-        lam12 = np.einsum("tkd,td->tk", space.elem_grads[:, 1:, :], x - p0)
-        lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-        inside = (lam >= -1e-12).all(axis=1)
-        t = int(np.argmax(inside))
-        if not inside[t]:
-            raise FemError(f"point ({x[0]:.6g}, {x[1]:.6g}) outside the mesh")
-        elems[row], lams[row] = t, lam[t]
-    return elems, lams
+    mesh = space.mesh
+    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    n_cells = max(1, int(np.sqrt(mesh.n_triangles)))
+    width = (hi - lo) / n_cells
+    pad = 1e-10 * (hi - lo).max()  # beyond the -1e-12 barycentric slack
+
+    def cell(x):  # (N, 2) points -> (N, 2) cell indices, clipped to the grid
+        return np.clip(((x - lo) / width).astype(np.int64), 0, n_cells - 1)
+
+    # element lists of the cells in CSR form, each list in ascending order
+    c_lo, c_hi = cell(corners.min(axis=1) - pad), cell(corners.max(axis=1) + pad)
+    span = c_hi - c_lo + 1
+    elem, k = _ragged(span[:, 0] * span[:, 1])
+    iy, ix = np.divmod(k, span[elem, 0])
+    cell_id = (c_lo[elem, 1] + iy) * n_cells + c_lo[elem, 0] + ix
+    cell_elems = elem[np.argsort(cell_id, kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cell_id, minlength=n_cells**2))])
+
+    # every (point, candidate) pair, grouped by point in point order
+    ci, cj = cell(pts).T
+    c = cj * n_cells + ci
+    point, rank = _ragged(starts[c + 1] - starts[c])
+    cand = cell_elems[starts[c][point] + rank]
+    # lambda_k(x) = Dphi_k . (x - p_0) for k = 1, 2; lambda_0 = 1 - both
+    lam12 = np.einsum("nkd,nd->nk", space.elem_grads[cand, 1:, :], pts[point] - corners[cand, 0])
+    lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+    hits = np.flatnonzero((lam >= -1e-12).all(axis=1))
+    found, pick = np.unique(point[hits], return_index=True)
+    if len(found) < len(pts):
+        x = pts[np.setdiff1d(np.arange(len(pts)), found)[0]]
+        raise FemError(f"point ({x[0]:.6g}, {x[1]:.6g}) outside the mesh")
+    return cand[hits[pick]], lam[hits[pick]]
 
 
 def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
-    """Point evaluation of u_h (test helper)."""
+    """Point evaluation of u_h; the stability scan transfers eigenvectors
+    between levels with it."""
     elems, lams = _locate(space, pts)
     nodal = extend_to_vertices(space, u)[space.mesh.triangles[elems]]  # (N, 3)
     return np.einsum("nk,nk->n", nodal, lams)

@@ -1,13 +1,9 @@
-"""Triangulations of the unit square and their uniform refinement.
+"""Triangulations of the unit square.
 
 The built-in family triangulates the unit square with a fixed diagonal
-convention (lower-left to upper-right) so runs are bit-reproducible.
-Uniform midpoint refinement splits every triangle into four congruent
-children, which keeps the shape-regularity ratio of the initial mesh and
-halves the mesh size exactly on dyadic grids. Both are built by index
-arithmetic on whole arrays: refinement numbers its midpoints through
-edge_map, whose sorted unique edges come from one np.unique on the 1-D key
-i * n_vertices + j of each sorted vertex pair.
+convention (lower-left to upper-right) so runs are bit-reproducible. It is
+built by index arithmetic on whole arrays; unit_square_mesh(2n) halves the
+mesh size of unit_square_mesh(n) exactly on dyadic grids.
 
 Meshes are immutable value objects: the coordinate and index arrays are
 frozen after construction and safe to share across threads.
@@ -78,25 +74,6 @@ def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.sqrt((e * e).sum(axis=-1)).max())
 
 
-def edge_map(mesh: TriMesh):
-    """Unique edges of a triangulation: (edges, tri_edges, counts).
-
-    edges (ne, 2) holds the sorted vertex pairs i < j in lexicographic
-    order; tri_edges (nt, 3) gives the index into edges of the sides (i, j),
-    (j, k), (k, i) of each triangle (i, j, k); counts (ne,) is the number of
-    incident triangles, 1 on the boundary and 2 inside a conforming mesh.
-    """
-    tris = mesh.triangles
-    pairs = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1).reshape(-1, 2)
-    pairs.sort(axis=1)
-    n_v = mesh.n_vertices
-    keys, inverse, counts = np.unique(
-        pairs[:, 0] * n_v + pairs[:, 1], return_inverse=True, return_counts=True
-    )
-    edges = np.column_stack(np.divmod(keys, n_v))
-    return edges, inverse.reshape(-1, 3), counts
-
-
 def unit_square_mesh(n: int) -> TriMesh:
     """Structured triangulation of (0,1)^2 with n subdivisions per side.
 
@@ -123,26 +100,3 @@ def unit_square_mesh(n: int) -> TriMesh:
     )
     h = _max_edge_length(vertices, triangles)
     return TriMesh(vertices, triangles, boundary, h)
-
-
-def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Split each triangle into 4 congruent children via edge midpoints.
-
-    The midpoint of edge e of edge_map(mesh) gets vertex id n_vertices + e,
-    so that map is also the P1 prolongation from this mesh to the refined
-    one. Midpoints are flagged as boundary exactly when their parent edge
-    lies on the boundary (is incident to a single triangle). Triangle
-    (i, j, k) has children (i, mij, mki), (j, mjk, mij), (k, mki, mjk) and
-    (mij, mjk, mki), in that order.
-    """
-    edges, tri_edges, counts = edge_map(mesh)
-    verts = mesh.vertices
-    vertices = np.vstack([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
-    flags = np.concatenate([mesh.boundary_vertex, counts == 1])
-    i, j, k = mesh.triangles.T
-    mij, mjk, mki = (mesh.n_vertices + tri_edges).T
-    triangles = np.stack(
-        [i, mij, mki, j, mjk, mij, k, mki, mjk, mij, mjk, mki], axis=1
-    ).reshape(-1, 3)
-    h = _max_edge_length(vertices, triangles)
-    return TriMesh(vertices, triangles, flags, h)

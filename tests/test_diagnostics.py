@@ -145,6 +145,19 @@ def test_gram_pair_validation():
         dg.GramPair(gram_X=form(spd), gram_Y=form(spd))
 
 
+def test_gram_pair_checks_a_shared_weight_once(monkeypatch):
+    calls = []
+    splu = dg.spla.splu
+    monkeypatch.setattr(dg.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    G = dg.state_space_grams(space_of(8)).gram_X  # one weight for X and Y
+    assert len(calls) == 1
+    dg.GramPair(gram_X=G, gram_Y=G.copy())
+    assert len(calls) == 3
+    bad = sp.csc_matrix(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="gram_X must be positive definite"):
+        dg.GramPair(gram_X=bad, gram_Y=bad)
+
+
 def test_sparse_grams_and_constants_never_densify(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("densified a sparse matrix")
@@ -295,6 +308,36 @@ def test_warm_started_scan_matches_cold_solves(kinked_24):
     ]
     for warm, ref in zip(report.smin[0] + report.meta["lambda_scan"][0], cold + cold_lambda):
         assert abs(warm - ref) <= 1e-9 * ref
+
+
+def test_two_level_kinked_scan_warm_starts_across_levels(kinked_24, monkeypatch):
+    # 24 and 32 both run the sparse path, on meshes that are not nested
+    cases = [kinked_24, kinked_case(32)]
+    constant = dg.preconditioned_constant
+    entry, done = [], []
+
+    def recording(J, G, start=None):
+        entry.append(start.copy())
+        value = constant(J, G, start)
+        done.append(start.copy())
+        return value
+
+    monkeypatch.setattr(dg, "preconditioned_constant", recording)
+    report = dg.stability_scan(cases, n_selection_samples=3)
+    assert len(entry) == 6
+    # the first solve at n = 32 starts from n = 24's last eigenvector, its u
+    # and m blocks each interpolated onto the new free dofs
+    coarse, fine = cases[0][0].space, cases[1][0].space
+    pts = fine.mesh.vertices[fine.free_dofs]
+    transferred = [fem.evaluate(coarse, block, pts) for block in np.split(done[2], 2)]
+    assert np.array_equal(entry[3], np.concatenate(transferred))
+    for (problem, state), vals in zip(cases, report.smin):
+        G = dg.state_space_grams(problem.space).gram_X
+        assert G.shape[0] > dg._DENSE_CUTOFF
+        samples, _ = dg._selection_samples(problem, state, 3)
+        for warm, xi in zip(vals, samples):
+            ref = constant(mfg.mfg_jacobian(problem, state, xi=xi), G)
+            assert abs(warm - ref) <= 1e-9 * ref
 
 
 # ------------------------------------------------------------- stability scan

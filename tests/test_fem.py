@@ -31,7 +31,7 @@ from nonsmooth_fem.fem import (
     solve_operator_Th,
 )
 from nonsmooth_fem.hamiltonian import builtin_model
-from nonsmooth_fem.mesh import refine_uniform, unit_square_mesh
+from nonsmooth_fem.mesh import TriMesh, unit_square_mesh
 
 
 def u_star(p):
@@ -51,6 +51,17 @@ def grad_u_star(p):
 
 def f_poisson(p):
     return 2.0 * np.pi**2 * u_star(p)
+
+
+def renumbered_mesh(n, seed=0):
+    """unit_square_mesh(n) with its vertices and its triangles in seeded
+    random orders: the same geometry without the grid numbering."""
+    grid = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(grid.n_vertices)  # new vertex id -> old id
+    new_id = np.argsort(perm)
+    triangles = new_id[np.asarray(grid.triangles)][rng.permutation(grid.n_triangles)]
+    return TriMesh(grid.vertices[perm], triangles, grid.boundary_vertex[perm], grid.mesh_size_h)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -302,10 +313,10 @@ def test_hierarchy_halves_even_n_above_eight(n, depth):
 
 
 def test_hierarchy_is_empty_off_the_unit_square_numbering():
-    # geometrically unit_square_mesh(16), numbered by midpoint refinement
-    refined = refine_uniform(unit_square_mesh(8))
-    assert refined.n_vertices == unit_square_mesh(16).n_vertices
-    assert fem.prolongations(make_space(refined)) == ()
+    # geometrically unit_square_mesh(16), numbered otherwise
+    renumbered = renumbered_mesh(16)
+    assert renumbered.n_vertices == unit_square_mesh(16).n_vertices
+    assert fem.prolongations(make_space(renumbered)) == ()
 
 
 # ------------------------------------------------------------------ dual norm
@@ -381,7 +392,7 @@ def test_dual_norm_iteration_cap_raises(monkeypatch):
 # ------------------------------------------------------------------- assembly
 
 
-@pytest.mark.parametrize("mesh", [unit_square_mesh(8), refine_uniform(unit_square_mesh(3))])
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), renumbered_mesh(6)])
 def test_pattern_assembly_matches_coo_assembly(mesh):
     space = make_space(mesh)
     local = np.random.default_rng(0).standard_normal((mesh.n_triangles, 3, 3))
@@ -391,6 +402,51 @@ def test_pattern_assembly_matches_coo_assembly(mesh):
     assert np.array_equal(A.indptr, reference.indptr)
     assert np.array_equal(A.indices, reference.indices)
     assert np.abs(A.data - reference.data).max() <= 1e-14 * np.abs(reference.data).max()
+
+
+# ------------------------------------------------------------ point location
+
+
+def _brute_force_locate(space, pts):
+    """Every point against every element, one point at a time."""
+    p0 = space.mesh.vertices[space.mesh.triangles[:, 0]]
+    elems, lams = [], []
+    for x in pts:
+        lam12 = np.einsum("tkd,td->tk", space.elem_grads[:, 1:, :], x - p0)
+        lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+        inside = np.flatnonzero((lam >= -1e-12).all(axis=1))
+        assert len(inside) > 0
+        elems.append(inside[0])
+        lams.append(lam[inside[0]])
+    return np.array(elems), np.array(lams)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(1), unit_square_mesh(6), unit_square_mesh(7), renumbered_mesh(5),
+     renumbered_mesh(12)],
+    ids=["n1", "n6", "n7", "renumbered5", "renumbered12"],
+)
+def test_locate_matches_brute_force(mesh):
+    space = make_space(mesh)
+    v, t = mesh.vertices, mesh.triangles
+    midpoints = 0.5 * (v[t] + v[np.roll(t, -1, axis=1)]).reshape(-1, 2)
+    # vertices moved by 1e-14, within the barycentric slack of the elements
+    # they leave; at n = 12 the lines x, y = 1/4, 1/2, 3/4 are bucket edges
+    nudged = [v + 1e-14 * np.array(s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    pts = np.vstack([v, midpoints, *nudged, np.random.default_rng(3).random((200, 2))])
+    elems, lams = fem._locate(space, pts)
+    ref_elems, ref_lams = _brute_force_locate(space, pts)
+    assert np.array_equal(elems, ref_elems)
+    assert np.abs(lams - ref_lams).max() <= 1e-15
+
+
+def test_locate_outside_point_raises():
+    space = make_space(renumbered_mesh(4))
+    with pytest.raises(FemError, match=r"point \(1\.5, 0\.25\) outside the mesh"):
+        fem._locate(space, [[0.5, 0.5], [1.5, 0.25]])
+    with pytest.raises(FemError, match="outside the mesh"):
+        fem._locate(space, [[-1e-6, 0.5]])
 
 
 # -------------------------------------------------------------- interpolation
