@@ -281,7 +281,7 @@ def state_space_grams(space) -> GramPair:
     """H1 x L2 geometry for the stacked (u, m) linearization."""
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    G = sp.block_diag([(K + M).tocsr(), M.tocsr()]).tocsc()
+    G = sp.block_diag([fem.free_sum(space, (1.0, K), (1.0, M)), M]).tocsc()
     return GramPair(gram_X=G, gram_Y=G)
 
 

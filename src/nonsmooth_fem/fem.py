@@ -2,7 +2,8 @@
 
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant)
-by one bincount into a CSR pattern cached per space, load vectors, the
+by one bincount into a CSR pattern cached per space, linear combinations
+of such matrices on that pattern (free_sum), load vectors, the
 linear solution operator (K + lambda*M)^{-1} by a cached sparse LU with one
 step of iterative refinement (Picard's only linear solve), nodal
 interpolation, discrete norms, the P1 prolongations of the unit-square
@@ -20,12 +21,16 @@ Conventions:
       result shape raises FemError.
 
 Every integral over elements (loads, norms, errors, and the solvers'
-coupling terms through quad_points) uses one rule: the symmetric positive
-6-point rule of Dunavant (1985), exact through total degree 4, hence exact
-for the L2 and H1 norms of a P1 function. The norms are L2, H1, Lr and
-W1r (2 <= r <= 6). Negative/fractional-order norms are never computed
-here; solvers report residuals in the discrete dual norm induced by
-(K + M)^{-1} instead, evaluated to a stated relative accuracy
+coupling terms through rule_values and weighted_local_mass) uses one rule:
+the symmetric positive 6-point rule of Dunavant (1985), exact through
+total degree 4, hence exact for the L2 and H1 norms of a P1 function. Its
+weights and barycentrics stay in this module, applied by one matmul with
+a fixed reference tensor; the element coordinates of its points are never
+cached: quad_points builds them one rule point at a time where a field
+callable is evaluated (loads, errors against exact solutions). The norms
+are L2, H1, Lr and W1r (2 <= r <= 6). Negative/fractional-order norms are
+never computed here; solvers report residuals in the discrete dual norm
+induced by (K + M)^{-1} instead, evaluated to a stated relative accuracy
 (ResidualNorm).
 
 The inverse inequality between discrete norms on quasi-uniform P1 spaces
@@ -40,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TriMesh, signed_areas, unit_square_mesh
+from .mesh import TriMesh, signed_areas, unit_square_arrays
 
 
 class FemError(RuntimeError):
@@ -76,6 +81,11 @@ _QUAD_BARY = np.array(
 _QUAD_WEIGHTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 _QUAD_BARY.flags.writeable = False
 _QUAD_WEIGHTS.flags.writeable = False
+# the rule as reference tensors for one matmul each: _QUAD_WB[q, k] =
+# w_q lambda_k(x_q) (loads), _QUAD_WBB[q, 3 i + j] = w_q lambda_i lambda_j
+# at x_q (weighted masses)
+_QUAD_WB = _QUAD_WEIGHTS[:, None] * _QUAD_BARY
+_QUAD_WBB = (_QUAD_WB[:, :, None] * _QUAD_BARY[:, None, :]).reshape(-1, 9)
 
 _P1_MASS = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
 
@@ -163,13 +173,20 @@ def _free_pattern(space: FeSpace):
     vertex go to the spare position nnz, which is dropped."""
     if "pattern" not in space._cache:
         n, dofs = space.n_free, space.elem_dofs
-        i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
-        j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
-        keep = (i >= 0) & (j >= 0)
-        keys, inverse = np.unique(i[keep] * n + j[keep], return_inverse=True)
+        # key i * n + j of entry (i, j); n * n, past every real key, for an
+        # entry touching the boundary
+        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        keys[((dofs[:, :, None] < 0) | (dofs[:, None, :] < 0)).ravel()] = n * n
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        keys = keys[keys < n * n]
         index = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
-        slot = np.full(i.size, keys.size, dtype=index)
-        slot[keep] = inverse
+        slot = np.empty(order.size, dtype=index)
+        slot[order] = np.cumsum(first, dtype=index) - 1  # rank of each key
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         space._cache["pattern"] = (slot, (keys % n).astype(index), indptr)
@@ -186,6 +203,20 @@ def _assemble_free(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(
         (data[:-1], indices.copy(), indptr.copy()), shape=(space.n_free,) * 2
     )
+
+
+def free_sum(space: FeSpace, *terms) -> sp.csr_matrix:
+    """sum of c * A over the (c, A) terms, each A a free-dof matrix on the
+    cached pattern (assembled here: stiffness, mass, assemble_from_local, or
+    the CSR form of a transpose of one). The sum has exactly the pattern's
+    entries; scipy's A + B would hold arrays sized for nnz(A) + nnz(B)."""
+    _, indices, indptr = _free_pattern(space)
+    data = np.zeros(indices.size)
+    for c, A in terms:
+        if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+            raise FemError("free_sum: a term is not on the free-dof pattern")
+        data += c * A.data
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(space.n_free,) * 2)
 
 
 def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
@@ -265,48 +296,46 @@ def _eval_field(f, pts: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def quad_points(space: FeSpace):
-    """The rule's nodes per element: returns (bary, weights, X) where X has
-    shape (nq, nt, 2). Cached on the space; the arrays are read-only."""
-    if "quad_points" not in space._cache:
-        p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
-        X = np.einsum("qk,tkd->qtd", _QUAD_BARY, p)
-        X.flags.writeable = False
-        space._cache["quad_points"] = (_QUAD_BARY, _QUAD_WEIGHTS, X)
-    return space._cache["quad_points"]
+    """The rule on the space's elements: (bary, weights, points), bary (nq, 3)
+    and weights (nq,) read-only, points a generator of the (nt, 2) element
+    coordinates of one rule point at a time, in the order of bary. Nothing
+    is cached, and the (nq, nt, 2) array of all the coordinates never
+    exists."""
+    corners = space.mesh.vertices[space.mesh.triangles.T]  # (3, nt, 2)
+    points = (np.tensordot(b, corners, axes=1) for b in _QUAD_BARY)
+    return _QUAD_BARY, _QUAD_WEIGHTS, points
 
 
 def _load(space: FeSpace, vals: np.ndarray) -> np.ndarray:
-    """b[i] = sum_T |T| * sum_q w_q vals[q, T] phi_i(x_q), vals broadcast to
-    (nq, nt)."""
-    vals = np.broadcast_to(vals, (len(_QUAD_WEIGHTS), space.mesh.n_triangles))
-    b_local = (
-        np.einsum("q,qk,qt->tk", _QUAD_WEIGHTS, _QUAD_BARY, vals)
-        * space.elem_areas[:, None]
-    )
+    """b[i] = sum_T |T| * sum_q w_q vals[q, T] phi_i(x_q), for vals (nq, nt)
+    or per-element values (nt,)."""
+    if vals.ndim == 1:
+        b_local = (vals * space.elem_areas)[:, None] * (_QUAD_WEIGHTS @ _QUAD_BARY)
+    else:
+        b_local = (vals.T @ _QUAD_WB) * space.elem_areas[:, None]
     return _assemble_p1_vector(space, b_local)
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
     """b[i] = integral of f phi_i by the rule: f evaluated at quad_points."""
-    _, _, X = quad_points(space)
-    vals = np.empty(X.shape[:2])
-    for q in range(len(X)):
-        vals[q] = _eval_field(f, X[q], ())
-    if not np.isfinite(vals).all():
-        q, t = np.argwhere(~np.isfinite(vals))[0]
-        x, y = X[q, t]
-        raise FemError(
-            f"non-finite load value {vals[q, t]!r} at quadrature point "
-            f"({x:.6g}, {y:.6g})"
-        )
+    _, _, points = quad_points(space)
+    vals = np.empty((len(_QUAD_WEIGHTS), space.mesh.n_triangles))
+    for q, X in enumerate(points):
+        vals[q] = _eval_field(f, X, ())
+        if not np.isfinite(vals[q]).all():
+            t = int(np.argmax(~np.isfinite(vals[q])))
+            raise FemError(
+                f"non-finite load value {vals[q, t]!r} at quadrature point "
+                f"({X[t, 0]:.6g}, {X[t, 1]:.6g})"
+            )
     return _load(space, vals)
 
 
 def load_from_values(space: FeSpace, vals: np.ndarray) -> np.ndarray:
-    """Like assemble_load but from precomputed values (nq, nt) at
-    quad_points(space); per-element values (nt,) stand for a field constant
-    on each element."""
-    return _load(space, vals)
+    """Like assemble_load but from precomputed values (nq, nt) at the rule's
+    points (rule_values); per-element values (nt,) stand for a field
+    constant on each element."""
+    return _load(space, np.asarray(vals, dtype=float))
 
 
 def interpolate_nodal(space: FeSpace, g) -> np.ndarray:
@@ -328,11 +357,23 @@ def extend_to_vertices(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return full
 
 
+def rule_values(space: FeSpace, nodal: np.ndarray) -> np.ndarray:
+    """The P1 function with all-vertex values `nodal` at the rule's points:
+    (nq, nt)."""
+    return _QUAD_BARY @ nodal[space.mesh.triangles.T]
+
+
 def element_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
     """u_h at the rule's points: (nq, nt)."""
-    full = extend_to_vertices(space, u)
-    nodal = full[np.asarray(space.mesh.triangles)]  # (nt, 3)
-    return np.einsum("qk,tk->qt", _QUAD_BARY, nodal)
+    return rule_values(space, extend_to_vertices(space, u))
+
+
+def weighted_local_mass(space: FeSpace, weight: np.ndarray) -> np.ndarray:
+    """Element matrices (nt, 3, 3) of the weight-weighted P1 mass by the
+    rule, weight given at the rule's points (nq, nt)."""
+    local = (weight.T @ _QUAD_WBB).reshape(-1, 3, 3)
+    local *= space.elem_areas[:, None, None]
+    return local
 
 
 def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
@@ -469,7 +510,7 @@ class ResidualNorm:
     """
 
     def __init__(self, space: FeSpace):
-        self._W = (assemble_stiffness(space) + assemble_mass(space)).tocsr()
+        self._W = free_sum(space, (1.0, assemble_stiffness(space)), (1.0, assemble_mass(space)))
         self._cycle = _VCycle(self._W, [P for P, _ in prolongations(space)])
 
     def __call__(self, r: np.ndarray) -> float:
@@ -560,10 +601,8 @@ def _unit_square_n(mesh: TriMesh) -> int | None:
     n = int(round(np.sqrt(mesh.n_vertices))) - 1
     if n < 1 or (n + 1) ** 2 != mesh.n_vertices:
         return None
-    grid = unit_square_mesh(n)
-    same = np.array_equal(mesh.vertices, grid.vertices) and np.array_equal(
-        mesh.triangles, grid.triangles
-    )
+    vertices, triangles = unit_square_arrays(n)
+    same = np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, triangles)
     return n if same else None
 
 
@@ -657,15 +696,15 @@ def error_vs_exact(
     elementwise-constant discrete gradient. Each field is evaluated at one
     rule point at a time."""
     _check_norm_args(kind, r)
-    _, _, X = quad_points(space)
     e = element_values(space, u_h)
-    for q in range(len(X)):
-        e[q] = _eval_field(u_exact, X[q], ()) - e[q]
     ge2 = None
     if kind in ("H1", "W1r"):
         grads_h = element_gradients(space, u_h)
         ge2 = np.empty_like(e)
-        for q in range(len(X)):
-            diff = _eval_field(grad_exact, X[q], (2,)) - grads_h
+    _, _, points = quad_points(space)
+    for q, X in enumerate(points):
+        e[q] = _eval_field(u_exact, X, ()) - e[q]
+        if ge2 is not None:
+            diff = _eval_field(grad_exact, X, (2,)) - grads_h
             ge2[q] = (diff * diff).sum(axis=1)
     return _integrate(space, e, ge2, kind, r)

@@ -74,15 +74,8 @@ def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.sqrt((e * e).sum(axis=-1)).max())
 
 
-def unit_square_mesh(n: int) -> TriMesh:
-    """Structured triangulation of (0,1)^2 with n subdivisions per side.
-
-    (n+1)^2 vertices and 2*n^2 triangles; each grid cell is split along the
-    diagonal from its lower-left to its upper-right corner.
-    """
-    if int(n) != n or n < 1:
-        raise MeshError(f"subdivision count must be a positive integer, got {n!r}")
-    n = int(n)
+def unit_square_arrays(n: int) -> tuple:
+    """(vertices, triangles) of unit_square_mesh(n), n a positive integer."""
     side = np.arange(n + 1) / n
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -92,6 +85,18 @@ def unit_square_mesh(n: int) -> TriMesh:
     v00 = j * (n + 1) + i
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return vertices, triangles
+
+
+def unit_square_mesh(n: int) -> TriMesh:
+    """Structured triangulation of (0,1)^2 with n subdivisions per side.
+
+    (n+1)^2 vertices and 2*n^2 triangles; each grid cell is split along the
+    diagonal from its lower-left to its upper-right corner.
+    """
+    if int(n) != n or n < 1:
+        raise MeshError(f"subdivision count must be a positive integer, got {n!r}")
+    vertices, triangles = unit_square_arrays(int(n))
     boundary = (
         (vertices[:, 0] == 0.0)
         | (vertices[:, 0] == 1.0)

@@ -243,29 +243,13 @@ def _smoother(problem: MfgProblem) -> _Smoother:
     return cache["smoother"]
 
 
-def _coupling_nodal(problem: MfgProblem, m: np.ndarray) -> np.ndarray:
-    """All-vertex nodal values the coupling sees: m itself (local) or the
-    mollified density (nonlocal)."""
+def _coupling_at_quad(problem: MfgProblem, m: np.ndarray, fn) -> np.ndarray:
+    """fn(m~) at the rule's points, (nq, nt), with m~ the density the
+    coupling sees: m itself (local) or the mollified density (nonlocal)."""
     nodal = fem.extend_to_vertices(problem.space, m)
     if problem.coupling.kind == "nonlocal":
         nodal = _smoother(problem).apply(nodal)
-    return nodal
-
-
-def _coupling_at_quad(space, nodal, fn) -> np.ndarray:
-    """fn(m~) at the quadrature points: (nq, nt), with m~ the P1
-    function of the all-vertex values `nodal`."""
-    bary, _, _ = fem.quad_points(space)
-    return fn(np.einsum("qk,tk->qt", bary, nodal[np.asarray(space.mesh.triangles)]))
-
-
-def _weighted_local_mass(space, df: np.ndarray) -> np.ndarray:
-    """Element matrices (nt, 3, 3) of the df-weighted P1 mass, df given at
-    the quadrature points."""
-    bary, weights, _ = fem.quad_points(space)
-    local = np.einsum("q,qt,qi,qj->tij", weights, df, bary, bary)
-    local *= space.elem_areas[:, None, None]
-    return local
+    return fn(fem.rule_values(problem.space, nodal))
 
 
 # ------------------------------------------------------------------ residual
@@ -289,14 +273,13 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    _, weights, _ = fem.quad_points(space)
     u, m = np.asarray(state.u, dtype=float), np.asarray(state.m, dtype=float)
     lam = problem.lam
     Du = fem.element_gradients(space, u)
 
     # value equation: nonlinearity per element, coupling at quadrature points
     h_vals = hm.eval_many(problem.model, Du)
-    f_vals = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.f)
+    f_vals = _coupling_at_quad(problem, m, problem.coupling.f)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
     r_u = (
@@ -307,10 +290,10 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
         - b_hjb
     )
 
-    # density equation: transport term against elementwise-constant gradients
-    m_quad = fem.element_values(space, m)
-    hp = np.broadcast_to(hm.hp_many(problem.model, Du), (len(weights),) + Du.shape)
-    momentum = np.einsum("q,qt,qtd->td", weights, m_quad, hp)
+    # density equation: transport term against elementwise-constant
+    # gradients; the element mean of the P1 density is its nodal mean
+    mbar = fem.extend_to_vertices(space, m)[space.mesh.triangles].mean(axis=1)
+    momentum = mbar[:, None] * hm.hp_many(problem.model, Du)
     adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
     r_adv = fem._assemble_p1_vector(space, adv_local)
     r_m = K @ m + lam * (M @ m) + r_adv - lam * (M @ problem.m0) - b_fp
@@ -357,8 +340,7 @@ def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
     coupling block is Q_fv S E, which mfg_jacobian forms and the lifted
     Newton system keeps factored as Q_fv w_k."""
     space = problem.space
-    df = _coupling_at_quad(space, _coupling_nodal(problem, m), problem.coupling.df)
-    local = _weighted_local_mass(space, df)
+    local = fem.weighted_local_mass(space, _coupling_at_quad(problem, m, problem.coupling.df))
     if problem.coupling.kind == "local":
         return fem.assemble_from_local(space, local)
     rows = np.repeat(space.elem_dofs[:, :, None], 3, axis=2).ravel()
@@ -376,11 +358,15 @@ def _jacobian_blocks(problem: MfgProblem, state: MfgState, xi=None) -> list:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    A = (K + problem.lam * M).tocsr()
     B = drift_matrix(problem, state.u)
     Q = coupling_weighted_mass(problem, state.m)
     G = advection_sensitivity(problem, state, xi=xi)
-    return [[A + B, -Q], [G, A + B.T]]
+
+    def plus(C):  # K + lam M + C on the free-dof pattern
+        return fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, C))
+
+    # the pattern is symmetric, so B^T in CSR form lies on it too
+    return [[plus(B), -Q], [G, plus(B.T.tocsr())]]
 
 
 def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
@@ -504,9 +490,7 @@ def mfg_picard(
             message = f"iteration limit {max_iter} reached"
             break
         # coupling load at the current density
-        f_vals = _coupling_at_quad(
-            space, _coupling_nodal(problem, state.m), problem.coupling.f
-        )
+        f_vals = _coupling_at_quad(problem, state.m, problem.coupling.f)
         b_u = fem.load_from_values(space, f_vals) + b_hjb
         hj_prob = hj_solver.HjProblem(
             space=space, model=problem.model, lam=problem.lam, f=b_u
@@ -531,34 +515,6 @@ def mfg_picard(
         final_state=state,
         message=message,
     )
-
-
-# --------------------------------------------------------------- monotonicity
-
-
-def check_monotonicity(coupling: CouplingModel, space, samples=3, n_rho=100, seed=0):
-    """Sampled sign check of the coupling form rho -> (df(m) rho, rho).
-
-    Returns (verdict, margin): margin is the minimum of the quadratic form
-    over unit-norm random rho and `samples` sampled densities (zero plus
-    random fields of growing amplitude); verdict is margin > 0.
-    """
-    if coupling.kind != "local":
-        raise ValueError("monotonicity check applies to local couplings")
-    g = np.random.default_rng(seed)
-    m_samples = [np.zeros(space.n_free)] + [
-        float(3**k) * g.normal(size=space.n_free) for k in range(int(samples) - 1)
-    ]
-    g = np.random.default_rng(seed + 1)
-    margin = np.inf
-    for m in m_samples:
-        df = _coupling_at_quad(space, fem.extend_to_vertices(space, m), coupling.df)
-        Q = fem.assemble_from_local(space, _weighted_local_mass(space, df))
-        for _ in range(n_rho):
-            rho = g.normal(size=space.n_free)
-            rho /= np.linalg.norm(rho)
-            margin = min(margin, float(rho @ (Q @ rho)))
-    return bool(margin > 0), float(margin)
 
 
 # --------------------------------------------------------------- rate studies

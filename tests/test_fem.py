@@ -9,9 +9,11 @@ manufactured-solution convergence rates.
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import fem, hj_solver, manufactured
@@ -30,7 +32,7 @@ from nonsmooth_fem.fem import (
     norm,
     solve_operator_Th,
 )
-from nonsmooth_fem.hamiltonian import builtin_model
+from nonsmooth_fem.hamiltonian import builtin_model, selection_field
 from nonsmooth_fem.mesh import TriMesh, unit_square_mesh
 
 
@@ -402,6 +404,76 @@ def test_pattern_assembly_matches_coo_assembly(mesh):
     assert np.array_equal(A.indptr, reference.indptr)
     assert np.array_equal(A.indices, reference.indices)
     assert np.abs(A.data - reference.data).max() <= 1e-14 * np.abs(reference.data).max()
+
+
+def _unique_pattern(space):
+    """(slot, indices, indptr) of the free-dof pattern by np.unique."""
+    n, dofs = space.n_free, space.elem_dofs
+    i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
+    j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
+    keep = (i >= 0) & (j >= 0)
+    keys, inverse = np.unique(i[keep] * n + j[keep], return_inverse=True)
+    slot = np.full(i.size, keys.size)
+    slot[keep] = inverse
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    return slot, keys % n, indptr
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(8), unit_square_mesh(9), renumbered_mesh(6), renumbered_mesh(16)],
+    ids=["n8", "n9", "renumbered6", "renumbered16"],
+)
+def test_free_pattern_matches_unique_and_sorts_once(mesh):
+    # one argsort of the keys: under 40 bytes of transient memory per
+    # element entry, where np.unique(..., return_inverse=True) took 60-67
+    space = make_space(mesh)
+    tracemalloc.start()
+    try:
+        got = fem._free_pattern(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, _unique_pattern(space)):
+        assert a.dtype == np.int32 and np.array_equal(a, b)
+    assert peak <= 40 * 9 * mesh.n_triangles
+
+
+def test_free_sum_matches_scipy_sum_on_the_pattern():
+    prob = hj_solver.HjProblem(
+        make_space(unit_square_mesh(12)), builtin_model("eikonal"), 0.5, f_poisson
+    )
+    u = interpolate_nodal(prob.space, u_star)
+    K, M = assemble_stiffness(prob.space), assemble_mass(prob.space)
+    C = fem.drift_matrix(prob.space, selection_field(prob.model, prob.space, u))
+    J = hj_solver.newton_matrix(prob, u)
+    assert np.array_equal(J.toarray(), (K + 0.5 * M + C).toarray())
+    # exactly the pattern's entries, in arrays of exactly that size
+    assert J.data.size == J.indices.size == K.nnz
+    assert all(a.base is None or a.base.size == a.size for a in (J.data, J.indices))
+    with pytest.raises(FemError, match="not on the free-dof pattern"):
+        fem.free_sum(prob.space, (1.0, K), (1.0, sp.identity(K.shape[0], format="csr")))
+    assert np.array_equal(fem.free_sum(prob.space, (2.0, C)).toarray(), 2.0 * C.toarray())
+
+
+def test_solve_caches_no_rule_coordinates():
+    space = make_space(unit_square_mesh(32))
+    prob = hj_solver.HjProblem(space, builtin_model("eikonal"), 1.0, f_poisson)
+    assert hj_solver.solve_newton(prob, tol=1e-10).converged
+    fem.error_vs_exact(space, interpolate_nodal(space, u_star), u_star, grad_u_star, "H1")
+    cached = list(space._cache.values())
+    while cached:
+        value = cached.pop()
+        if isinstance(value, (tuple, list)):
+            cached.extend(value)
+        assert getattr(value, "shape", None) != (6, space.mesh.n_triangles, 2)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 16])
+def test_unit_square_n_reads_the_grid_numbering(n):
+    assert fem._unit_square_n(unit_square_mesh(n)) == n
+    if n > 1:
+        assert fem._unit_square_n(renumbered_mesh(n)) is None
 
 
 # ------------------------------------------------------------ point location

@@ -320,6 +320,30 @@ def test_krylov_iterations_are_mesh_independent():
         assert max(its) - min(its) <= 2, (name, its)
 
 
+def test_newton_gmres_fits_one_restart_cycle(monkeypatch):
+    # the GMRES basis is sized to the work: every HJ and local-MFG Newton
+    # solve at n = 64 ends inside one restart cycle, the cycle is at most
+    # twice the longest solve, and restart x cycles keeps 200 iterations
+    counts = []
+    krylov_solve = hj_solver.krylov_solve
+
+    def recording(A, b, prolongations=()):
+        y, iterations = krylov_solve(A, b, prolongations)
+        counts.append(iterations)
+        return y, iterations
+
+    monkeypatch.setattr(hj_solver, "krylov_solve", recording)
+    eikonal = hm.builtin_model("eikonal")
+    hj = hj_solver.HjProblem(space_of(64), eikonal, 1.0, man.hj_source(eikonal, 1.0))
+    assert hj_solver.solve_newton(hj, tol=1e-10).converged
+    n_hj = len(counts)
+    problem = _sinsin_factory(huber(), mfg.local_linear(1.0))(64)
+    assert mfg.mfg_newton(problem, tol=1e-9).converged
+    assert 0 < n_hj < len(counts)
+    assert max(counts) < hj_solver._GMRES_RESTART <= 2 * max(counts), counts
+    assert hj_solver._GMRES_RESTART * hj_solver._GMRES_MAX_CYCLES == 200
+
+
 def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
     # n = 64 coarsens to n = 8: 49 unknowns per field, 98 for the block
     # V-cycle's (u, m) coarse system; the dual norm never factors K + M
@@ -474,32 +498,6 @@ def test_nonlocal_solvers_agree(space8):
     picard = mfg.mfg_picard(problem, tol=1e-10, max_iter=300, theta_p=0.5)
     assert newton.converged and picard.converged
     assert mfg.state_distance(space8, newton.final_state, picard.final_state) <= 10 * 1e-10
-
-
-# --------------------------------------------------------------- monotonicity
-
-
-def test_check_monotonicity_linear(space8):
-    verdict, margin = mfg.check_monotonicity(mfg.local_linear(1.0), space8)
-    M = fem.assemble_mass(space8)
-    lam_min = float(spla.eigsh(M.tocsc(), k=1, which="SA")[0][0])
-    assert verdict
-    assert margin >= lam_min - 1e-12
-    verdict_neg, margin_neg = mfg.check_monotonicity(mfg.local_linear(-1.0), space8)
-    assert not verdict_neg
-    assert margin_neg <= -lam_min + 1e-12
-
-
-def test_check_monotonicity_arctan_positive_but_damped(space8):
-    verdict, margin = mfg.check_monotonicity(mfg.local_arctan(), space8)
-    _, margin_linear = mfg.check_monotonicity(mfg.local_linear(1.0), space8)
-    assert verdict and margin > 0
-    assert margin <= margin_linear + 1e-15
-
-
-def test_check_monotonicity_rejects_nonlocal(space8):
-    with pytest.raises(ValueError, match="local"):
-        mfg.check_monotonicity(mfg.nonlocal_linear(1.0), space8)
 
 
 # ------------------------------------------------------------------- studies
