@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 nonconvergence (or a failed
 selftest). Reports embed the resolved configuration and are byte-identical
 across reruns with the same config, except for the wall_time_s field.
-The NONSMOOTH_FEM_THREADS environment variable caps study workers.
+The NONSMOOTH_FEM_THREADS environment variable is validated but has no
+effect: a refinement study runs its levels as one coarse-to-fine chain.
 """
 
 from __future__ import annotations

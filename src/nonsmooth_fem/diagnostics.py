@@ -12,7 +12,6 @@ checkable shadow of the stability assumptions behind the error estimates.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,38 +61,61 @@ class ConvergenceReport:
     meta: dict = field(default_factory=dict)
 
 
-def refinement_study(solve_level, level_errors, levels, threads, meta) -> ConvergenceReport:
-    """Refinement study: solve_level(n) -> (problem, report) per mesh
-    parameter n, level_errors(problem, report) -> {norm label: error}.
+def _nested_start(space, coarse):
+    """The finished level's solution vectors prolongated onto space, or None.
 
-    Levels run independently (across a thread pool when threads > 1); a
-    level that fails to converge aborts the study. Rates are fitted from 3
-    levels on; meta gains the per-level iteration counts.
+    coarse is (fem._unit_square_n of that level's mesh, its vectors). They
+    are prolongated when that level is the first coarsening in space's
+    hierarchy (fem.prolongations), whose cached P is exact P1
+    interpolation; after no level, a non-doubling level, on odd n or on
+    other meshes the start is None."""
+    n_coarse, vectors = coarse
+    hierarchy = fem.prolongations(space) if n_coarse else ()
+    # P maps the free dofs of unit_square_mesh(n // 2) to space's
+    if not hierarchy or hierarchy[0][0].shape[1] != (n_coarse - 1) ** 2:
+        return None
+    return tuple(hierarchy[0][0] @ x for x in vectors)
+
+
+def refinement_study(solve_level, level_errors, levels, meta) -> ConvergenceReport:
+    """Refinement study by nested iteration: solve_level(n, start) ->
+    (problem, report, solution) per mesh parameter n, level_errors(problem,
+    report) -> {norm label: error}.
+
+    solution is the tuple of the level's free-dof solution vectors, and
+    start(space) the previous level's solution prolongated onto space
+    (_nested_start), or None for a start from zero. The levels run coarse
+    to fine as one chain: u_H and u_h differ by O(H), so the prolongated
+    coarse solution starts Newton inside its fine-level basin. Only the
+    grid size and the solution vectors pass between levels, so a level's
+    space and caches are freed before the next solve. A level that fails
+    to converge aborts the study. Rates are fitted from 3 levels on; meta
+    gains the per-level iteration counts.
     """
     levels = [int(n) for n in levels]
     if levels != sorted(levels) or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
 
-    def run_level(n):
-        problem, rep = solve_level(n)
+    def run_level(n, coarse):
+        problem, rep, solution = solve_level(n, lambda space: _nested_start(space, coarse))
         if not rep.converged:
             raise fem.NonconvergenceError(
                 f"level n={n} did not converge: {rep.message} "
                 f"(residual {rep.residual_history[-1]:.3e})"
             )
-        return {
+        row = {
             "n": n,
             "h": problem.space.mesh.mesh_size_h,
             "dofs": problem.space.n_free,
             "errors": level_errors(problem, rep),
             "iterations": rep.iterations,
         }
+        return row, (fem._unit_square_n(problem.space.mesh), solution)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_level, levels))
-    else:
-        rows = [run_level(n) for n in levels]
+    rows, coarse = [], (None, ())
+    for n in levels:
+        row, coarse = run_level(n, coarse)
+        rows.append(row)
     rows.sort(key=lambda row: -row["h"])
     hs = [row["h"] for row in rows]
     errors = {k: [row["errors"][k] for row in rows] for k in rows[0]["errors"]}

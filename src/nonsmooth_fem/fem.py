@@ -27,8 +27,9 @@ total degree 4, hence exact for the L2 and H1 norms of a P1 function. Its
 weights and barycentrics stay in this module, applied by one matmul with
 a fixed reference tensor; the element coordinates of its points are never
 cached: quad_points builds them one rule point at a time where a field
-callable is evaluated (loads, errors against exact solutions). The norms
-are L2, H1, Lr and W1r (2 <= r <= 6). Negative/fractional-order norms are
+callable is evaluated (loads, errors against exact solutions), and the
+norms are summed one rule point at a time. The norms are L2, H1, Lr and
+W1r (2 <= r <= 6). Negative/fractional-order norms are
 never computed here; solvers report residuals in the discrete dual norm
 induced by (K + M)^{-1} instead, evaluated to a stated relative accuracy
 (ResidualNorm).
@@ -363,11 +364,6 @@ def rule_values(space: FeSpace, nodal: np.ndarray) -> np.ndarray:
     return _QUAD_BARY @ nodal[space.mesh.triangles.T]
 
 
-def element_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
-    """u_h at the rule's points: (nq, nt)."""
-    return rule_values(space, extend_to_vertices(space, u))
-
-
 def weighted_local_mass(space: FeSpace, weight: np.ndarray) -> np.ndarray:
     """Element matrices (nt, 3, 3) of the weight-weighted P1 mass by the
     rule, weight given at the rule's points (nq, nt)."""
@@ -663,19 +659,24 @@ def _check_norm_args(kind: str, r):
             raise ValueError(f"exponent r must lie in [2, 6], got {r}")
 
 
-def _integrate(space: FeSpace, vals, grad_sq, kind: str, r) -> float:
-    """Norm of the given kind by the rule, from values and squared gradient
-    magnitudes at quad_points, both (nq, nt); grad_sq is unused for L2 and
-    Lr."""
-    w, areas = _QUAD_WEIGHTS[:, None], space.elem_areas
-    if kind == "H1":
-        l2sq = float((w * vals * vals * areas).sum())
-        return float(np.sqrt(l2sq + float((w * grad_sq * areas).sum())))
-    p = 2.0 if kind == "L2" else float(r)
-    lr = float((w * np.abs(vals) ** p * areas).sum())
-    if kind in ("L2", "Lr"):
-        return lr ** (1.0 / p)
-    return (lr + float((w * grad_sq ** (p / 2.0) * areas).sum())) ** (1.0 / p)
+def _integrate(space: FeSpace, rows, kind: str, r) -> float:
+    """Norm of the given kind by the rule, summed one rule point at a time:
+    rows yields, for each rule point in the order of the rule, the values
+    and the squared gradient magnitudes there, both (nt,); the gradient
+    term is None for L2 and Lr. No (nq, nt) array is formed."""
+    p = 2.0 if kind in ("L2", "H1") else float(r)
+    total = 0.0
+    for w, (vals, grad_sq) in zip(_QUAD_WEIGHTS, rows):
+        density = np.abs(vals) ** p
+        if grad_sq is not None:
+            density += grad_sq ** (p / 2.0)
+        total += float(w * (space.elem_areas @ density))
+    return total ** (1.0 / p)
+
+
+def _corner_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
+    """(3, nt) values of u_h at each element's corners."""
+    return extend_to_vertices(space, u)[space.mesh.triangles.T]
 
 
 def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> float:
@@ -683,28 +684,34 @@ def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> fl
     H1, since u_h^2 is a polynomial of degree 2 per element."""
     _check_norm_args(kind, r)
     u = np.asarray(u, dtype=float)
-    vals = element_values(space, u)
-    grads = element_gradients(space, u)
-    grad_sq = np.broadcast_to((grads * grads).sum(axis=1), vals.shape)
-    return _integrate(space, vals, grad_sq, kind, r)
+    corners = _corner_values(space, u)
+    grad_sq = None
+    if kind in ("H1", "W1r"):
+        grads = element_gradients(space, u)
+        grad_sq = (grads * grads).sum(axis=1)
+    return _integrate(space, ((b @ corners, grad_sq) for b in _QUAD_BARY), kind, r)
 
 
 def error_vs_exact(
     space: FeSpace, u_h: np.ndarray, u_exact, grad_exact, kind: str, r: float | None = None
 ) -> float:
     """Norm of (u_exact - u_h) by the rule; the gradient error uses the
-    elementwise-constant discrete gradient. Each field is evaluated at one
-    rule point at a time."""
+    elementwise-constant discrete gradient. Each field is evaluated, and
+    the norm summed, at one rule point at a time."""
     _check_norm_args(kind, r)
-    e = element_values(space, u_h)
-    ge2 = None
-    if kind in ("H1", "W1r"):
-        grads_h = element_gradients(space, u_h)
-        ge2 = np.empty_like(e)
+    corners = _corner_values(space, u_h)
+    grads_h = element_gradients(space, u_h) if kind in ("H1", "W1r") else None
     _, _, points = quad_points(space)
-    for q, X in enumerate(points):
-        e[q] = _eval_field(u_exact, X, ()) - e[q]
-        if ge2 is not None:
-            diff = _eval_field(grad_exact, X, (2,)) - grads_h
-            ge2[q] = (diff * diff).sum(axis=1)
-    return _integrate(space, e, ge2, kind, r)
+
+    def grad_error_sq(X):
+        if grads_h is None:
+            return None
+        diff = _eval_field(grad_exact, X, (2,)) - grads_h
+        return np.einsum("td,td->t", diff, diff)
+
+    def rows():  # the gradient first: its temporaries die before u's
+        for b, X in zip(_QUAD_BARY, points):
+            grad_sq = grad_error_sq(X)
+            yield _eval_field(u_exact, X, ()) - b @ corners, grad_sq
+
+    return _integrate(space, rows(), kind, r)

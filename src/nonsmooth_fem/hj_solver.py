@@ -274,17 +274,22 @@ def convergence_study_hj(
     theta_p=0.5,
     threads=1,
 ) -> ConvergenceReport:
-    """Solve on a refinement family and fit H1/L2 error rates
-    (see diagnostics.refinement_study); problem_factory(n) must return the
-    HjProblem for mesh parameter n."""
+    """Solve on a refinement family and fit H1/L2 error rates;
+    problem_factory(n) must return the HjProblem for mesh parameter n. The
+    levels run as one nested-iteration chain (diagnostics.refinement_study):
+    a level that doubles the previous one starts from its prolongated
+    solution, any other level from zero. threads has no effect."""
     if solver not in ("newton", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
 
-    def solve_level(n):
+    def solve_level(n, start):
         problem = problem_factory(n)
+        (u0,) = start(problem.space) or (None,)
         if solver == "newton":
-            return problem, solve_newton(problem, tol=tol, max_iter=max_iter)
-        return problem, solve_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
+            rep = solve_newton(problem, u0, tol=tol, max_iter=max_iter)
+        else:
+            rep = solve_picard(problem, u0, tol=tol, max_iter=max_iter, theta_p=theta_p)
+        return problem, rep, (rep.final_u,)
 
     def level_errors(problem, rep):
         return {
@@ -292,6 +297,4 @@ def convergence_study_hj(
             for kind in ("L2", "H1")
         }
 
-    return refinement_study(
-        solve_level, level_errors, levels, threads, {"solver": solver, "tol": tol}
-    )
+    return refinement_study(solve_level, level_errors, levels, {"solver": solver, "tol": tol})

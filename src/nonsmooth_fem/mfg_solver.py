@@ -535,16 +535,23 @@ def convergence_study_mfg(
     threads=1,
 ) -> ConvergenceReport:
     """Refinement study for the coupled system; fits rates for the H1xL2
-    pair and for the W^{1,r} x L^r pair (default r = 4)."""
+    pair and for the W^{1,r} x L^r pair (default r = 4). The levels run as
+    one nested-iteration chain (diagnostics.refinement_study): a level that
+    doubles the previous one starts from its prolongated (u, m), any other
+    level from (0, m0). threads has no effect."""
     if solver not in ("newton", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
     r_label = f"{r:g}"
 
-    def solve_level(n):
+    def solve_level(n, start):
         problem = problem_factory(n)
+        x0 = start(problem.space)
+        state0 = None if x0 is None else MfgState(*x0)
         if solver == "newton":
-            return problem, mfg_newton(problem, tol=tol, max_iter=max_iter)
-        return problem, mfg_picard(problem, tol=tol, max_iter=max_iter, theta_p=theta_p)
+            rep = mfg_newton(problem, state0, tol=tol, max_iter=max_iter)
+        else:
+            rep = mfg_picard(problem, state0, tol=tol, max_iter=max_iter, theta_p=theta_p)
+        return problem, rep, (rep.final_state.u, rep.final_state.m)
 
     def level_errors(problem, rep):
         space = problem.space
@@ -566,5 +573,5 @@ def convergence_study_mfg(
         return errs
 
     return refinement_study(
-        solve_level, level_errors, levels, threads, {"solver": solver, "tol": tol, "r": r}
+        solve_level, level_errors, levels, {"solver": solver, "tol": tol, "r": r}
     )

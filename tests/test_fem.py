@@ -651,6 +651,43 @@ def test_error_of_interpolated_member_is_tiny():
     assert err <= 1e-12
 
 
+def _full_array_error(space, u, kind, r):
+    """The error norm from (nq, nt) arrays of all the rule's points at once."""
+    bary, weights, points = fem.quad_points(space)
+    X = np.stack(list(points))  # (nq, nt, 2)
+    flat = X.reshape(-1, 2)
+    e = u_star(flat).reshape(X.shape[:2]) - bary @ fem._corner_values(space, u)
+    diff = grad_u_star(flat).reshape(X.shape) - element_gradients(space, u)
+    p = 2.0 if kind in ("L2", "H1") else r
+    w = weights[:, None] * space.elem_areas
+    total = (w * np.abs(e) ** p).sum()
+    if kind in ("H1", "W1r"):
+        total += (w * (diff * diff).sum(axis=2) ** (p / 2)).sum()
+    return total ** (1 / p)
+
+
+# transient bytes per element with these fields: 160 (gradient norms) and
+# 128 (value norms) when one rule point's (nt,) rows live at a time, 240
+# and 160 with (nq, nt) arrays of every rule point
+_ERROR_PEAK = {"H1": 176, "W1r": 176, "L2": 136, "Lr": 136}
+
+
+@pytest.mark.parametrize("kind, r", [("H1", None), ("L2", None), ("W1r", 4.0), ("Lr", 3.0)])
+def test_error_norm_sums_one_rule_point_at_a_time(kind, r):
+    space = make_space(unit_square_mesh(64))
+    rng = np.random.default_rng(5)
+    u = interpolate_nodal(space, u_star) + 1e-3 * rng.standard_normal(space.n_free)
+    tracemalloc.start()
+    try:
+        got = error_vs_exact(space, u, u_star, grad_u_star, kind, r=r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = _full_array_error(space, u, kind, r)
+    assert abs(got - ref) <= 1e-14 * ref
+    assert peak <= _ERROR_PEAK[kind] * space.mesh.n_triangles
+
+
 def test_cea_constant_and_aubin_nitsche():
     h1_errs, l2_errs, interp_errs, hs = [], [], [], []
     for n in (8, 16, 32):

@@ -367,6 +367,52 @@ def test_study_threads_do_not_change_results():
     assert seq.hs == par.hs
 
 
+def _spied_study(monkeypatch, levels):
+    """An eikonal study with every solve_newton call's start and result on
+    record, through the module-global entry point the study calls."""
+    calls = []
+
+    def spy(problem, u0=None, **kwargs):
+        rep = solve_newton(problem, u0, **kwargs)
+        calls.append((problem, u0, rep))
+        return rep
+
+    monkeypatch.setattr(hj_solver, "solve_newton", spy)
+    report = convergence_study_hj(
+        eikonal_problem, levels, manufactured.u_star, manufactured.grad_u_star, tol=1e-10
+    )
+    return report, calls
+
+
+def test_study_starts_each_doubled_level_from_the_prolongated_coarse_solution(monkeypatch):
+    report, calls = _spied_study(monkeypatch, (16, 32, 64))
+    assert calls[0][1] is None
+    for (coarse, _, coarse_rep), (fine, u0, _) in zip(calls, calls[1:]):
+        P = fem.prolongations(fine.space)[0][0]
+        assert np.array_equal(u0, P @ coarse_rep.final_u)
+        # P is exact P1 interpolation of the coarse solution
+        nodes = fine.space.mesh.vertices[fine.space.free_dofs]
+        coarse_at_nodes = fem.evaluate(coarse.space, coarse_rep.final_u, nodes)
+        assert np.abs(u0 - coarse_at_nodes).max() <= 1e-15
+    problems = [eikonal_problem(n) for n in (16, 32, 64)]
+    cold = [solve_newton(problem, tol=1e-10) for problem in problems]
+    assert report.meta["iterations"][0] == cold[0].iterations
+    chained = report.meta["iterations"][1:]
+    assert all(c <= r.iterations for c, r in zip(chained, cold[1:]))
+    assert any(c < r.iterations for c, r in zip(chained, cold[1:]))
+    for i, (problem, rep) in enumerate(zip(problems, cold)):
+        for kind in ("L2", "H1"):
+            ref = fem.error_vs_exact(
+                problem.space, rep.final_u, manufactured.u_star, manufactured.grad_u_star, kind
+            )
+            assert abs(report.errors[kind][i] - ref) <= 1e-7 * ref
+
+
+def test_study_starts_non_doubling_levels_from_zero(monkeypatch):
+    _, calls = _spied_study(monkeypatch, (12, 18))
+    assert [u0 for _, u0, _ in calls] == [None, None]
+
+
 def test_study_propagates_nonconvergence():
     model = builtin_model(
         "max_affine", pieces=[((40.0, 0.0), 0.0), ((-40.0, 0.0), 0.0)]

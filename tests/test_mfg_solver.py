@@ -546,6 +546,55 @@ def test_study_is_thread_deterministic():
     assert seq.errors == par.errors
 
 
+_CHAIN_LEVELS = (8, 16, 32)
+
+
+def _spied_study(monkeypatch, levels):
+    """A study across the kink of huber:0.25 with every mfg_newton call's
+    start and result on record, through the module-global entry point the
+    study calls."""
+    calls = []
+    newton = mfg.mfg_newton
+
+    def spy(problem, state0=None, **kwargs):
+        rep = newton(problem, state0, **kwargs)
+        calls.append((problem, state0, rep))
+        return rep
+
+    factory = _sinsin_factory(hm.builtin_model("huber", delta=0.25), mfg.local_linear(1.0))
+    monkeypatch.setattr(mfg, "mfg_newton", spy)
+    report = mfg.convergence_study_mfg(
+        factory, levels, man.u_star, man.grad_u_star, man.m_star, man.grad_m_star, tol=1e-9
+    )
+    return factory, report, calls
+
+
+def test_study_starts_each_doubled_level_from_the_prolongated_coarse_state(monkeypatch):
+    factory, report, calls = _spied_study(monkeypatch, _CHAIN_LEVELS)
+    assert calls[0][1] is None
+    for (_, _, coarse), (fine, state0, _) in zip(calls, calls[1:]):
+        P = fem.prolongations(fine.space)[0][0]
+        assert np.array_equal(state0.u, P @ coarse.final_state.u)
+        assert np.array_equal(state0.m, P @ coarse.final_state.m)
+    monkeypatch.undo()
+    cold = [mfg.mfg_newton(factory(n), tol=1e-9) for n in _CHAIN_LEVELS]
+    assert report.meta["iterations"][0] == cold[0].iterations
+    chained = report.meta["iterations"][1:]
+    assert all(c <= r.iterations for c, r in zip(chained, cold[1:]))
+    assert any(c < r.iterations for c, r in zip(chained, cold[1:]))
+    for i, (n, rep) in enumerate(zip(_CHAIN_LEVELS, cold)):
+        space = space_of(n)
+        u_ref = fem.error_vs_exact(space, rep.final_state.u, man.u_star, man.grad_u_star, "H1")
+        m_ref = fem.error_vs_exact(space, rep.final_state.m, man.m_star, man.grad_m_star, "L2")
+        assert abs(report.errors["u_H1"][i] - u_ref) <= 1e-7 * u_ref
+        assert abs(report.errors["m_L2"][i] - m_ref) <= 1e-7 * m_ref
+
+
+def test_study_starts_non_doubling_levels_from_m0(monkeypatch):
+    _, _, calls = _spied_study(monkeypatch, (12, 18))
+    assert [state0 for _, state0, _ in calls] == [None, None]
+
+
 def test_study_propagates_nonconvergence():
     factory = _sinsin_factory(huber(), mfg.local_linear(1.0))
     with pytest.raises(NonconvergenceError, match="n=8"):
