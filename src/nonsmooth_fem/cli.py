@@ -3,15 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 nonconvergence (or a failed
 selftest). Reports embed the resolved configuration and are byte-identical
 across reruns with the same config, except for the wall_time_s field.
-The NONSMOOTH_FEM_THREADS environment variable is validated but has no
-effect: a refinement study runs its levels as one coarse-to-fine chain.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -66,15 +63,6 @@ def _check_finite(name: str, value: float) -> float:
     if not np.isfinite(value):
         raise UsageError(f"{name} must be finite, got {value}")
     return value
-
-
-def _thread_count(n_jobs: int) -> int:
-    cap = os.environ.get("NONSMOOTH_FEM_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        raise UsageError(f"NONSMOOTH_FEM_THREADS must be an integer, got {cap!r}")
-    return max(1, min(n_jobs, cap))
 
 
 def _manufactured_name(name: str) -> str:
@@ -280,7 +268,7 @@ def _cmd_convergence_hj(args) -> int:
     study = hj_solver.convergence_study_hj(
         factory, levels, man.u_star, man.grad_u_star,
         solver=config["solver"], tol=config["tol"], max_iter=config["max_iter"],
-        theta_p=config["theta"], threads=_thread_count(len(levels)),
+        theta_p=config["theta"],
     )
     return _write_study(args.out, "convergence-hj", config, study, t0)
 
@@ -298,7 +286,7 @@ def _cmd_convergence_mfg(args) -> int:
         lambda n: _mfg_problem_from_config(config, n),
         levels, man.u_star, man.grad_u_star, man.m_star, man.grad_m_star,
         solver=config["solver"], tol=config["tol"], max_iter=config["max_iter"],
-        theta_p=config["theta"], r=config["r"], threads=_thread_count(len(levels)),
+        theta_p=config["theta"], r=config["r"],
     )
     return _write_study(args.out, "convergence-mfg", config, study, t0)
 

@@ -11,7 +11,6 @@ checkable shadow of the stability assumptions behind the error estimates.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,57 +195,32 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-@functools.lru_cache(maxsize=8)
-def _identity_grams(m: int, n: int) -> GramPair:
-    """Unweighted geometry for an m x n operator. Cached, so that loops of
-    small default-weighted constants pay the sparse check once per shape."""
-    return GramPair(gram_X=sp.identity(n, format="csr"), gram_Y=sp.identity(m, format="csr"))
+def _whitened(A, grams: GramPair | None) -> np.ndarray:
+    """Ly^T A Lx^{-T} with G = L L^T the Cholesky factors of the weights:
+    its ordinary singular values are the weighted ones of A. Without grams,
+    A itself."""
+    Ad = _dense(A)
+    if grams is None:
+        return Ad
+    if Ad.shape != (grams.gram_Y.shape[0], grams.gram_X.shape[0]):
+        raise ValueError("gram shapes do not match the operator")
+    Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
+    Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
+    return Ly.T @ scipy.linalg.solve_triangular(Lx, Ad.T, lower=True).T
 
 
 def banach_constant(A, grams: GramPair | None = None) -> float:
     """Smallest singular value of A measured between the Gram-weighted
-    spaces: min ||A x||_{gram_Y} over ||x||_{gram_X} = 1. Without grams
-    both weights are sparse identities.
-
-    Dense path (n below ~800): whiten both sides by Cholesky factors and
-    take the smallest SVD value, accurate to roundoff. Large sparse path:
-    shift-invert Lanczos on the generalized eigenproblem
-    A^T gram_Y A x = s^2 gram_X x, started from the fixed-seed random
-    vector of _start_vector and run to machine precision (tol=0).
-    """
-    n = A.shape[1]
-    if grams is None:
-        grams = _identity_grams(*A.shape)
-    if A.shape[0] != grams.gram_Y.shape[0] or n != grams.gram_X.shape[0]:
-        raise ValueError("gram shapes do not match the operator")
-    if n <= _DENSE_CUTOFF:
-        Ad = _dense(A)
-        Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
-        Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
-        # weighted map: Ly^T A Lx^{-T}; its ordinary singular values are the
-        # generalized ones
-        W = Ly.T @ scipy.linalg.solve_triangular(Lx, Ad.T, lower=True).T
-        return float(np.linalg.svd(W, compute_uv=False)[-1])
-    A = sp.csr_matrix(A)
-    Gy = sp.csr_matrix(grams.gram_Y)
-    Gx = sp.csr_matrix(grams.gram_X)
-    ata = (A.T @ (Gy @ A)).tocsc()
-    vals = spla.eigsh(
-        ata, k=1, M=Gx.tocsc(), sigma=0.0, which="LM", v0=_start_vector(n),
-        return_eigenvectors=False,
-    )
-    return float(np.sqrt(max(vals[0], 0.0)))
+    spaces: min ||A x||_{gram_Y} over ||x||_{gram_X} = 1; without grams the
+    plain smallest singular value. Dense: whiten both sides by Cholesky
+    factors and take the smallest SVD value, accurate to roundoff. Large
+    sparse Jacobians go through preconditioned_constant instead."""
+    return float(np.linalg.svd(_whitened(A, grams), compute_uv=False)[-1])
 
 
 def operator_norm(S, grams: GramPair | None = None) -> float:
     """Largest weighted singular value (dense computation)."""
-    if grams is None:
-        grams = _identity_grams(*S.shape)
-    Sd = _dense(S)
-    Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
-    Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
-    W = Ly.T @ scipy.linalg.solve_triangular(Lx, Sd.T, lower=True).T
-    return float(np.linalg.svd(W, compute_uv=False)[0])
+    return float(np.linalg.svd(_whitened(S, grams), compute_uv=False)[0])
 
 
 def perturbation_check(T, S, grams: GramPair | None = None):
@@ -275,15 +249,12 @@ def _selection_samples(problem, state, n_samples: int):
     deterministic selection. Models without a kink radius yield identical
     samples.
     """
-    from . import mfg_solver
-
-    space = problem.space
-    xi_base = mfg_solver.hp_selection_elements(problem, state.u)
+    Du = fem.element_gradients(problem.space, state.u)
+    xi_base = hm.hp_selection_many(problem.model, Du)
     thetas = np.linspace(0.0, 1.0, n_samples)
     delta = problem.model.params.get("delta")
     if delta is None:
         return [xi_base] * n_samples, 0
-    Du = fem.element_gradients(space, state.u)
     radius = np.hypot(Du[:, 0], Du[:, 1])
     kink = np.where(np.abs(radius - delta) <= 0.1 * delta)[0]
     if len(kink) == 0:
@@ -319,6 +290,15 @@ def preconditioned_constant(J, G, start=None) -> float:
     operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one LU of J and no
     factorization of G. Returns 0.0 for singular J.
 
+    J follows the contract of hj_solver.damped_newton: square of size
+    N >= n = G's size, with its trailing N - n unknowns auxiliary (the
+    lifted nonlocal Jacobian of mfg_solver.mfg_jacobian). The operator
+    measured is then the reduced J_red = J11 - J12 J22^{-1} J21, the Schur
+    complement of the auxiliary block. The dense path forms J_red; the
+    sparse path factors J once and applies J_red^{-1} and J_red^{-T} as
+    solves with J and J^T on right sides padded by zeros, truncated to the
+    leading n unknowns: the leading block of J^{-1} is J_red^{-1}.
+
     The Lanczos solve stops at ARPACK's relative tolerance _EIG_TOL = 1e-10.
     The smallest value sits at the bottom of a cluster at 1, so tol=0
     (machine precision) costs thousands of LU solves per level. On the
@@ -339,12 +319,15 @@ def preconditioned_constant(J, G, start=None) -> float:
     The LU of J uses the MMD_AT_PLUS_A ordering: on the kinked state at
     n = 48 its fill is 28% below COLAMD's, with the same solve count.
     """
-    n = J.shape[1]
-    if J.shape[0] != n or G.shape != (n, n):
-        raise ValueError("preconditioned constant needs square J and matching G")
+    N, n = J.shape[0], G.shape[0]
+    if J.shape != (N, N) or G.shape != (n, n) or N < n:
+        raise ValueError("preconditioned constant needs square J of size >= G's")
     if n <= _DENSE_CUTOFF:
+        Jd = _dense(J)
+        if N > n:
+            Jd = Jd[:n, :n] - Jd[:n, n:] @ scipy.linalg.solve(Jd[n:, n:], Jd[n:, :n])
         Gd = _dense(G)
-        P = scipy.linalg.solve(Gd, _dense(J), assume_a="pos")
+        P = scipy.linalg.solve(Gd, Jd, assume_a="pos")
         return banach_constant(P, GramPair(gram_X=Gd, gram_Y=Gd))
     Jc = sp.csc_matrix(J)
     Gc = sp.csc_matrix(G)
@@ -353,8 +336,14 @@ def preconditioned_constant(J, G, start=None) -> float:
     except RuntimeError:
         return 0.0
 
+    padded = np.zeros(N)  # the auxiliary rows stay zero
+
+    def solve(x, trans):  # J_red^{-1} x or J_red^{-T} x
+        padded[:n] = x
+        return lu_j.solve(padded, trans=trans)[:n]
+
     def ata_inv(x):
-        return lu_j.solve(Gc @ lu_j.solve(x, trans="T"))
+        return solve(Gc @ solve(x, "T"), "N")
 
     def g_unit(v):
         return v / np.sqrt(v @ (Gc @ v))

@@ -440,12 +440,6 @@ def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
     return np.einsum("nk,nk->n", nodal, lams)
 
 
-def evaluate_gradient(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
-    """Point evaluation of Du_h, (N, 2) (test helper)."""
-    elems, _ = _locate(space, pts)
-    return element_gradients(space, u)[elems]
-
-
 # ------------------------------------------------------------------- operator
 
 

@@ -16,27 +16,31 @@ B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the f'-weighted mass (composed with
 S E on the trial side for a nonlocal coupling, E the free-to-vertex
 injection), and G the advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i)
 built from one generalized-Jacobian selection xi of H_p per element, the
-reduced system matrix (mfg_jacobian) is
+reduced linearization is
 
     J = [ K + lam M + B        -Q  ]
         [ G            K + lam M + B^T ]
 
-Block Newton runs hj_solver.damped_newton, the Newton loop shared with the
-value equation, on the stacked vector (u, m) with the stacked dual norm;
-its steps are V-cycle-preconditioned GMRES solves with block-diagonal
-prolongations, one block per field. For a local coupling it solves with J.
-For a nonlocal coupling S E is dense, so Newton solves instead with the
-sparse lifted system in (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS,
-L = M_lump + h^2 K the smoother's matrix and Q_fv the sparse free-by-vertex
-weighted mass:
+For a local coupling mfg_jacobian returns J itself. For a nonlocal coupling
+S E is dense, so mfg_jacobian returns instead the sparse lifted system in
+(du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS, L = M_lump + h^2 K the
+smoother's matrix and Q_fv the sparse free-by-vertex weighted mass:
 
     (K + lam M + B) du - Q_fv w_k = r_u
     G du + (K + lam M + B^T) dm  = r_m
     L w_1 - M_lump E dm           = 0
     L w_{j+1} - M_lump w_j        = 0
 
-Eliminating the w's gives w_k = S E dm and hence J, so the step is the
-Newton step of J up to roundoff, with O(n_v) storage instead of O(n_v^2).
+Eliminating the w's gives w_k = S E dm and hence J: J is the Schur
+complement of the w block, so the leading block of the lifted inverse is
+J^{-1}, with O(n_v) storage instead of O(n_v^2). Newton
+(hj_solver.damped_newton) and the stability scan
+(diagnostics.preconditioned_constant) both take the w's as trailing
+auxiliary unknowns. Block Newton runs damped_newton, the Newton loop
+shared with the value equation, on the stacked vector (u, m) with the
+stacked dual norm; its steps are V-cycle-preconditioned GMRES solves with
+block-diagonal prolongations, one block per field.
+
 Picard alternates a full HJ Newton solve for u at frozen m with one linear
 transport solve for m at frozen u, relaxing only m. Newton is fast near a
 solution; Picard is the derivative-free cross-check.
@@ -50,7 +54,6 @@ data, which changes nothing in the linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -208,8 +211,7 @@ class _Smoother:
     sigma = h^2. Symmetric in the lumped inner product and bounded on L2.
 
     L (sparse, CSC) and M_lump (the lumped-mass diagonal) are the blocks of
-    the lifted Newton rows. free_columns, the dense S E, is built only on
-    demand for the reduced Jacobian; the Newton solve never reads it."""
+    the lifted Jacobian's rows."""
 
     def __init__(self, space):
         mesh = space.mesh
@@ -218,7 +220,6 @@ class _Smoother:
         sigma = mesh.mesh_size_h**2
         self.L = (sp.diags(self.M_lump) + sigma * K).tocsc()
         self._lu = spla.splu(self.L, permc_spec="MMD_AT_PLUS_A")
-        self._space = space
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.asarray(nodal, dtype=float)
@@ -226,14 +227,6 @@ class _Smoother:
         for _ in range(_SMOOTHING_STEPS):
             out = self._lu.solve(scale * out)
         return out
-
-    @cached_property
-    def free_columns(self) -> np.ndarray:
-        """S E, the columns of S at the free vertices: dense (n_v, n_free)."""
-        space = self._space
-        unit = np.zeros((len(self.M_lump), space.n_free))
-        unit[space.free_dofs, np.arange(space.n_free)] = 1.0
-        return self.apply(unit)
 
 
 def _smoother(problem: MfgProblem) -> _Smoother:
@@ -303,26 +296,11 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
 # ------------------------------------------------------------------ jacobian
 
 
-def drift_matrix(problem: MfgProblem, u: np.ndarray) -> sp.csr_matrix:
-    """B[i][j] = (H_p(Du).Dphi_j, phi_i), H_p constant per element."""
+def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) -> sp.csr_matrix:
+    """G[i][j] = (m (xi Dphi_j), Dpsi_i) with xi one generalized-Jacobian
+    selection of H_p per element, (nt, 2, 2) (hm.hp_selection_many); the
+    element integral of the P1 density is exact via its nodal mean."""
     space = problem.space
-    hp = hm.hp_many(problem.model, fem.element_gradients(space, u))
-    return fem.drift_matrix(space, hp)
-
-
-def hp_selection_elements(problem: MfgProblem, u: np.ndarray) -> np.ndarray:
-    """One generalized-Jacobian selection of H_p per element: (nt, 2, 2)."""
-    return hm.hp_selection_many(
-        problem.model, fem.element_gradients(problem.space, u)
-    )
-
-
-def advection_sensitivity(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
-    """G[i][j] = (m (xi Dphi_j), Dpsi_i) with elementwise xi; the element
-    integral of the P1 density is exact via its nodal mean."""
-    space = problem.space
-    if xi is None:
-        xi = hp_selection_elements(problem, state.u)
     nodal = fem.extend_to_vertices(space, state.m)[np.asarray(space.mesh.triangles)]
     mbar = nodal.mean(axis=1)
     xig = np.einsum("tde,tje->tjd", xi, space.elem_grads)  # xi Dphi_j
@@ -337,8 +315,8 @@ def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
 
     Local: the (n_free, n_free) matrix, the coupling block itself. Nonlocal:
     Q_fv, free test dofs against all trial vertices, (n_free, n_v); the
-    coupling block is Q_fv S E, which mfg_jacobian forms and the lifted
-    Newton system keeps factored as Q_fv w_k."""
+    coupling block is Q_fv S E, which the lifted Jacobian keeps factored as
+    Q_fv w_k."""
     space = problem.space
     local = fem.weighted_local_mass(space, _coupling_at_quad(problem, m, problem.coupling.df))
     if problem.coupling.kind == "local":
@@ -352,50 +330,37 @@ def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def _jacobian_blocks(problem: MfgProblem, state: MfgState, xi=None) -> list:
-    """Block rows [[K+lam M+B, -Q], [G, K+lam M+B^T]], with Q as
-    coupling_weighted_mass returns it (Q_fv for a nonlocal coupling)."""
+def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
+    """The matrix of each Newton step at the given state (module docstring):
+    the reduced J for a local coupling; for a nonlocal coupling the lifted
+    system in (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS, square of size
+    2 n_free + k n_v with the w's as trailing auxiliary unknowns. xi
+    optionally overrides the per-element Jacobian selection in G."""
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
-    B = drift_matrix(problem, state.u)
-    Q = coupling_weighted_mass(problem, state.m)
-    G = advection_sensitivity(problem, state, xi=xi)
+    Du = fem.element_gradients(space, state.u)
+    if xi is None:
+        xi = hm.hp_selection_many(problem.model, Du)
+    B = fem.drift_matrix(space, hm.hp_many(problem.model, Du))
+    minus_Q = -coupling_weighted_mass(problem, state.m)
+    G = advection_sensitivity(problem, state, xi)
 
     def plus(C):  # K + lam M + C on the free-dof pattern
         return fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, C))
 
     # the pattern is symmetric, so B^T in CSR form lies on it too
-    return [[plus(B), -Q], [G, plus(B.T.tocsr())]]
-
-
-def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
-    """The reduced Jacobian [[K+lam M+B, -Q], [G, K+lam M+B^T]] at the given
-    state; xi optionally overrides the per-element Jacobian selection in G.
-
-    For a nonlocal coupling Q = Q_fv S E with S E the smoother's dense free
-    columns, so this matrix stores O(n_v^2) entries; mfg_newton solves
-    with the sparse lifted system (_lifted_jacobian) instead."""
-    blocks = _jacobian_blocks(problem, state, xi)
-    if problem.coupling.kind == "nonlocal":
-        blocks[0][1] = blocks[0][1] @ _smoother(problem).free_columns
-    return sp.bmat(blocks, format="csr")
-
-
-def _lifted_jacobian(problem: MfgProblem, state: MfgState) -> sp.csr_matrix:
-    """Nonlocal Newton matrix in (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS
-    (module docstring): square of size 2 n_free + k n_v, with the w's as
-    trailing auxiliary unknowns for hj_solver.damped_newton."""
-    space = problem.space
+    AB, ABt = plus(B), plus(B.T.tocsr())
+    if problem.coupling.kind == "local":
+        return sp.bmat([[AB, minus_Q], [G, ABt]], format="csr")
     smoother = _smoother(problem)
     n_free, n_v = space.n_free, space.mesh.n_vertices
     k = _SMOOTHING_STEPS
-    (AB, minus_Q_fv), (G, ABt) = _jacobian_blocks(problem, state)
     Ml_E = sp.csr_matrix(
         (smoother.M_lump[space.free_dofs], (space.free_dofs, np.arange(n_free))),
         shape=(n_v, n_free),
     )
-    rows = [[AB] + [None] * k + [minus_Q_fv], [G, ABt] + [None] * k]
+    rows = [[AB] + [None] * k + [minus_Q], [G, ABt] + [None] * k]
     for j in range(k):
         # L w_{j+1} - M_lump w_j = 0, with w_0 = E dm
         row = [None] * (k + 2)
@@ -428,10 +393,10 @@ def _initial_state(problem, state0) -> MfgState:
 
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
     """Damped block Newton on the stacked residual (see hj_solver.damped_newton).
-    Each step solves with mfg_jacobian (local coupling) or the sparse lifted
-    system (nonlocal coupling; see the module docstring), preconditioned by
-    a V-cycle with prolongation block_diag(P, P) or block_diag(P, P, P_v,
-    ..., P_v), P_v acting on the all-vertex w's."""
+    Each step solves with mfg_jacobian (see the module docstring),
+    preconditioned by a V-cycle with prolongation block_diag(P, P), or for a
+    nonlocal coupling block_diag(P, P, P_v, ..., P_v), P_v acting on the
+    all-vertex w's."""
     space = problem.space
     n = space.n_free
     state = _initial_state(problem, state0)
@@ -440,17 +405,15 @@ def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSo
     def split(x):
         return MfgState(u=x[:n], m=x[n:])
 
-    local = problem.coupling.kind == "local"
-    jacobian = mfg_jacobian if local else _lifted_jacobian
     # block prolongations for (du, dm) and the all-vertex w_1, ..., w_k
-    n_w = 0 if local else _SMOOTHING_STEPS
+    n_w = 0 if problem.coupling.kind == "local" else _SMOOTHING_STEPS
     prolongations = [
         sp.block_diag((P, P) + (P_v,) * n_w, format="csr")
         for P, P_v in fem.prolongations(space)
     ]
     rep = hj_solver.damped_newton(
         lambda x: _residual(problem, split(x), b_hjb, b_fp),
-        lambda x: jacobian(problem, split(x)),
+        lambda x: mfg_jacobian(problem, split(x)),
         _stacked_norm(space),
         np.concatenate([state.u, state.m]),
         tol,
@@ -502,7 +465,8 @@ def mfg_picard(
                 f"{inner.message}"
             )
         u = inner.final_u
-        T = (K + problem.lam * M + drift_matrix(problem, u).T).tocsc()
+        hp = hm.hp_many(problem.model, fem.element_gradients(space, u))
+        T = (K + problem.lam * M + fem.drift_matrix(space, hp).T).tocsc()
         rhs = problem.lam * (M @ problem.m0) + b_fp
         m_new = spla.splu(T, permc_spec="MMD_AT_PLUS_A").solve(rhs)
         state = MfgState(u=u, m=(1.0 - theta_p) * state.m + theta_p * m_new)

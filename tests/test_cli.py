@@ -402,25 +402,6 @@ def test_convergence_mfg_nonconvergent_level_exits_two(capsys, tmp_path):
     assert "n=" in err
 
 
-def test_thread_cap_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("NONSMOOTH_FEM_THREADS", "many")
-    code, _, err = run_cli(capsys, ["convergence-hj", "--levels", "4,8,16"])
-    assert code == 1
-    assert "NONSMOOTH_FEM_THREADS" in err
-
-
-def test_thread_cap_env_accepted(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("NONSMOOTH_FEM_THREADS", "2")
-    out_path = tmp_path / "threaded.json"
-    code, _, _ = run_cli(
-        capsys,
-        ["convergence-hj", "--levels", "4,8,16", "--tol", "1e-9",
-         "--out", str(out_path)],
-    )
-    assert code == 0
-    assert read_json(out_path)["errors"]["H1"][0] > 0
-
-
 # ------------------------------------------------------------------ selftest
 
 

@@ -107,20 +107,6 @@ def test_banach_weighted_matches_generalized_eig():
     assert abs(got - np.sqrt(max(vals[0], 0.0))) <= 1e-12
 
 
-def test_banach_sparse_path_matches_dense():
-    rng = np.random.default_rng(6)
-    n = 40
-    A = sp.random(n, n, density=0.2, random_state=7, format="csr") + 3.0 * sp.eye(n)
-    dense_val = dg.banach_constant(A)
-    saved = dg._DENSE_CUTOFF
-    try:
-        dg._DENSE_CUTOFF = 4
-        sparse_val = dg.banach_constant(A)
-    finally:
-        dg._DENSE_CUTOFF = saved
-    assert abs(dense_val - sparse_val) <= 1e-10
-
-
 def test_banach_shape_validation():
     with pytest.raises(ValueError):
         dg.banach_constant(np.eye(4), dg.GramPair(np.eye(5), np.eye(5)))
@@ -169,11 +155,6 @@ def test_sparse_grams_and_constants_never_densify(monkeypatch):
     G = dg.state_space_grams(space_of(64)).gram_X
     assert G.shape[0] > dg._DENSE_CUTOFF
     assert abs(dg.preconditioned_constant(G, G) - 1.0) <= 1e-10
-    # default weights of the sparse path are sparse identities
-    monkeypatch.setattr(np, "eye", refuse)
-    n = dg._DENSE_CUTOFF + 1
-    A = sp.diags(np.linspace(1.0, 2.0, n), format="csr")
-    assert abs(dg.banach_constant(A) - 1.0) <= 1e-10
 
 
 # --------------------------------------------------------- perturbation_check
@@ -347,6 +328,44 @@ def huber_problem(space, coupling, m0=man.bump, **kw):
     return mfg.make_mfg_problem(
         space, hm.builtin_model("huber", delta=1.0), coupling, 1.0, m0, **kw
     )
+
+
+@pytest.mark.parametrize("c", [2.5, -5.0])
+def test_lifted_nonlocal_constant_matches_reduced_jacobian(c, reduced_jacobian, monkeypatch):
+    # the leading block of the lifted inverse is the reduced inverse, on the
+    # dense path (Schur complement) and on the sparse one (padded solves)
+    problem = huber_problem(space_of(12), mfg.nonlocal_linear(c))
+    rng = np.random.default_rng(7)
+    n = problem.space.n_free
+    state = mfg.MfgState(u=0.1 * rng.normal(size=n), m=0.5 + 0.1 * rng.normal(size=n))
+    G = dg.state_space_grams(problem.space).gram_X
+    J = mfg.mfg_jacobian(problem, state)
+    assert J.shape[0] > G.shape[0]
+    ref = dg.preconditioned_constant(reduced_jacobian(problem, state), G)
+    dense_val = dg.preconditioned_constant(J, G)
+    monkeypatch.setattr(dg, "_DENSE_CUTOFF", 4)
+    sparse_val = dg.preconditioned_constant(J, G)
+    assert abs(dense_val - ref) <= 1e-10
+    assert abs(sparse_val - ref) <= 1e-10
+
+
+def test_nonlocal_scan_above_cutoff_never_forms_S_E(monkeypatch):
+    problem = huber_problem(space_of(24), mfg.nonlocal_linear(1.0))
+    state = mfg.mfg_newton(problem, tol=1e-9).final_state
+    apply = mfg._Smoother.apply
+
+    def vectors_only(self, nodal):
+        assert np.ndim(nodal) == 1, "the smoother was applied to a block of columns"
+        return apply(self, nodal)
+
+    monkeypatch.setattr(mfg._Smoother, "apply", vectors_only)
+    G = dg.state_space_grams(problem.space).gram_X
+    assert G.shape[0] > dg._DENSE_CUTOFF
+    scan = dg.stability_scan((problem, state), n_selection_samples=2)
+    monkeypatch.setattr(dg, "_DENSE_CUTOFF", G.shape[0])
+    dense_val = dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
+    for got in scan.smin[0]:
+        assert abs(got - dense_val) <= 1e-10
 
 
 @pytest.fixture(scope="module")

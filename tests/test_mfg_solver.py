@@ -195,14 +195,14 @@ def test_residual_calls_coupling_once(space8, kind):
 
 
 @pytest.mark.parametrize("make_coupling", [mfg.local_linear, mfg.nonlocal_linear])
-def test_block_jacobian_matches_finite_differences(space8, make_coupling):
+def test_block_jacobian_matches_finite_differences(space8, make_coupling, reduced_jacobian):
     # huber inner branch: |Du| stays well below delta=1, so the residual is
     # smooth at this state and forward differences are trustworthy
     rng = np.random.default_rng(3)
     n = space8.n_free
     problem = mfg.make_mfg_problem(space8, huber(), make_coupling(1.0), 1.0, man.bump)
     state = mfg.MfgState(u=0.01 * rng.normal(size=n), m=0.5 + 0.1 * rng.normal(size=n))
-    J = mfg.mfg_jacobian(problem, state)
+    J = reduced_jacobian(problem, state)
     r0 = mfg.mfg_residual(problem, state)
     eps = 1e-6
     for _ in range(20):
@@ -226,8 +226,9 @@ def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
 
 def test_nonlocal_coupling_mass_matches_dense_composition(space8):
     # reference: for a linear coupling Q_fv = c * (full mass at free rows),
-    # and the Jacobian's coupling block is -Q_fv @ S @ E, with S built
-    # column by column
+    # and the reduced Jacobian's coupling block is -Q_fv @ S @ E, with S
+    # built column by column; the lifted Jacobian must give it as the Schur
+    # complement of its auxiliary block
     c = 2.5
     problem = mfg.make_mfg_problem(space8, huber(), mfg.nonlocal_linear(c), 1.0, man.bump)
     rng = np.random.default_rng(5)
@@ -241,20 +242,24 @@ def test_nonlocal_coupling_mass_matches_dense_composition(space8):
     E = np.zeros((n_v, n))
     E[space8.free_dofs, np.arange(n)] = 1.0
     expected = Q_fv @ S @ E
-    block = -mfg.mfg_jacobian(problem, state)[:n, n:].toarray()
+    J = mfg.mfg_jacobian(problem, state).toarray()
+    assert J.shape[0] == 2 * n + mfg._SMOOTHING_STEPS * n_v
+    k = 2 * n  # (du, dm) lead, the w's trail
+    schur = J[:k, :k] - J[:k, k:] @ np.linalg.solve(J[k:, k:], J[k:, :k])
+    block = -schur[:n, n:]
     assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("c", [2.5, -5.0])
-def test_lifted_nonlocal_step_matches_reduced_jacobian(c):
+def test_lifted_nonlocal_step_matches_reduced_jacobian(c, reduced_jacobian):
     space = space_of(12)
     n = space.n_free
     problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(c), 1.0, man.bump)
     rng = np.random.default_rng(7)
     state = mfg.MfgState(u=0.1 * rng.normal(size=n), m=0.5 + 0.1 * rng.normal(size=n))
     r = mfg.mfg_residual(problem, state)
-    reduced = spla.spsolve(mfg.mfg_jacobian(problem, state).tocsc(), r)
-    lifted_J = mfg._lifted_jacobian(problem, state)
+    reduced = np.linalg.solve(reduced_jacobian(problem, state), r)
+    lifted_J = mfg.mfg_jacobian(problem, state)
     assert lifted_J.shape[0] == 2 * n + mfg._SMOOTHING_STEPS * space.mesh.n_vertices
     lifted = spla.spsolve(lifted_J.tocsc(), np.pad(r, (0, lifted_J.shape[0] - 2 * n)))
     assert np.linalg.norm(lifted[: 2 * n] - reduced) <= 1e-12 * np.linalg.norm(reduced)
@@ -273,7 +278,6 @@ def test_nonlocal_newton_solves_a_sparse_system(monkeypatch):
     monkeypatch.setattr(hj_solver, "_newton_step", recording_step)
     report = mfg.mfg_newton(problem, tol=1e-9)
     assert report.converged
-    assert "free_columns" not in vars(mfg._smoother(problem))
     size = 2 * space.n_free + mfg._SMOOTHING_STEPS * space.mesh.n_vertices
     assert len(solved) == report.iterations
     assert all(sp.issparse(J) and J.shape == (size, size) for J in solved)
@@ -303,7 +307,7 @@ def test_krylov_iterations_are_mesh_independent():
                 [sp.block_diag((P, P)) for P, _ in levels],
             ),
             "lifted": (
-                mfg._lifted_jacobian(lifted, state),
+                mfg.mfg_jacobian(lifted, state),
                 [sp.block_diag((P, P) + (P_v,) * k) for P, P_v in levels],
             ),
         }
@@ -478,7 +482,9 @@ def test_advection_block_is_nonnegative_on_converged_monotone_state(monotone16):
     if float(m_h.min()) < -1e-8:
         pytest.skip(f"density dips below tolerance: min m_h = {float(m_h.min()):.3e}")
     space = problem.space
-    G = mfg.advection_sensitivity(problem, report.final_state)
+    Du = fem.element_gradients(space, report.final_state.u)
+    xi = hm.hp_selection_many(problem.model, Du)
+    G = mfg.advection_sensitivity(problem, report.final_state, xi)
     KM = fem.assemble_stiffness(space) + fem.assemble_mass(space)
     rng = np.random.default_rng(7)
     for _ in range(100):
