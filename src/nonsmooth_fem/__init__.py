@@ -3,7 +3,7 @@ stationary mean field games with Lipschitz (nonsmooth) Hamiltonians.
 
 Modules:
     mesh         structured triangulations of the unit square
-    fem          P1 Lagrange assembly, solution operators, discrete norms
+    fem          P1 Lagrange assembly, V-cycle Krylov solves, discrete norms
     hamiltonian  Hamiltonian models with pointwise generalized-Jacobian selections
     hj_solver    semismooth Newton / damped Picard for Hamilton-Jacobi problems
     mfg_solver   block Newton / fixed-point solvers for the coupled MFG system

@@ -3,13 +3,14 @@
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant)
 by one bincount into a CSR pattern cached per space, linear combinations
-of such matrices on that pattern (free_sum), load vectors, the
-linear solution operator (K + lambda*M)^{-1} by a cached sparse LU with one
-step of iterative refinement (Picard's only linear solve), nodal
+of such matrices on that pattern (free_sum), load vectors, nodal
 interpolation, discrete norms, the P1 prolongations of the unit-square
-grid hierarchy, and the geometric V-cycle on that hierarchy. The V-cycle
-preconditions the Newton solvers' GMRES and the conjugate gradients of the
-dual norm (ResidualNorm), so neither factors a fine-grid matrix.
+grid hierarchy, the geometric V-cycle on that hierarchy, and the one
+linear-solve routine, krylov_solve: GMRES preconditioned by one V-cycle
+per iteration. Every Newton step and every Picard update of the solvers
+goes through krylov_solve, and the V-cycle also preconditions the
+conjugate gradients of the dual norm (ResidualNorm), so none of them
+factors a matrix above the coarsest grid.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -57,8 +58,6 @@ class NonconvergenceError(FemError):
     """A solve stopped before reaching its residual target."""
 
 
-_SOLVE_TOL = 1e-12  # relative residual certificate of the solution operator
-
 # dual norm: PCG stopping ratio and iteration cap (ResidualNorm)
 _NORM_EPS = 1e-5
 _NORM_MAX_ITER = 50
@@ -66,6 +65,16 @@ _NORM_MAX_ITER = 50
 # V-cycles (_VCycle): V(2,2) with damped Jacobi w=0.7
 _JACOBI_SWEEPS = 2
 _JACOBI_OMEGA = 0.7
+
+# krylov_solve: GMRES(20) to a fixed relative residual, tight enough that
+# Newton's iterates are those of an exact solve. Every Newton and Picard
+# solve of the HJ and MFG workloads takes 9-14 iterations, inside one
+# cycle, and scipy holds restart + 1 Krylov vectors (at n=256, 10 MiB for
+# GMRES(20) against 25 MiB for GMRES(50)). At most 10 cycles: a budget of
+# 200 iterations
+_KRYLOV_RTOL = 1e-10
+_GMRES_RESTART = 20
+_GMRES_MAX_CYCLES = 10
 
 # The quadrature rule: barycentric points and weights summing to one (scale
 # by element area) of the positive 6-point rule, exact through degree 4
@@ -440,40 +449,7 @@ def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
     return np.einsum("nk,nk->n", nodal, lams)
 
 
-# ------------------------------------------------------------------- operator
-
-
-def _operator(space: FeSpace, lam: float):
-    """(K + lam*M, its sparse LU) for solve_operator_Th, cached on the space
-    per lambda."""
-    key = ("operator", float(lam))
-    if key not in space._cache:
-        W = (assemble_stiffness(space) + lam * assemble_mass(space)).tocsc()
-        space._cache[key] = (W, spla.splu(W, permc_spec="MMD_AT_PLUS_A"))
-    return space._cache[key]
-
-
-def solve_operator_Th(space: FeSpace, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + lam*M) v = rhs with the cached sparse LU of K + lam*M and
-    one step of iterative refinement; the solution must certify relative
-    residual <= 1e-12."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (space.n_free,):
-        raise ValueError("rhs length must equal the number of free dofs")
-    if not rhs.any():
-        return np.zeros(space.n_free)
-    W, lu = _operator(space, lam)
-    v = lu.solve(rhs)
-    v += lu.solve(rhs - W @ v)  # one step of iterative refinement
-    rel = float(np.linalg.norm(rhs - W @ v) / np.linalg.norm(rhs))
-    if not rel <= _SOLVE_TOL:
-        raise NonconvergenceError(
-            f"solution operator at lambda={lam:g} left relative residual "
-            f"{rel:.3e}, above its target {_SOLVE_TOL:.0e}"
-        )
-    return v
+# ------------------------------------------------------------------ dual norm
 
 
 class ResidualNorm:
@@ -578,6 +554,37 @@ class _VCycle:
         for _ in range(_JACOBI_SWEEPS):
             x += w * (b - A @ x)
         return x
+
+
+def krylov_solve(A, b: np.ndarray, prolongations=()) -> tuple:
+    """Solve A y = b by restarted GMRES preconditioned with one V-cycle
+    (_VCycle) per iteration, to relative residual _KRYLOV_RTOL; returns
+    (y, GMRES iterations). prolongations are the block prolongations of A's
+    unknowns, finest first (prolongations). A singular coarsest factor,
+    or GMRES stopping above its tolerance, raises FemError."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    cycle = _VCycle(A, prolongations)
+    n = A.shape[0]
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, _ = spla.gmres(
+        A, b, rtol=_KRYLOV_RTOL, atol=0.0, restart=_GMRES_RESTART,
+        maxiter=_GMRES_MAX_CYCLES, M=spla.LinearOperator((n, n), cycle),
+        callback=count, callback_type="pr_norm",
+    )
+    rel = float(np.linalg.norm(b - A @ y) / bnorm)
+    if not rel <= _KRYLOV_RTOL:
+        raise FemError(
+            f"GMRES on {n} unknowns stopped after {iterations} iterations "
+            f"at relative residual {rel:.3e}, above its target {_KRYLOV_RTOL:.0e}"
+        )
+    return y, iterations
 
 
 # ------------------------------------------------------------- grid hierarchy

@@ -12,25 +12,29 @@ damped by halving until the residual decreases in the discrete dual norm
 uniformly across mesh sizes. The damping lives in damped_newton, the one
 Newton loop of the package: mfg_solver's block Newton runs through it too.
 
-Every Newton step is solved by GMRES(20) to relative residual 1e-10,
-preconditioned by one geometric V-cycle on the unit-square hierarchy
-(fem.prolongations, fem._VCycle): Galerkin coarse operators P^T J P,
-damped Jacobi smoothing, and a sparse LU only at the coarsest grid. The
-paper's h-uniform bound on the inverse linearization shows up as a
-mesh-independent GMRES iteration count (10-14 from n = 32 to 1024, so one
-restart cycle of 20 suffices and the basis holds 21 vectors). The
+Every Newton step is solved by fem.krylov_solve: GMRES(20) to relative
+residual 1e-10, preconditioned by one geometric V-cycle on the unit-square
+hierarchy (fem.prolongations, fem._VCycle): Galerkin coarse operators
+P^T J P, damped Jacobi smoothing, and a sparse LU only at the coarsest
+grid. The paper's h-uniform bound on the inverse linearization shows up as
+a mesh-independent GMRES iteration count (10-14 from n = 32 to 1024, so
+one restart cycle of 20 suffices and the basis holds 21 vectors). The
 dual norm is evaluated by conjugate gradients with a V-cycle of K + M
 (fem.ResidualNorm: 4-5 iterations at every n, relative error of ||r||^2 at
 most 1.4e-10), so an HJ Newton solve factors no fine-grid matrix. On a
 mesh with no hierarchy (odd n, n <= 8, other numberings) each V-cycle is
 the LU of its matrix and both Krylov solves stop after one iteration.
 
-Picard iterates the linear solution operator on the lagged nonlinearity,
-u <- (1-theta) u + theta (K + lam M)^{-1}(b - H-load(u)); it is slower but
-derivative-free, and serves as an independent cross-check of Newton limits.
-Its linear solves keep the cached LU of K + lam M (fem.solve_operator_Th):
-their 1e-12 residual certificate lies below what V-cycle-preconditioned CG
-reaches on that matrix at n >= 256.
+Picard iterates the linear solution operator T = (K + lam M)^{-1} on the
+lagged nonlinearity, u <- (1-theta) u + theta T(b - H-load(u)); it is
+slower but derivative-free, and serves as an independent cross-check of
+Newton limits. It runs in the algebraically identical defect form
+u <- u - theta W^{-1} r(u), W = K + lam M, with each solve by the same
+V-cycle-preconditioned GMRES as the Newton steps (fem.krylov_solve). The
+solve's error then scales with the residual r(u), not with the full load,
+so GMRES's relative residual 1e-10 is all the accuracy Picard needs (it
+converges at n = 512 in 10 steps for theta = 1), and each iteration
+evaluates the nonlinear load once.
 """
 
 from __future__ import annotations
@@ -38,24 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import fem
 from . import hamiltonian as hm
 from .diagnostics import ConvergenceReport, refinement_study
-from .fem import FemError, _VCycle
+from .fem import FemError
 
 _MAX_HALVINGS = 10  # damping grid 1, 1/2, ..., 2^-10
-
-# Newton's linear solves: GMRES(20) to a fixed relative residual, tight
-# enough that the Newton iterates are those of an exact solve. Every Newton
-# solve of the HJ and MFG workloads takes 10-14 iterations, inside one
-# cycle, and scipy holds restart + 1 Krylov vectors (at n=256, 10 MiB for
-# GMRES(20) against 25 MiB for GMRES(50)). At most 10 cycles: a budget of
-# 200 iterations
-_KRYLOV_RTOL = 1e-10
-_GMRES_RESTART = 20
-_GMRES_MAX_CYCLES = 10
 
 
 @dataclass(frozen=True)
@@ -128,38 +121,7 @@ def _newton_step(J, r: np.ndarray, prolongations) -> np.ndarray:
     """The leading len(r) entries of the solution of J y = (r, 0, ..., 0).
     J and its hierarchy are freed on return, so they do not stay alive
     through the line search and raise the peak memory."""
-    return krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), prolongations)[0][: len(r)]
-
-
-def krylov_solve(A, b: np.ndarray, prolongations=()) -> tuple:
-    """Solve A y = b by restarted GMRES preconditioned with one V-cycle
-    (_VCycle) per iteration, to relative residual _KRYLOV_RTOL; returns
-    (y, GMRES iterations). prolongations are the block prolongations of A's
-    unknowns, finest first (fem.prolongations). A singular coarsest factor,
-    or GMRES stopping above its tolerance, raises FemError."""
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    cycle = _VCycle(A, prolongations)
-    n = A.shape[0]
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    y, _ = spla.gmres(
-        A, b, rtol=_KRYLOV_RTOL, atol=0.0, restart=_GMRES_RESTART,
-        maxiter=_GMRES_MAX_CYCLES, M=spla.LinearOperator((n, n), cycle),
-        callback=count, callback_type="pr_norm",
-    )
-    rel = float(np.linalg.norm(b - A @ y) / bnorm)
-    if not rel <= _KRYLOV_RTOL:
-        raise FemError(
-            f"newton GMRES on {n} unknowns stopped after {iterations} iterations "
-            f"at relative residual {rel:.3e}, above its target {_KRYLOV_RTOL:.0e}"
-        )
-    return y, iterations
+    return fem.krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), prolongations)[0][: len(r)]
 
 
 def damped_newton(
@@ -167,7 +129,7 @@ def damped_newton(
 ) -> SolveReport:
     """Damped semismooth Newton on x; stops when norm(residual(x)) <= tol.
 
-    Each step solves jacobian(x) dx = residual(x) by krylov_solve, with
+    Each step solves jacobian(x) dx = residual(x) by fem.krylov_solve, with
     prolongations the Jacobian's grid hierarchy (empty: the V-cycle is one
     sparse LU). The Jacobian may carry trailing auxiliary unknowns: a square
     matrix of size N >= len(x) whose leading len(x) unknowns are x's and
@@ -233,7 +195,9 @@ def solve_newton(problem: HjProblem, u0=None, tol=1e-10, max_iter=50) -> SolveRe
 def solve_picard(
     problem: HjProblem, u0=None, tol=1e-10, max_iter=200, theta_p=0.5
 ) -> SolveReport:
-    """Relaxed fixed-point iteration on the lagged nonlinearity."""
+    """Relaxed fixed-point iteration on the lagged nonlinearity, in defect
+    form u <- u - theta_p W^{-1} r(u) with W = K + lam M (module docstring);
+    stops when the dual-norm residual <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < theta_p <= 1.0:
@@ -242,18 +206,22 @@ def solve_picard(
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     rn = fem.residual_norm(space)
     b = load_vector(problem)
-    history = [rn(_residual(problem, u, b))]
+    W = fem.free_sum(
+        space, (1.0, fem.assemble_stiffness(space)), (problem.lam, fem.assemble_mass(space))
+    )
+    prolongations = [P for P, _ in fem.prolongations(space)]
+    r = _residual(problem, u, b)
+    history = [rn(r)]
     iterations = 0
     message = ""
     while history[-1] > tol:
         if iterations >= max_iter:
             message = f"iteration limit {max_iter} reached"
             break
-        target = b - hamiltonian_load(problem, u)
-        u_lin = fem.solve_operator_Th(space, problem.lam, target)
-        u = (1.0 - theta_p) * u + theta_p * u_lin
+        u = u - theta_p * fem.krylov_solve(W, r, prolongations)[0]
         iterations += 1
-        history.append(rn(_residual(problem, u, b)))
+        r = _residual(problem, u, b)
+        history.append(rn(r))
     return SolveReport(
         converged=not message,
         iterations=iterations,

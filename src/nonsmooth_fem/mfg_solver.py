@@ -43,7 +43,11 @@ block-diagonal prolongations, one block per field.
 
 Picard alternates a full HJ Newton solve for u at frozen m with one linear
 transport solve for m at frozen u, relaxing only m. Newton is fast near a
-solution; Picard is the derivative-free cross-check.
+solution; Picard is the derivative-free cross-check. The transport solve
+runs in the defect form m <- m - theta T^{-1}(T m - rhs), T = K + lam M +
+B^T on the free-dof pattern, by the Newton steps' V-cycle-preconditioned
+GMRES (fem.krylov_solve), so Picard factors no matrix above the coarsest
+grid either.
 
 The density right side uses lam * m0 so the source scales consistently as
 lam varies. m0 must be nonnegative and nonzero for data-driven runs; runs
@@ -432,8 +436,9 @@ def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSo
 def mfg_picard(
     problem: MfgProblem, state0=None, tol=1e-9, max_iter=200, theta_p=0.5
 ) -> MfgSolveReport:
-    """Alternate a full HJ solve for u at frozen m with one linear transport
-    solve for m at frozen u; relax m only."""
+    """Alternate a full HJ Newton solve for u at frozen m with one linear
+    transport solve for m at frozen u, in defect form
+    m <- m - theta_p T^{-1}(T m - rhs), T = K + lam M + B^T; relax m only."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < theta_p <= 1.0:
@@ -444,6 +449,8 @@ def mfg_picard(
     norm = _stacked_norm(space)
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
+    rhs = problem.lam * (M @ problem.m0) + b_fp
+    prolongations = [P for P, _ in fem.prolongations(space)]
     history = [norm(_residual(problem, state, b_hjb, b_fp))]
     iterations = 0
     message = ""
@@ -465,11 +472,10 @@ def mfg_picard(
                 f"{inner.message}"
             )
         u = inner.final_u
-        hp = hm.hp_many(problem.model, fem.element_gradients(space, u))
-        T = (K + problem.lam * M + fem.drift_matrix(space, hp).T).tocsc()
-        rhs = problem.lam * (M @ problem.m0) + b_fp
-        m_new = spla.splu(T, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-        state = MfgState(u=u, m=(1.0 - theta_p) * state.m + theta_p * m_new)
+        B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u)))
+        T = fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, B.T.tocsr()))
+        dm = fem.krylov_solve(T, T @ state.m - rhs, prolongations)[0]
+        state = MfgState(u=u, m=state.m - theta_p * dm)
         iterations += 1
         history.append(norm(_residual(problem, state, b_hjb, b_fp)))
     return MfgSolveReport(

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import fem, hj_solver, manufactured
 from nonsmooth_fem.diagnostics import fit_rate
-from nonsmooth_fem.fem import FemError, make_space, solve_operator_Th
+from nonsmooth_fem.fem import FemError, make_space
 from nonsmooth_fem.hamiltonian import HamiltonianModel, builtin_model
 from nonsmooth_fem.hj_solver import (
     HjProblem,
@@ -40,6 +40,12 @@ def h1_distance(space, u, v):
     return fem.norm(space, u - v, "H1")
 
 
+def direct_solve(space, lam, b):
+    """(K + lam M)^{-1} b by a sparse direct solve."""
+    W = fem.assemble_stiffness(space) + lam * fem.assemble_mass(space)
+    return spla.spsolve(W.tocsc(), b)
+
+
 # ------------------------------------------------------------------ residual
 
 
@@ -48,7 +54,7 @@ def test_residual_zero_hamiltonian_reduces_to_linear():
     lam = 1.0
     f = manufactured.hj_source(builtin_model("zero"), lam)
     b = fem.assemble_load(space, f)
-    u = solve_operator_Th(space, lam, b)
+    u = direct_solve(space, lam, b)
     prob = HjProblem(space=space, model=builtin_model("zero"), lam=lam, f=f)
     r = hj_residual(prob, u)
     assert np.abs(r).max() <= 1e-10
@@ -111,7 +117,7 @@ def test_newton_zero_model_single_step():
     rep = solve_newton(prob, np.zeros(space.n_free), tol=1e-10, max_iter=10)
     assert rep.converged
     assert rep.iterations == 1
-    direct = solve_operator_Th(space, lam, fem.assemble_load(space, f))
+    direct = direct_solve(space, lam, fem.assemble_load(space, f))
     assert np.abs(rep.final_u - direct).max() <= 1e-12
 
 
@@ -215,15 +221,16 @@ def test_odd_n_krylov_solve_is_one_iteration(n):
     assert fem.prolongations(prob.space) == ()
     J = hj_solver.newton_matrix(prob, np.zeros(prob.space.n_free))
     b = np.random.default_rng(n).normal(size=prob.space.n_free)
-    y, iterations = hj_solver.krylov_solve(J, b)
+    y, iterations = fem.krylov_solve(J, b)
     assert iterations == 1
     assert np.linalg.norm(b - J @ y) <= 1e-10 * np.linalg.norm(b)
     assert solve_newton(prob, tol=1e-10).converged
 
 
 def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
-    # n = 64 coarsens to n = 8, 49 unknowns: the Newton steps' V-cycles and
-    # the dual norm's PCG are the only factorizations, both at that grid
+    # n = 64 coarsens to n = 8, 49 unknowns: the Newton steps' and the
+    # Picard updates' V-cycles and the dual norm's PCG are the only
+    # factorizations, all at that grid
     factored = []
     splu = spla.splu
 
@@ -235,11 +242,15 @@ def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
     rep = solve_newton(eikonal_problem(64), tol=1e-10)
     assert rep.converged
     assert factored and set(factored) == {49}
+    factored.clear()
+    rep = solve_picard(eikonal_problem(64), tol=1e-10, theta_p=1.0)
+    assert rep.converged
+    assert factored and set(factored) == {49}
 
 
 def test_krylov_nonconvergence_raises_with_iterations_and_residual(monkeypatch):
     prob = eikonal_problem(32)
-    monkeypatch.setattr(hj_solver, "_KRYLOV_RTOL", 1e-30)  # below roundoff
+    monkeypatch.setattr(fem, "_KRYLOV_RTOL", 1e-30)  # below roundoff
     with pytest.raises(FemError) as err:
         solve_newton(prob, tol=1e-10)
     message = str(err.value)

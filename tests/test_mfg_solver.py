@@ -316,7 +316,7 @@ def test_krylov_iterations_are_mesh_independent():
             # right sides as Newton poses them: zero in the auxiliary rows
             n_x = space.n_free if name == "hj" else 2 * space.n_free
             b = np.pad(rng.normal(size=n_x), (0, J.shape[0] - n_x))
-            y, iterations = hj_solver.krylov_solve(J, b, prolongations)
+            y, iterations = fem.krylov_solve(J, b, prolongations)
             assert np.linalg.norm(b - J @ y) <= 1e-10 * np.linalg.norm(b)
             counts[name].append(iterations)
     for name, its in counts.items():
@@ -329,14 +329,14 @@ def test_newton_gmres_fits_one_restart_cycle(monkeypatch):
     # solve at n = 64 ends inside one restart cycle, the cycle is at most
     # twice the longest solve, and restart x cycles keeps 200 iterations
     counts = []
-    krylov_solve = hj_solver.krylov_solve
+    krylov_solve = fem.krylov_solve
 
     def recording(A, b, prolongations=()):
         y, iterations = krylov_solve(A, b, prolongations)
         counts.append(iterations)
         return y, iterations
 
-    monkeypatch.setattr(hj_solver, "krylov_solve", recording)
+    monkeypatch.setattr(fem, "krylov_solve", recording)
     eikonal = hm.builtin_model("eikonal")
     hj = hj_solver.HjProblem(space_of(64), eikonal, 1.0, man.hj_source(eikonal, 1.0))
     assert hj_solver.solve_newton(hj, tol=1e-10).converged
@@ -344,13 +344,14 @@ def test_newton_gmres_fits_one_restart_cycle(monkeypatch):
     problem = _sinsin_factory(huber(), mfg.local_linear(1.0))(64)
     assert mfg.mfg_newton(problem, tol=1e-9).converged
     assert 0 < n_hj < len(counts)
-    assert max(counts) < hj_solver._GMRES_RESTART <= 2 * max(counts), counts
-    assert hj_solver._GMRES_RESTART * hj_solver._GMRES_MAX_CYCLES == 200
+    assert max(counts) < fem._GMRES_RESTART <= 2 * max(counts), counts
+    assert fem._GMRES_RESTART * fem._GMRES_MAX_CYCLES == 200
 
 
 def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
     # n = 64 coarsens to n = 8: 49 unknowns per field, 98 for the block
-    # V-cycle's (u, m) coarse system; the dual norm never factors K + M
+    # V-cycle's (u, m) coarse system; the dual norm never factors K + M,
+    # and Picard's transport solve never factors K + lam M + B^T
     factored = []
     splu = spla.splu
 
@@ -364,6 +365,10 @@ def test_newton_factors_nothing_above_the_coarsest_grid(monkeypatch):
     assert report.converged
     assert factored and max(factored) == 98
     assert set(factored) <= {49, 98}
+    # Picard's inner HJ Newton solves and its transport solves: one field
+    factored.clear()
+    assert mfg.mfg_picard(problem, tol=1e-9, theta_p=1.0).converged
+    assert factored and set(factored) == {49}
 
 
 # -------------------------------------------------------------------- newton
