@@ -291,8 +291,22 @@ def _cmd_convergence_mfg(args) -> int:
     return _write_study(args.out, "convergence-mfg", config, study, t0)
 
 
+def _scan_lambdas(text: str):
+    """The --lambdas grid: comma-separated finite numbers > 0."""
+    try:
+        lambdas = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        lambdas = [np.nan]
+    if not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
+        raise UsageError(f"lambdas must be finite numbers > 0, got {text!r}")
+    return lambdas
+
+
 def _cmd_diagnose_stability(args) -> int:
     levels = _positive_levels(args.levels)
+    if args.samples < 1:
+        raise UsageError(f"samples must be at least 1, got {args.samples}")
+    lambdas = _scan_lambdas(args.lambdas) if args.lambdas else None
     try:
         with open(args.source) as fh:
             source = json.load(fh)
@@ -319,7 +333,6 @@ def _cmd_diagnose_stability(args) -> int:
                 f"level n={n} did not converge while rebuilding the scanned state"
             )
         cases.append((problem, report.final_state))
-    lambdas = [float(v) for v in args.lambdas.split(",")] if args.lambdas else None
     scan = dg.stability_scan(cases, n_selection_samples=args.samples, lambdas=lambdas)
     lines = ["h,sample,smin"]
     for h, vals in zip(scan.hs, scan.smin):

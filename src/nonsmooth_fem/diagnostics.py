@@ -288,9 +288,11 @@ def preconditioned_constant(J, G, start=None) -> float:
     the smallest eigenvalue of J^T G^{-1} J x = s^2 G x: densely below the
     cutoff, otherwise by one shift-invert Lanczos solve (ARPACK) whose
     operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one LU of J and no
-    factorization of G. Returns 0.0 for singular J.
+    factorization of G. Returns 0.0 for singular J; raises
+    fem.NonconvergenceError, with the operator size and ARPACK's message,
+    if the Lanczos solve does not converge.
 
-    J follows the contract of hj_solver.damped_newton: square of size
+    J follows the contract of hj_solver._newton_step: square of size
     N >= n = G's size, with its trailing N - n unknowns auxiliary (the
     lifted nonlocal Jacobian of mfg_solver.mfg_jacobian). The operator
     measured is then the reduced J_red = J11 - J12 J22^{-1} J21, the Schur
@@ -354,9 +356,12 @@ def preconditioned_constant(J, G, start=None) -> float:
         v0 = g_unit(start) + _WARM_MIX * g_unit(v0)
     # in shift-invert mode ARPACK reads only the shape and dtype of its
     # first argument and never applies it
-    vals, vecs = spla.eigsh(
-        opinv, k=1, M=Gc, sigma=0.0, which="LM", OPinv=opinv, v0=v0, tol=_EIG_TOL,
-    )
+    try:
+        vals, vecs = spla.eigsh(
+            opinv, k=1, M=Gc, sigma=0.0, which="LM", OPinv=opinv, v0=v0, tol=_EIG_TOL,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise fem.NonconvergenceError(f"ARPACK on an operator of size {n}: {exc}") from exc
     if start is not None:
         start[:] = vecs[:, 0]
     return float(np.sqrt(max(vals[0], 0.0)))
@@ -369,7 +374,10 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     cases: a (problem, converged-state) pair or a list of them (one per mesh
     level). With a lambda grid, each case is re-assembled at every grid value
     using its first selection sample; the per-level minima land in
-    meta["lambda_scan"].
+    meta["lambda_scan"]. A singular level (constant 0.0) gives
+    ratio_max_min = inf; an eigensolve that does not converge raises
+    fem.NonconvergenceError naming the level (h, dofs) and the selection
+    sample or lambda.
 
     The Gram pair is built and checked (sparse, see GramPair) once per
     level. Within a level every eigensolve of preconditioned_constant after
@@ -411,13 +419,23 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
                 fem.evaluate(prev_space, block, pts)
                 for block in np.split(prev_start, 2)
             ])
+
+        def constant(J, where):
+            try:
+                return preconditioned_constant(J, G, start)
+            except fem.NonconvergenceError as exc:
+                raise fem.NonconvergenceError(
+                    f"stability scan at h={space.mesh.mesh_size_h:.6g} "
+                    f"({G.shape[0]} dofs), {where}: {exc}"
+                ) from exc
+
         vals = []
         seen = {}
-        for xi in samples:
+        for idx, xi in enumerate(samples):
             key = xi.tobytes()
             if key not in seen:
                 J = mfg_solver.mfg_jacobian(problem, state, xi=xi)
-                seen[key] = preconditioned_constant(J, G, start)
+                seen[key] = constant(J, f"selection sample {idx}")
             vals.append(seen[key])
         hs.append(space.mesh.mesh_size_h)
         smin.append(vals)
@@ -427,11 +445,13 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
             for lam in lambdas:
                 shifted = dataclasses.replace(problem, lam=float(lam))
                 J = mfg_solver.mfg_jacobian(shifted, state, xi=samples[0])
-                row.append(preconditioned_constant(J, G, start))
+                row.append(constant(J, f"lambda={float(lam):g}"))
             lambda_scan.append(row)
         previous = (space, start) if G.shape[0] > _DENSE_CUTOFF else None
     min_per_level = [min(vals) for vals in smin]
-    ratio = max(min_per_level) / min(min_per_level)
+    # a singular level (constant 0.0) makes the spread infinite
+    lo = min(min_per_level)
+    ratio = max(min_per_level) / lo if lo > 0 else float("inf")
     meta = {"n_selection_samples": n_selection_samples, "kink_elements": kinks}
     if lambdas is not None:
         meta["lambdas"] = [float(lam) for lam in lambdas]

@@ -49,7 +49,6 @@ class HamiltonianModel:
 
     name: str
     lipschitz_C_H: float
-    is_convex_in_z: bool
     h: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[np.ndarray], np.ndarray]
     hp: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -96,7 +95,6 @@ def _zero_model() -> HamiltonianModel:
     return HamiltonianModel(
         name="zero",
         lipschitz_C_H=0.0,
-        is_convex_in_z=True,
         h=lambda Z: np.zeros(len(Z)),
         selection=np.zeros_like,
         hp=np.zeros_like,
@@ -118,7 +116,6 @@ def _eikonal_model() -> HamiltonianModel:
     return HamiltonianModel(
         name="eikonal",
         lipschitz_C_H=1.0,
-        is_convex_in_z=True,
         h=lambda Z: np.linalg.norm(Z, axis=1),
         selection=sel,
     )
@@ -153,7 +150,6 @@ def _huber_model(delta: float) -> HamiltonianModel:
     return HamiltonianModel(
         name="huber",
         lipschitz_C_H=max(1.0, 1.0 / delta),
-        is_convex_in_z=True,
         h=h,
         selection=hp,
         hp=hp,
@@ -174,7 +170,6 @@ def _max_affine_model(pieces) -> HamiltonianModel:
     return HamiltonianModel(
         name="max_affine",
         lipschitz_C_H=float(np.linalg.norm(A, axis=1).max()),
-        is_convex_in_z=True,
         h=lambda Z: (Z @ A.T + b).max(axis=1),
         # argmax takes the lowest index on ties
         selection=lambda Z: A[np.argmax(Z @ A.T + b, axis=1)],

@@ -9,8 +9,9 @@ measurable and exact). The Newton matrix at an iterate u is K + lam M +
 C(xi) with C(xi)[i][j] = integral of (xi_T . Dphi_j) phi_i. Steps are
 damped by halving until the residual decreases in the discrete dual norm
 ||r||_{(K+M)^{-1}}; the weight is lambda-independent so stopping behaves
-uniformly across mesh sizes. The damping lives in damped_newton, the one
-Newton loop of the package: mfg_solver's block Newton runs through it too.
+uniformly across mesh sizes. The damping lives in damped_iteration, the
+one iteration loop of the package: HJ Picard and mfg_solver's block Newton
+and Picard run through it too, each passing its own step.
 
 Every Newton step is solved by fem.krylov_solve: GMRES(20) to relative
 residual 1e-10, preconditioned by one geometric V-cycle on the unit-square
@@ -34,7 +35,9 @@ V-cycle-preconditioned GMRES as the Newton steps (fem.krylov_solve). The
 solve's error then scales with the residual r(u), not with the full load,
 so GMRES's relative residual 1e-10 is all the accuracy Picard needs (it
 converges at n = 512 in 10 steps for theta = 1), and each iteration
-evaluates the nonlinear load once.
+evaluates the nonlinear load once. The step theta W^{-1} r is a chord step
+(Newton's with the frozen matrix W), damped by the same halving as Newton:
+where no damped step lowers the residual the report says so, not diverging.
 """
 
 from __future__ import annotations
@@ -118,28 +121,29 @@ def newton_matrix(problem: HjProblem, u: np.ndarray):
 
 
 def _newton_step(J, r: np.ndarray, prolongations) -> np.ndarray:
-    """The leading len(r) entries of the solution of J y = (r, 0, ..., 0).
+    """The Newton step dx of J dx = r, solved by fem.krylov_solve with
+    prolongations J's grid hierarchy (empty: the V-cycle is one sparse LU).
+
+    J may carry trailing auxiliary unknowns: a square matrix of size
+    N >= len(r) whose leading len(r) unknowns are the iterate's and whose
+    trailing rows have zero right side (mfg_solver's lifted nonlocal
+    system). The step is then the leading len(r) entries of the solution
+    with r padded by zeros; with N == len(r) it is the plain Newton step.
     J and its hierarchy are freed on return, so they do not stay alive
     through the line search and raise the peak memory."""
     return fem.krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), prolongations)[0][: len(r)]
 
 
-def damped_newton(
-    residual, jacobian, norm, x0, tol, max_iter, prolongations=()
-) -> SolveReport:
-    """Damped semismooth Newton on x; stops when norm(residual(x)) <= tol.
+def damped_iteration(residual, step, norm, x0, tol, max_iter) -> SolveReport:
+    """Damped iteration on x; stops when norm(residual(x)) <= tol.
 
-    Each step solves jacobian(x) dx = residual(x) by fem.krylov_solve, with
-    prolongations the Jacobian's grid hierarchy (empty: the V-cycle is one
-    sparse LU). The Jacobian may carry trailing auxiliary unknowns: a square
-    matrix of size N >= len(x) whose leading len(x) unknowns are x's and
-    whose trailing rows have zero right side (mfg_solver's lifted nonlocal
-    system). The step is then the leading len(x) entries of the solution
-    with r padded by zeros; with N == len(x) it is the plain Newton step.
-    Damping tries s = 1, 1/2, ..., 2^-10 and accepts the first x - s dx that
-    strictly decreases the residual norm; if none does, or max_iter steps
-    pass, the report comes back converged=False rather than raising. A
-    singular Jacobian or a failed linear solve raises FemError. final_u
+    step(x, r) returns the update dx at the iterate x with residual r: a
+    Newton step (_newton_step), a chord step with a frozen matrix (HJ
+    Picard) or a fixed-point update (MFG Picard). Damping tries s = 1, 1/2,
+    ..., 2^-10 and accepts the first x - s dx that strictly decreases the
+    residual norm; if none does, or max_iter steps pass, the report comes
+    back converged=False rather than raising. Errors raised by step (a
+    singular Jacobian, a failed linear or inner solve) propagate. final_u
     holds the last iterate.
     """
     if tol <= 0:
@@ -153,7 +157,7 @@ def damped_newton(
         if iterations >= max_iter:
             message = f"iteration limit {max_iter} reached"
             break
-        dx = _newton_step(jacobian(x), r, prolongations)
+        dx = step(x, r)
         for k in range(_MAX_HALVINGS + 1):
             x_try = x - 0.5**k * dx
             r_try = residual(x_try)
@@ -176,19 +180,16 @@ def damped_newton(
 
 
 def solve_newton(problem: HjProblem, u0=None, tol=1e-10, max_iter=50) -> SolveReport:
-    """Damped semismooth Newton on u (see damped_newton); stops when the
+    """Damped semismooth Newton on u (see damped_iteration); stops when the
     dual-norm residual <= tol."""
     space = problem.space
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     b = load_vector(problem)
-    return damped_newton(
+    prolongations = [P for P, _ in fem.prolongations(space)]
+    return damped_iteration(
         lambda v: _residual(problem, v, b),
-        lambda v: newton_matrix(problem, v),
-        fem.residual_norm(space),
-        u,
-        tol,
-        max_iter,
-        [P for P, _ in fem.prolongations(space)],
+        lambda v, r: _newton_step(newton_matrix(problem, v), r, prolongations),
+        fem.residual_norm(space), u, tol, max_iter,
     )
 
 
@@ -196,38 +197,21 @@ def solve_picard(
     problem: HjProblem, u0=None, tol=1e-10, max_iter=200, theta_p=0.5
 ) -> SolveReport:
     """Relaxed fixed-point iteration on the lagged nonlinearity, in defect
-    form u <- u - theta_p W^{-1} r(u) with W = K + lam M (module docstring);
-    stops when the dual-norm residual <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    form u <- u - theta_p W^{-1} r(u) with W = K + lam M (module docstring),
+    damped by damped_iteration; stops when the dual-norm residual <= tol."""
     if not 0.0 < theta_p <= 1.0:
         raise ValueError("theta_p must lie in (0, 1]")
     space = problem.space
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
-    rn = fem.residual_norm(space)
     b = load_vector(problem)
     W = fem.free_sum(
         space, (1.0, fem.assemble_stiffness(space)), (problem.lam, fem.assemble_mass(space))
     )
     prolongations = [P for P, _ in fem.prolongations(space)]
-    r = _residual(problem, u, b)
-    history = [rn(r)]
-    iterations = 0
-    message = ""
-    while history[-1] > tol:
-        if iterations >= max_iter:
-            message = f"iteration limit {max_iter} reached"
-            break
-        u = u - theta_p * fem.krylov_solve(W, r, prolongations)[0]
-        iterations += 1
-        r = _residual(problem, u, b)
-        history.append(rn(r))
-    return SolveReport(
-        converged=not message,
-        iterations=iterations,
-        residual_history=history,
-        final_u=u,
-        message=message,
+    return damped_iteration(
+        lambda v: _residual(problem, v, b),
+        lambda v, r: theta_p * fem.krylov_solve(W, r, prolongations)[0],
+        fem.residual_norm(space), u, tol, max_iter,
     )
 
 

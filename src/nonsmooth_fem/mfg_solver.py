@@ -33,21 +33,23 @@ smoother's matrix and Q_fv the sparse free-by-vertex weighted mass:
 
 Eliminating the w's gives w_k = S E dm and hence J: J is the Schur
 complement of the w block, so the leading block of the lifted inverse is
-J^{-1}, with O(n_v) storage instead of O(n_v^2). Newton
-(hj_solver.damped_newton) and the stability scan
+J^{-1}, with O(n_v) storage instead of O(n_v^2). The Newton step
+(hj_solver._newton_step) and the stability scan
 (diagnostics.preconditioned_constant) both take the w's as trailing
-auxiliary unknowns. Block Newton runs damped_newton, the Newton loop
-shared with the value equation, on the stacked vector (u, m) with the
-stacked dual norm; its steps are V-cycle-preconditioned GMRES solves with
-block-diagonal prolongations, one block per field.
+auxiliary unknowns.
 
-Picard alternates a full HJ Newton solve for u at frozen m with one linear
-transport solve for m at frozen u, relaxing only m. Newton is fast near a
-solution; Picard is the derivative-free cross-check. The transport solve
-runs in the defect form m <- m - theta T^{-1}(T m - rhs), T = K + lam M +
-B^T on the free-dof pattern, by the Newton steps' V-cycle-preconditioned
-GMRES (fem.krylov_solve), so Picard factors no matrix above the coarsest
-grid either.
+Both solvers run hj_solver.damped_iteration, the iteration loop shared
+with the value equation, on the stacked vector (u, m) with the stacked
+dual norm; they differ only in the step. Block Newton's steps are
+V-cycle-preconditioned GMRES solves with block-diagonal prolongations, one
+block per field. Picard's step alternates a full HJ Newton solve for u at
+frozen m with one linear transport solve for m at frozen u, relaxing only
+m. Newton is fast near a solution; Picard is the derivative-free
+cross-check. The transport solve runs in the defect form
+m <- m - theta T^{-1}(T m - rhs), T = K + lam M + B^T on the free-dof
+pattern, by the Newton steps' V-cycle-preconditioned GMRES
+(fem.krylov_solve), so Picard factors no matrix above the coarsest grid
+either.
 
 The density right side uses lam * m0 so the source scales consistently as
 lam varies. m0 must be nonnegative and nonzero for data-driven runs; runs
@@ -57,6 +59,7 @@ data, which changes nothing in the linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,14 +81,12 @@ _SMOOTHING_STEPS = 2
 class CouplingModel:
     """Density coupling F[m] = f(m) (local) or f(S m) with S a discrete
     mollifier (nonlocal). f and df = f' act elementwise on density arrays of
-    any shape; bound_C_F bounds |df|."""
+    any shape."""
 
     kind: str  # "local" | "nonlocal"
     name: str
     f: object
     df: object
-    bound_C_F: float
-    monotone: bool
 
     def __post_init__(self):
         if self.kind not in ("local", "nonlocal"):
@@ -99,8 +100,6 @@ def local_linear(c: float = 1.0) -> CouplingModel:
         name=f"linear:{c:g}",
         f=lambda m: c * m,
         df=lambda m: np.full(np.shape(m), c),
-        bound_C_F=abs(c),
-        monotone=c > 0,
     )
 
 
@@ -110,8 +109,6 @@ def local_arctan() -> CouplingModel:
         name="arctan",
         f=np.arctan,
         df=lambda m: 1.0 / (1.0 + m**2),
-        bound_C_F=1.0,
-        monotone=True,
     )
 
 
@@ -377,59 +374,46 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
 # -------------------------------------------------------------------- solvers
 
 
-def _stacked_norm(space):
-    """Dual norm of a stacked residual (r_u, r_m): hypot of the block norms,
-    by one call of fem.residual_norm on the two columns r_u, r_m."""
-    rn = fem.residual_norm(space)
-    n = space.n_free
-    return lambda r: rn(r.reshape(2, n).T)
+def _split(x) -> MfgState:
+    """The state of a stacked vector (u, m); u and m are views of x."""
+    return MfgState(*np.split(x, 2))
 
 
-def _initial_state(problem, state0) -> MfgState:
+def _damped_iteration(problem, state0, loads, step, tol, max_iter) -> MfgSolveReport:
+    """hj_solver.damped_iteration on the stacked vector (u, m), from state0
+    or (0, m0), with the stacked residual (loads = _source_loads(problem))
+    and the stacked dual norm, the hypot of the block norms by one call of
+    fem.residual_norm on the columns r_u, r_m; the final iterate is split."""
     if state0 is None:
-        return MfgState(
-            u=np.zeros(problem.space.n_free), m=np.array(problem.m0, dtype=float)
-        )
-    return MfgState(
-        u=np.array(state0.u, dtype=float), m=np.array(state0.m, dtype=float)
+        x0 = np.concatenate([np.zeros(problem.space.n_free), problem.m0])
+    else:
+        x0 = np.concatenate([state0.u, state0.m], dtype=float)
+    rn = fem.residual_norm(problem.space)
+    rep = hj_solver.damped_iteration(
+        lambda x: _residual(problem, _split(x), *loads), step,
+        lambda r: rn(r.reshape(2, -1).T), x0, tol, max_iter,
+    )
+    return MfgSolveReport(
+        rep.converged, rep.iterations, rep.residual_history, _split(rep.final_u), rep.message
     )
 
 
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
-    """Damped block Newton on the stacked residual (see hj_solver.damped_newton).
-    Each step solves with mfg_jacobian (see the module docstring),
-    preconditioned by a V-cycle with prolongation block_diag(P, P), or for a
-    nonlocal coupling block_diag(P, P, P_v, ..., P_v), P_v acting on the
-    all-vertex w's."""
-    space = problem.space
-    n = space.n_free
-    state = _initial_state(problem, state0)
-    b_hjb, b_fp = _source_loads(problem)
-
-    def split(x):
-        return MfgState(u=x[:n], m=x[n:])
-
+    """Damped block Newton on the stacked residual (see
+    hj_solver.damped_iteration). Each step solves with mfg_jacobian (see the
+    module docstring), preconditioned by a V-cycle with prolongation
+    block_diag(P, P), or for a nonlocal coupling block_diag(P, P, P_v, ...,
+    P_v), P_v acting on the all-vertex w's."""
     # block prolongations for (du, dm) and the all-vertex w_1, ..., w_k
     n_w = 0 if problem.coupling.kind == "local" else _SMOOTHING_STEPS
     prolongations = [
         sp.block_diag((P, P) + (P_v,) * n_w, format="csr")
-        for P, P_v in fem.prolongations(space)
+        for P, P_v in fem.prolongations(problem.space)
     ]
-    rep = hj_solver.damped_newton(
-        lambda x: _residual(problem, split(x), b_hjb, b_fp),
-        lambda x: mfg_jacobian(problem, split(x)),
-        _stacked_norm(space),
-        np.concatenate([state.u, state.m]),
-        tol,
-        max_iter,
-        prolongations,
-    )
-    return MfgSolveReport(
-        converged=rep.converged,
-        iterations=rep.iterations,
-        residual_history=rep.residual_history,
-        final_state=split(rep.final_u),
-        message=rep.message,
+    return _damped_iteration(
+        problem, state0, _source_loads(problem),
+        lambda x, r: hj_solver._newton_step(mfg_jacobian(problem, _split(x)), r, prolongations),
+        tol, max_iter,
     )
 
 
@@ -438,53 +422,41 @@ def mfg_picard(
 ) -> MfgSolveReport:
     """Alternate a full HJ Newton solve for u at frozen m with one linear
     transport solve for m at frozen u, in defect form
-    m <- m - theta_p T^{-1}(T m - rhs), T = K + lam M + B^T; relax m only."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    m <- m - theta_p T^{-1}(T m - rhs), T = K + lam M + B^T; relax m only.
+    The pair of solves is the step of hj_solver.damped_iteration."""
     if not 0.0 < theta_p <= 1.0:
         raise ValueError("theta_p must lie in (0, 1]")
     space = problem.space
-    state = _initial_state(problem, state0)
-    b_hjb, b_fp = _source_loads(problem)
-    norm = _stacked_norm(space)
+    b_hjb, b_fp = loads = _source_loads(problem)
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
     rhs = problem.lam * (M @ problem.m0) + b_fp
     prolongations = [P for P, _ in fem.prolongations(space)]
-    history = [norm(_residual(problem, state, b_hjb, b_fp))]
-    iterations = 0
-    message = ""
     inner_tol = max(tol / 10.0, 1e-13)
-    while history[-1] > tol:
-        if iterations >= max_iter:
-            message = f"iteration limit {max_iter} reached"
-            break
+    outer = itertools.count()
+
+    def step(x, r):
+        iteration = next(outer)
+        u, m = np.split(x, 2)
         # coupling load at the current density
-        f_vals = _coupling_at_quad(problem, state.m, problem.coupling.f)
+        f_vals = _coupling_at_quad(problem, m, problem.coupling.f)
         b_u = fem.load_from_values(space, f_vals) + b_hjb
         hj_prob = hj_solver.HjProblem(
             space=space, model=problem.model, lam=problem.lam, f=b_u
         )
-        inner = hj_solver.solve_newton(hj_prob, state.u, tol=inner_tol, max_iter=60)
+        inner = hj_solver.solve_newton(hj_prob, u, tol=inner_tol, max_iter=60)
         if not inner.converged:
             raise NonconvergenceError(
-                f"inner value solve failed at outer iteration {iterations}: "
+                f"inner value solve failed at outer iteration {iteration}: "
                 f"{inner.message}"
             )
-        u = inner.final_u
-        B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u)))
+        u_new = inner.final_u
+        B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u_new)))
         T = fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, B.T.tocsr()))
-        dm = fem.krylov_solve(T, T @ state.m - rhs, prolongations)[0]
-        state = MfgState(u=u, m=state.m - theta_p * dm)
-        iterations += 1
-        history.append(norm(_residual(problem, state, b_hjb, b_fp)))
-    return MfgSolveReport(
-        converged=not message,
-        iterations=iterations,
-        residual_history=history,
-        final_state=state,
-        message=message,
-    )
+        dm = fem.krylov_solve(T, T @ m - rhs, prolongations)[0]
+        return np.concatenate([u - u_new, theta_p * dm])
+
+    return _damped_iteration(problem, state0, loads, step, tol, max_iter)
 
 
 # --------------------------------------------------------------- rate studies

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import nonsmooth_fem
 from nonsmooth_fem import cli, fem, hj_solver, manufactured
@@ -343,6 +344,50 @@ def test_diagnose_stability_requires_config_echo(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["diagnose-stability", "--from", str(bad)])
     assert code == 1
     assert "config" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--lambdas", "0"],
+        ["--lambdas", "1,-2"],
+        ["--lambdas", "abc"],
+        ["--lambdas", "nan"],
+        ["--lambdas", "inf"],
+    ],
+)
+def test_diagnose_stability_rejects_scan_options_before_solving(
+    capsys, monkeypatch, mfg_report_path, flags
+):
+    def no_solve(config, n):
+        raise AssertionError("a level was solved before the options were checked")
+
+    monkeypatch.setattr(cli, "_solve_mfg_once", no_solve)
+    code, _, err = run_cli(
+        capsys, ["diagnose-stability", "--from", str(mfg_report_path), "--levels", "32,64"]
+        + flags,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and flags[0][2:] in err
+
+
+def test_diagnose_stability_arpack_failure_exits_nonconvergence(
+    capsys, monkeypatch, mfg_report_path
+):
+    # level 24 takes the sparse eigensolve path
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code, _, err = run_cli(
+        capsys,
+        ["diagnose-stability", "--from", str(mfg_report_path), "--levels", "24",
+         "--samples", "1"],
+    )
+    assert code == 2
+    assert err.startswith("nonconvergence: stability scan at h=")
+    assert "selection sample 0: ARPACK" in err
 
 
 # --------------------------------------------------------------- convergence

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import diagnostics as dg
 from nonsmooth_fem import fem, hamiltonian as hm, manufactured as man
@@ -467,3 +468,51 @@ def test_scan_lambda_grid(monotone_family):
 def test_scan_validates_sample_count(monotone_family):
     with pytest.raises(ValueError):
         dg.stability_scan(monotone_family[0], n_selection_samples=0)
+
+
+def test_scan_singular_level_gives_infinite_ratio(monkeypatch, monotone_family):
+    # preconditioned_constant returns 0.0 for a singular J, which is what the
+    # scan exists to detect: the spread is then infinite, not a crash
+    singular = 2 * monotone_family[1][0].space.n_free
+
+    def constant(J, G, start=None):
+        return 0.0 if G.shape[0] == singular else 1.0
+
+    monkeypatch.setattr(dg, "preconditioned_constant", constant)
+    report = dg.stability_scan(monotone_family, n_selection_samples=1)
+    assert report.min_per_level == [1.0, 0.0, 1.0]
+    assert report.ratio_max_min == np.inf
+
+
+_EIGSH = spla.eigsh
+
+
+def arpack_fails_after(monkeypatch, n_calls):
+    """Let the first n_calls eigensolves run, then make ARPACK give up."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= n_calls:
+            return _EIGSH(*args, **kwargs)
+        raise spla.ArpackNoConvergence(
+            "No convergence (7 iterations, 0/1 eigenvectors converged)",
+            np.empty(0), np.empty((0, 0)),
+        )
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+
+
+def test_arpack_nonconvergence_is_a_named_error(monkeypatch, kinked_24):
+    problem, state = kinked_24
+    G = dg.state_space_grams(problem.space).gram_X
+    assert G.shape[0] > dg._DENSE_CUTOFF  # the sparse path
+    arpack_fails_after(monkeypatch, 0)
+    with pytest.raises(fem.NonconvergenceError, match=f"size {G.shape[0]}: .*No convergence"):
+        dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
+    level = rf"h={problem.space.mesh.mesh_size_h:.6g} \({G.shape[0]} dofs\)"
+    with pytest.raises(fem.NonconvergenceError, match=level + ", selection sample 0: ARPACK"):
+        dg.stability_scan(kinked_24, n_selection_samples=1)
+    arpack_fails_after(monkeypatch, 1)
+    with pytest.raises(fem.NonconvergenceError, match=level + ", lambda=2: ARPACK"):
+        dg.stability_scan(kinked_24, n_selection_samples=1, lambdas=[2.0])

@@ -52,7 +52,6 @@ def test_eikonal_values():
     assert eval_many(m, z)[0] == pytest.approx(5.0, abs=1e-15)
     assert np.allclose(selection_many(m, z)[0], [0.6, 0.8], atol=1e-15)
     assert m.lipschitz_C_H == 1.0
-    assert m.is_convex_in_z
 
 
 def test_eikonal_kink_tie_break_is_zero():
@@ -501,7 +500,6 @@ def test_mean_value_custom_model_fallback():
     m = HamiltonianModel(
         name="quadratic",
         lipschitz_C_H=100.0,
-        is_convex_in_z=True,
         h=lambda Z: 0.5 * (Z * Z).sum(axis=1),
         selection=lambda Z: Z.copy(),
     )

@@ -173,11 +173,16 @@ def test_newton_unreachable_tolerance_reports_not_converged():
     assert rep.residual_history[-1] <= 1e-12
 
 
-def test_damped_newton_exhausted_damping_keeps_start():
+def newton_step_of(J):
+    """The driver's step for a fixed Newton matrix J, by hj_solver._newton_step."""
+    return lambda x, r: hj_solver._newton_step(J, r, ())
+
+
+def test_damped_iteration_exhausted_damping_keeps_start():
     # J = -I points every step uphill: x - s dx = (1 + s) x grows for all s
     x0 = np.array([1.0, -2.0])
-    rep = hj_solver.damped_newton(
-        lambda x: x, lambda x: -sp.identity(2, format="csr"), np.linalg.norm,
+    rep = hj_solver.damped_iteration(
+        lambda x: x, newton_step_of(-sp.identity(2, format="csr")), np.linalg.norm,
         x0, tol=1e-12, max_iter=10,
     )
     assert rep.converged is False
@@ -187,15 +192,15 @@ def test_damped_newton_exhausted_damping_keeps_start():
     assert rep.residual_history == [np.linalg.norm(x0)]
 
 
-def test_damped_newton_singular_jacobian_raises():
+def test_damped_iteration_singular_jacobian_raises():
     with pytest.raises(FemError, match="singular"):
-        hj_solver.damped_newton(
-            lambda x: x, lambda x: sp.csr_matrix((2, 2)), np.linalg.norm,
+        hj_solver.damped_iteration(
+            lambda x: x, newton_step_of(sp.csr_matrix((2, 2))), np.linalg.norm,
             np.ones(2), tol=1e-12, max_iter=10,
         )
 
 
-def test_damped_newton_auxiliary_unknowns_give_the_reduced_step():
+def test_damped_iteration_auxiliary_unknowns_give_the_reduced_step():
     # reduced J = [[4, -1], [1, 3]]; the lifted system writes -x2 as -2 w
     # with the trailing row 2 w - x2 = 0, so eliminating w gives J back
     J = sp.csr_matrix([[4.0, -1.0], [1.0, 3.0]])
@@ -203,8 +208,8 @@ def test_damped_newton_auxiliary_unknowns_give_the_reduced_step():
     b = np.array([1.0, -2.0])
     x0 = np.array([0.3, 0.7])
     reps = [
-        hj_solver.damped_newton(
-            lambda x: J @ x - b, lambda x, A=A: A, np.linalg.norm, x0, tol=1e-12, max_iter=5,
+        hj_solver.damped_iteration(
+            lambda x: J @ x - b, newton_step_of(A), np.linalg.norm, x0, tol=1e-12, max_iter=5,
         )
         for A in (J, lifted)
     ]
@@ -313,8 +318,45 @@ def test_picard_divergence_reports_cleanly():
     rep = solve_picard(
         prob, g.normal(size=space.n_free), tol=1e-12, max_iter=25, theta_p=1.0
     )
+    # the damped driver stops where no damped step lowers the residual,
+    # instead of following the undamped iteration to overflow
     assert not rep.converged
-    assert len(rep.residual_history) == 26
+    assert rep.message == "damping exhausted without residual decrease"
+    history = rep.residual_history
+    assert np.isfinite(history).all()
+    assert max(history) <= history[0]
+
+
+def undamped_picard(problem, tol, max_iter, theta_p):
+    """Reference: the undamped defect-form Picard loop from zero,
+    u <- u - theta_p W^{-1} r(u) with every step taken in full."""
+    space = problem.space
+    W = fem.free_sum(
+        space, (1.0, fem.assemble_stiffness(space)), (problem.lam, fem.assemble_mass(space))
+    )
+    prolongations = [P for P, _ in fem.prolongations(space)]
+    rn = fem.residual_norm(space)
+    u = np.zeros(space.n_free)
+    r = hj_residual(problem, u)
+    history = [rn(r)]
+    while history[-1] > tol and len(history) <= max_iter:
+        u = u - theta_p * fem.krylov_solve(W, r, prolongations)[0]
+        r = hj_residual(problem, u)
+        history.append(rn(r))
+    return u, history
+
+
+@pytest.mark.parametrize("theta_p", [0.5, 1.0])
+def test_picard_takes_the_undamped_iterates_bitwise(theta_p):
+    # on a contracting problem every full step lowers the residual, so the
+    # damped driver reproduces the undamped iteration exactly
+    prob = eikonal_problem(32)
+    rep = solve_picard(prob, tol=1e-10, max_iter=200, theta_p=theta_p)
+    u, history = undamped_picard(prob, 1e-10, 200, theta_p)
+    assert rep.converged
+    assert rep.iterations == len(history) - 1
+    assert rep.residual_history == history
+    assert np.array_equal(rep.final_u, u)
 
 
 def test_localization_small_probe():
