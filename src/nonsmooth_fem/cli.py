@@ -87,14 +87,18 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_report(path: str | None, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+def _emit(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout without one."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
+
+
+def _write_report(path: str | None, report: dict) -> None:
+    _emit(path, json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def _write_study(path, command: str, config: dict, study: dg.ConvergenceReport, t0) -> int:
@@ -159,9 +163,7 @@ def _cmd_solve_hj(args) -> int:
     )
     t0 = time.perf_counter()
     if config["solver"] == "newton":
-        report = hj_solver.solve_newton(
-            problem, tol=config["tol"], max_iter=config["max_iter"]
-        )
+        report = hj_solver.solve_newton(problem, tol=config["tol"], max_iter=config["max_iter"])
     else:
         report = hj_solver.solve_picard(
             problem, tol=config["tol"], max_iter=config["max_iter"],
@@ -175,12 +177,12 @@ def _cmd_solve_hj(args) -> int:
         "converged": report.converged,
         "iterations": report.iterations,
         "residuals": report.residual_history,
-        "err_h1": fem.error_vs_exact(
-            space, report.final_u, man.u_star, man.grad_u_star, "H1"
-        ),
-        "err_l2": fem.error_vs_exact(
-            space, report.final_u, man.u_star, man.grad_u_star, "L2"
-        ),
+        **{
+            f"err_{kind.lower()}": fem.error_vs_exact(
+                space, report.final_u, man.u_star, man.grad_u_star, kind
+            )
+            for kind in ("H1", "L2")
+        },
         "message": report.message,
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -302,6 +304,23 @@ def _scan_lambdas(text: str):
     return lambdas
 
 
+def _check_echo(config: dict, source: str) -> None:
+    """The solve flags' rules, and names as strings, on a report's config echo."""
+    def number(key, kind=(int, float)):  # a JSON number of that kind, no bool
+        return isinstance(config[key], kind) and not isinstance(config[key], bool)
+    for key, ok, what in [
+        ("solver", config["solver"] in ("newton", "picard"), "newton or picard"),
+        *((key, number(key) and np.isfinite(config[key]), "a finite number")
+          for key in ("lambda", "tol", "theta")),
+        ("max_iter", number("max_iter", int) and config["max_iter"] >= 0, "an integer >= 0"),
+        *((key, isinstance(config[key], str), "a string")
+          for key in ("hamiltonian", "coupling", "m0")),
+        ("manufactured", config["manufactured"] in (None, *_MANUFACTURED), "null or sinsin"),
+    ]:
+        if not ok:
+            raise UsageError(f"config in {source!r}: {key} must be {what}, got {config[key]!r}")
+
+
 def _cmd_diagnose_stability(args) -> int:
     levels = _positive_levels(args.levels)
     if args.samples < 1:
@@ -320,10 +339,8 @@ def _cmd_diagnose_stability(args) -> int:
     for key in ("hamiltonian", "coupling", "lambda", "tol", "solver"):
         if key not in config:
             raise UsageError(f"config in {args.source!r} lacks {key!r}")
-    config.setdefault("m0", "bump")
-    config.setdefault("manufactured", None)
-    config.setdefault("max_iter", 100)
-    config.setdefault("theta", 0.5)
+    config = {"m0": "bump", "manufactured": None, "max_iter": 100, "theta": 0.5, **config}
+    _check_echo(config, args.source)
     t0 = time.perf_counter()
     cases = []
     for n in levels:
@@ -338,13 +355,7 @@ def _cmd_diagnose_stability(args) -> int:
     for h, vals in zip(scan.hs, scan.smin):
         for idx, val in enumerate(vals):
             lines.append(f"{float(h)!r},{idx},{float(val)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     print(
         f"min={min(scan.min_per_level)!r} ratio_max_min={scan.ratio_max_min!r} "
         f"kink_elements={scan.meta['kink_elements']} "
@@ -511,10 +522,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonconvergenceError as exc:

@@ -272,9 +272,7 @@ def _selection_samples(problem, state, n_samples: int):
 
 def state_space_grams(space) -> GramPair:
     """H1 x L2 geometry for the stacked (u, m) linearization."""
-    K = fem.assemble_stiffness(space)
-    M = fem.assemble_mass(space)
-    G = sp.block_diag([fem.free_sum(space, (1.0, K), (1.0, M)), M]).tocsc()
+    G = sp.block_diag([fem.operator(space, 1.0), fem.assemble_mass(space)]).tocsc()
     return GramPair(gram_X=G, gram_Y=G)
 
 
@@ -374,10 +372,11 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     cases: a (problem, converged-state) pair or a list of them (one per mesh
     level). With a lambda grid, each case is re-assembled at every grid value
     using its first selection sample; the per-level minima land in
-    meta["lambda_scan"]. A singular level (constant 0.0) gives
-    ratio_max_min = inf; an eigensolve that does not converge raises
-    fem.NonconvergenceError naming the level (h, dofs) and the selection
-    sample or lambda.
+    meta["lambda_scan"]. A lambda that is not finite and positive raises
+    ValueError before any level is assembled. A singular level (constant
+    0.0) gives ratio_max_min = inf; an eigensolve that does not converge
+    raises fem.NonconvergenceError naming the level (h, dofs) and the
+    selection sample or lambda.
 
     The Gram pair is built and checked (sparse, see GramPair) once per
     level. Within a level every eigensolve of preconditioned_constant after
@@ -401,6 +400,10 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
         cases = [cases]
     if n_selection_samples < 1:
         raise ValueError("need at least one selection sample")
+    if lambdas is not None:
+        lambdas = [float(lam) for lam in lambdas]
+        if not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
+            raise ValueError(f"lambdas must be finite and positive, got {lambdas}")
     hs = []
     smin = []
     kinks = []
@@ -443,9 +446,9 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
         if lambdas is not None:
             row = []
             for lam in lambdas:
-                shifted = dataclasses.replace(problem, lam=float(lam))
+                shifted = dataclasses.replace(problem, lam=lam)
                 J = mfg_solver.mfg_jacobian(shifted, state, xi=samples[0])
-                row.append(constant(J, f"lambda={float(lam):g}"))
+                row.append(constant(J, f"lambda={lam:g}"))
             lambda_scan.append(row)
         previous = (space, start) if G.shape[0] > _DENSE_CUTOFF else None
     min_per_level = [min(vals) for vals in smin]
@@ -454,7 +457,7 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     ratio = max(min_per_level) / lo if lo > 0 else float("inf")
     meta = {"n_selection_samples": n_selection_samples, "kink_elements": kinks}
     if lambdas is not None:
-        meta["lambdas"] = [float(lam) for lam in lambdas]
+        meta["lambdas"] = lambdas
         meta["lambda_scan"] = lambda_scan
     return StabilityScanReport(
         hs=hs,

@@ -3,7 +3,8 @@
 Provides dof management with homogeneous Dirichlet elimination, exact
 assembly of stiffness/mass forms (P1 gradients are elementwise constant)
 by one bincount into a CSR pattern cached per space, linear combinations
-of such matrices on that pattern (free_sum), load vectors, nodal
+of such matrices on that pattern (free_sum), the assembler of every
+solver matrix, operator = K + lam M (+ drift_matrix), load vectors, nodal
 interpolation, discrete norms, the P1 prolongations of the unit-square
 grid hierarchy, the geometric V-cycle on that hierarchy, and the one
 linear-solve routine, krylov_solve: GMRES preconditioned by one V-cycle
@@ -288,6 +289,15 @@ def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
     return assemble_from_local(space, local)
 
 
+def operator(space: FeSpace, lam: float, drift=None) -> sp.csr_matrix:
+    """K + lam M (+ drift_matrix(space, drift) for a drift (nt, 2)) on the
+    free-dof pattern: every solver matrix, and K + M at lam = 1."""
+    terms = [(1.0, assemble_stiffness(space)), (lam, assemble_mass(space))]
+    if drift is not None:
+        terms.append((1.0, drift_matrix(space, drift)))
+    return free_sum(space, *terms)
+
+
 # ------------------------------------------------------------- field evaluation
 
 
@@ -476,7 +486,7 @@ class ResidualNorm:
     """
 
     def __init__(self, space: FeSpace):
-        self._W = free_sum(space, (1.0, assemble_stiffness(space)), (1.0, assemble_mass(space)))
+        self._W = operator(space, 1.0)
         self._cycle = _VCycle(self._W, [P for P, _ in prolongations(space)])
 
     def __call__(self, r: np.ndarray) -> float:

@@ -2,9 +2,9 @@
 
 A model carries H(z), one deterministic selection from the Clarke
 subdifferential of H, a global Lipschitz constant C_H, and (for models
-whose gradient H_p exists everywhere and is itself Lipschitz) the gradient
-map plus a selection from its generalized Jacobian. H depends on the
-gradient z only; every map is vectorized over gradient rows, and P1
+whose gradient H_p exists everywhere and is itself Lipschitz, so that the
+selection is H_p) a selection from its generalized Jacobian. H depends on
+the gradient z only; every map is vectorized over gradient rows, and P1
 gradients are constant per element, so solvers evaluate each map once per
 element. Solvers only ever need a single selection at the current iterate;
 the full set-valued subdifferential is never materialized.
@@ -41,8 +41,8 @@ class HamiltonianModel:
     """Immutable Hamiltonian description, vectorized over gradient rows.
 
     h(Z) -> (N,) and selection(Z) -> (N, 2) take Z of shape (N, 2) and are
-    mandatory; hp(Z) -> (N, 2) and hp_jacobian(Z) -> (N, 2, 2) are present
-    only when H is C^1 with Lipschitz gradient. Callers go through
+    mandatory; hp_jacobian(Z) -> (N, 2, 2) is present only when H is C^1
+    with Lipschitz gradient, and then selection is H_p. Callers go through
     eval_many, selection_many, hp_many and hp_selection_many, which also
     accept a single gradient z as one row.
     """
@@ -51,7 +51,6 @@ class HamiltonianModel:
     lipschitz_C_H: float
     h: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[np.ndarray], np.ndarray]
-    hp: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hp_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
 
@@ -75,10 +74,10 @@ def selection_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
 
 
 def hp_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
-    """H_p at each gradient row: (N, 2) -> (N, 2)."""
-    if model.hp is None:
+    """H_p, the selection of a C^{1,1} model (one with hp_jacobian): (N, 2) -> (N, 2)."""
+    if model.hp_jacobian is None:
         raise ValueError(f"model {model.name!r} has no gradient map")
-    return model.hp(_rows(Z))
+    return model.selection(_rows(Z))
 
 
 def hp_selection_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
@@ -97,7 +96,6 @@ def _zero_model() -> HamiltonianModel:
         lipschitz_C_H=0.0,
         h=lambda Z: np.zeros(len(Z)),
         selection=np.zeros_like,
-        hp=np.zeros_like,
         hp_jacobian=lambda Z: np.zeros((len(Z), 2, 2)),
     )
 
@@ -152,7 +150,6 @@ def _huber_model(delta: float) -> HamiltonianModel:
         lipschitz_C_H=max(1.0, 1.0 / delta),
         h=h,
         selection=hp,
-        hp=hp,
         hp_jacobian=hp_jac,
         params={"delta": delta},
     )

@@ -111,13 +111,9 @@ def _residual(problem: HjProblem, u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def newton_matrix(problem: HjProblem, u: np.ndarray):
-    """K + lam M + C(xi) with xi = Clarke selection at Du_h|_T, on the free-dof
-    pattern (fem.free_sum)."""
+    """K + lam M + C(xi) with xi = Clarke selection at Du_h|_T (fem.operator)."""
     space = problem.space
-    C = fem.drift_matrix(space, hm.selection_field(problem.model, space, u))
-    K = fem.assemble_stiffness(space)
-    M = fem.assemble_mass(space)
-    return fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, C))
+    return fem.operator(space, problem.lam, hm.selection_field(problem.model, space, u))
 
 
 def _newton_step(J, r: np.ndarray, prolongations) -> np.ndarray:
@@ -148,6 +144,8 @@ def damped_iteration(residual, step, norm, x0, tol, max_iter) -> SolveReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = x0
     r = residual(x)
     history = [norm(r)]
@@ -204,9 +202,7 @@ def solve_picard(
     space = problem.space
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     b = load_vector(problem)
-    W = fem.free_sum(
-        space, (1.0, fem.assemble_stiffness(space)), (problem.lam, fem.assemble_mass(space))
-    )
+    W = fem.operator(space, problem.lam)
     prolongations = [P for P, _ in fem.prolongations(space)]
     return damped_iteration(
         lambda v: _residual(problem, v, b),

@@ -75,7 +75,7 @@ def mfg_sources(model: hm.HamiltonianModel, coupling, lam: float):
     lam m0 source cancels against lam m* up to the nodal-interpolation error
     in m0, which is of higher order than the rates being measured.
     """
-    if model.hp is None:
+    if model.hp_jacobian is None:
         raise ValueError(f"model {model.name!r} has no gradient map for the transport term")
 
     def g_hjb(X):

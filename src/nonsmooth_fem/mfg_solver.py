@@ -11,25 +11,30 @@ The coupling depends on the density only: F[m] = f(m) (local) or f(S m)
 (nonlocal), with S a discrete mollifier; f is evaluated in one call on
 the density values at all quadrature points.
 
-Block Newton linearizes both equations at once. With B the drift form
-B[i][j] = (H_p(Du).Dphi_j, phi_i), Q the f'-weighted mass (composed with
-S E on the trial side for a nonlocal coupling, E the free-to-vertex
-injection), and G the advection-sensitivity G[i][j] = (m (xi Dphi_j), Dpsi_i)
-built from one generalized-Jacobian selection xi of H_p per element, the
-reduced linearization is
+The value equation linearizes to A(u) = K + lam M + B (fem.operator), with
+B[i][j] = (H_p(Du).Dphi_j, phi_i) the drift of H_p (the model's selection),
+and the density operator is A(u)^T, as in Achdou & Capuzzo-Dolcetta (SIAM
+J. Numer. Anal. 48, 2010); residual, Jacobian and Picard alike take A(u)
+from _value_linearization.
 
-    J = [ K + lam M + B        -Q  ]
-        [ G            K + lam M + B^T ]
+Block Newton linearizes both equations at once. With Q the f'-weighted
+mass (composed with S E on the trial side for a nonlocal coupling, E the
+free-to-vertex injection), and G the advection-sensitivity
+G[i][j] = (m (xi Dphi_j), Dpsi_i) built from one generalized-Jacobian
+selection xi of H_p per element, the reduced linearization is
+
+    J = [ A(u)     -Q  ]
+        [ G     A(u)^T ]
 
 For a local coupling mfg_jacobian returns J itself. For a nonlocal coupling
 S E is dense, so mfg_jacobian returns instead the sparse lifted system in
 (du, dm, w_1, ..., w_k), k = _SMOOTHING_STEPS, L = M_lump + h^2 K the
 smoother's matrix and Q_fv the sparse free-by-vertex weighted mass:
 
-    (K + lam M + B) du - Q_fv w_k = r_u
-    G du + (K + lam M + B^T) dm  = r_m
-    L w_1 - M_lump E dm           = 0
-    L w_{j+1} - M_lump w_j        = 0
+    A(u) du - Q_fv w_k      = r_u
+    G du + A(u)^T dm        = r_m
+    L w_1 - M_lump E dm     = 0
+    L w_{j+1} - M_lump w_j  = 0
 
 Eliminating the w's gives w_k = S E dm and hence J: J is the Schur
 complement of the w block, so the leading block of the lifted inverse is
@@ -46,10 +51,9 @@ block per field. Picard's step alternates a full HJ Newton solve for u at
 frozen m with one linear transport solve for m at frozen u, relaxing only
 m. Newton is fast near a solution; Picard is the derivative-free
 cross-check. The transport solve runs in the defect form
-m <- m - theta T^{-1}(T m - rhs), T = K + lam M + B^T on the free-dof
-pattern, by the Newton steps' V-cycle-preconditioned GMRES
-(fem.krylov_solve), so Picard factors no matrix above the coarsest grid
-either.
+m <- m - theta T^{-1}(T m - rhs), T = A(u)^T, by the Newton steps'
+V-cycle-preconditioned GMRES (fem.krylov_solve), so Picard factors no
+matrix above the coarsest grid either.
 
 The density right side uses lam * m0 so the source scales consistently as
 lam varies. m0 must be nonnegative and nonzero for data-driven runs; runs
@@ -151,7 +155,7 @@ class MfgProblem:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.model.hp is None or self.model.hp_jacobian is None:
+        if self.model.hp_jacobian is None:
             raise ValueError(
                 f"model {self.model.name!r} lacks the gradient data the density "
                 "equation needs"
@@ -263,34 +267,29 @@ def mfg_residual(problem: MfgProblem, state: MfgState) -> np.ndarray:
     return _residual(problem, state, *_source_loads(problem))
 
 
+def _value_linearization(problem, u) -> sp.csr_matrix:
+    """A(u) = K + lam M + B, B the drift of H_p(Du): the value block of the
+    Jacobian, whose transpose is the density operator."""
+    Du = fem.element_gradients(problem.space, u)
+    return fem.operator(problem.space, problem.lam, hm.hp_many(problem.model, Du))
+
+
 def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     space = problem.space
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
     u, m = np.asarray(state.u, dtype=float), np.asarray(state.m, dtype=float)
     lam = problem.lam
-    Du = fem.element_gradients(space, u)
 
     # value equation: nonlinearity per element, coupling at quadrature points
-    h_vals = hm.eval_many(problem.model, Du)
+    h_vals = hm.eval_many(problem.model, fem.element_gradients(space, u))
     f_vals = _coupling_at_quad(problem, m, problem.coupling.f)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
-    r_u = (
-        K @ u
-        + lam * (M @ u)
-        + fem.load_from_values(space, h_vals)
-        - fem.load_from_values(space, f_vals)
-        - b_hjb
-    )
-
-    # density equation: transport term against elementwise-constant
-    # gradients; the element mean of the P1 density is its nodal mean
-    mbar = fem.extend_to_vertices(space, m)[space.mesh.triangles].mean(axis=1)
-    momentum = mbar[:, None] * hm.hp_many(problem.model, Du)
-    adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
-    r_adv = fem._assemble_p1_vector(space, adv_local)
-    r_m = K @ m + lam * (M @ m) + r_adv - lam * (M @ problem.m0) - b_fp
+    r_u = K @ u + lam * (M @ u) + fem.load_from_values(space, h_vals)
+    r_u = r_u - fem.load_from_values(space, f_vals) - b_hjb
+    # density equation: the transpose of the value linearization
+    r_m = _value_linearization(problem, u).T @ m - lam * (M @ problem.m0) - b_fp
     return np.concatenate([r_u, r_m])
 
 
@@ -338,22 +337,14 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     2 n_free + k n_v with the w's as trailing auxiliary unknowns. xi
     optionally overrides the per-element Jacobian selection in G."""
     space = problem.space
-    K = fem.assemble_stiffness(space)
-    M = fem.assemble_mass(space)
-    Du = fem.element_gradients(space, state.u)
     if xi is None:
-        xi = hm.hp_selection_many(problem.model, Du)
-    B = fem.drift_matrix(space, hm.hp_many(problem.model, Du))
+        xi = hm.hp_selection_many(problem.model, fem.element_gradients(space, state.u))
+    A = _value_linearization(problem, state.u)
     minus_Q = -coupling_weighted_mass(problem, state.m)
     G = advection_sensitivity(problem, state, xi)
-
-    def plus(C):  # K + lam M + C on the free-dof pattern
-        return fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, C))
-
-    # the pattern is symmetric, so B^T in CSR form lies on it too
-    AB, ABt = plus(B), plus(B.T.tocsr())
+    At = A.T.tocsr()  # the pattern is symmetric, so A^T lies on it too
     if problem.coupling.kind == "local":
-        return sp.bmat([[AB, minus_Q], [G, ABt]], format="csr")
+        return sp.bmat([[A, minus_Q], [G, At]], format="csr")
     smoother = _smoother(problem)
     n_free, n_v = space.n_free, space.mesh.n_vertices
     k = _SMOOTHING_STEPS
@@ -361,7 +352,7 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
         (smoother.M_lump[space.free_dofs], (space.free_dofs, np.arange(n_free))),
         shape=(n_v, n_free),
     )
-    rows = [[AB] + [None] * k + [minus_Q], [G, ABt] + [None] * k]
+    rows = [[A] + [None] * k + [minus_Q], [G, At] + [None] * k]
     for j in range(k):
         # L w_{j+1} - M_lump w_j = 0, with w_0 = E dm
         row = [None] * (k + 2)
@@ -422,15 +413,13 @@ def mfg_picard(
 ) -> MfgSolveReport:
     """Alternate a full HJ Newton solve for u at frozen m with one linear
     transport solve for m at frozen u, in defect form
-    m <- m - theta_p T^{-1}(T m - rhs), T = K + lam M + B^T; relax m only.
+    m <- m - theta_p T^{-1}(T m - rhs), T = A(u)^T; relax m only.
     The pair of solves is the step of hj_solver.damped_iteration."""
     if not 0.0 < theta_p <= 1.0:
         raise ValueError("theta_p must lie in (0, 1]")
     space = problem.space
     b_hjb, b_fp = loads = _source_loads(problem)
-    K = fem.assemble_stiffness(space)
-    M = fem.assemble_mass(space)
-    rhs = problem.lam * (M @ problem.m0) + b_fp
+    rhs = problem.lam * (fem.assemble_mass(space) @ problem.m0) + b_fp
     prolongations = [P for P, _ in fem.prolongations(space)]
     inner_tol = max(tol / 10.0, 1e-13)
     outer = itertools.count()
@@ -451,8 +440,7 @@ def mfg_picard(
                 f"{inner.message}"
             )
         u_new = inner.final_u
-        B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u_new)))
-        T = fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, B.T.tocsr()))
+        T = _value_linearization(problem, u_new).T.tocsr()
         dm = fem.krylov_solve(T, T @ m - rhs, prolongations)[0]
         return np.concatenate([u - u_new, theta_p * dm])
 
@@ -497,16 +485,13 @@ def convergence_study_mfg(
 
     def level_errors(problem, rep):
         space = problem.space
-        u, m = rep.final_state.u, rep.final_state.m
+        u = (space, rep.final_state.u, u_exact, grad_u_exact)
+        m = (space, rep.final_state.m, m_exact, grad_m_exact)
         errs = {
-            "u_H1": fem.error_vs_exact(space, u, u_exact, grad_u_exact, "H1"),
-            "m_L2": fem.error_vs_exact(space, m, m_exact, grad_m_exact, "L2"),
-            f"u_W1{r_label}": fem.error_vs_exact(
-                space, u, u_exact, grad_u_exact, "W1r", r=r
-            ),
-            f"m_L{r_label}": fem.error_vs_exact(
-                space, m, m_exact, grad_m_exact, "Lr", r=r
-            ),
+            "u_H1": fem.error_vs_exact(*u, "H1"),
+            "m_L2": fem.error_vs_exact(*m, "L2"),
+            f"u_W1{r_label}": fem.error_vs_exact(*u, "W1r", r=r),
+            f"m_L{r_label}": fem.error_vs_exact(*m, "Lr", r=r),
         }
         errs["combined_H1_L2"] = errs["u_H1"] + errs["m_L2"]
         errs[f"combined_W1{r_label}_L{r_label}"] = (

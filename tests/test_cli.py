@@ -372,6 +372,43 @@ def test_diagnose_stability_rejects_scan_options_before_solving(
     assert err.startswith("error: ") and flags[0][2:] in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("solver", "bogus"),
+        ("lambda", "1"),
+        ("lambda", float("inf")),
+        ("tol", None),
+        ("theta", True),
+        ("max_iter", -3),
+        ("max_iter", 2.5),
+        ("hamiltonian", 5),
+        ("coupling", None),
+        ("manufactured", "bogus"),
+    ],
+)
+def test_diagnose_stability_checks_the_config_echo_before_solving(
+    capsys, monkeypatch, tmp_path, mfg_report_path, key, value
+):
+    def no_solve(config, n):
+        raise AssertionError("a level was solved before the config echo was checked")
+
+    report = read_json(mfg_report_path)
+    report["config"][key] = value
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(report))
+    monkeypatch.setattr(cli, "_solve_mfg_once", no_solve)
+    code, _, err = run_cli(capsys, ["diagnose-stability", "--from", str(path), "--levels", "8"])
+    assert code == 1
+    assert err.startswith("error: ") and f"{key} must be" in err
+
+
+def test_negative_iteration_limit_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, ["solve-hj", "--n", "8", "--max-iter", "-1"])
+    assert code == 1
+    assert "max_iter must be nonnegative" in err
+
+
 def test_diagnose_stability_arpack_failure_exits_nonconvergence(
     capsys, monkeypatch, mfg_report_path
 ):

@@ -470,6 +470,16 @@ def test_scan_validates_sample_count(monotone_family):
         dg.stability_scan(monotone_family[0], n_selection_samples=0)
 
 
+@pytest.mark.parametrize("lambdas", [[1.0, 0.0], [1.0, -2.0], [np.nan], [np.inf]])
+def test_scan_validates_lambdas_before_any_level(monkeypatch, monotone_family, lambdas):
+    def no_jacobian(*args, **kwargs):
+        raise AssertionError("a Jacobian was assembled before the lambdas were checked")
+
+    monkeypatch.setattr(mfg, "mfg_jacobian", no_jacobian)
+    with pytest.raises(ValueError, match="lambdas must be finite and positive"):
+        dg.stability_scan(monotone_family, n_selection_samples=1, lambdas=lambdas)
+
+
 def test_scan_singular_level_gives_infinite_ratio(monkeypatch, monotone_family):
     # preconditioned_constant returns 0.0 for a singular J, which is what the
     # scan exists to detect: the spread is then infinite, not a crash

@@ -438,6 +438,18 @@ def test_free_sum_matches_scipy_sum_on_the_pattern():
     assert np.array_equal(fem.free_sum(prob.space, (2.0, C)).toarray(), 2.0 * C.toarray())
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
+def test_operator_is_the_scipy_sum_of_its_terms(lam):
+    space = make_space(unit_square_mesh(12))
+    K, M = assemble_stiffness(space), assemble_mass(space)
+    drift = np.random.default_rng(5).normal(size=(space.mesh.n_triangles, 2))
+    C = fem.drift_matrix(space, drift)
+    for A, expect in ((fem.operator(space, lam), K + lam * M),
+                      (fem.operator(space, lam, drift), K + lam * M + C)):
+        assert np.array_equal(A.toarray(), expect.toarray())
+        assert A.nnz == K.nnz
+
+
 def test_solve_caches_no_rule_coordinates():
     space = make_space(unit_square_mesh(32))
     prob = hj_solver.HjProblem(space, builtin_model("eikonal"), 1.0, f_poisson)

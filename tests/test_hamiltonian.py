@@ -62,7 +62,8 @@ def test_eikonal_kink_tie_break_is_zero():
 
 def test_eikonal_has_no_gradient_fields():
     m = builtin_model("eikonal")
-    assert m.hp is None
+    with pytest.raises(ValueError):
+        hp_many(m, np.ones(2))
     assert m.hp_jacobian is None
 
 
@@ -235,7 +236,7 @@ def test_batch_evaluators_match_pointwise(name, kwargs):
         assert eval_many(m, Z[k : k + 1])[0] == hv[k]
         assert np.array_equal(selection_many(m, Z[k : k + 1])[0], sv[k])
     if hp is None:
-        assert m.hp is None and m.hp_jacobian is None
+        assert m.hp_jacobian is None
         return
     pv = hp_many(m, Z)
     jv = hp_selection_many(m, Z)

@@ -200,6 +200,14 @@ def test_damped_iteration_singular_jacobian_raises():
         )
 
 
+def test_damped_iteration_rejects_a_negative_iteration_limit():
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+        hj_solver.damped_iteration(
+            lambda x: x, newton_step_of(sp.identity(2, format="csr")), np.linalg.norm,
+            np.ones(2), tol=1e-12, max_iter=-1,
+        )
+
+
 def test_damped_iteration_auxiliary_unknowns_give_the_reduced_step():
     # reduced J = [[4, -1], [1, 3]]; the lifted system writes -x2 as -2 w
     # with the trailing row 2 w - x2 = 0, so eliminating w gives J back

@@ -34,7 +34,6 @@ def quadratic_model():
         lipschitz_C_H=10.0,
         h=lambda Z: 0.5 * (Z * Z).sum(axis=1),
         selection=lambda Z: Z.copy(),
-        hp=lambda Z: Z.copy(),
         hp_jacobian=lambda Z: np.tile(np.eye(2), (len(Z), 1, 1)),
     )
 
@@ -177,7 +176,54 @@ def test_residual_calls_coupling_once(space8, kind):
     assert shapes == [(6, space8.mesh.n_triangles)]
 
 
+def _elementwise_density_residual(problem, state):
+    """r_m with the transport term by the elementwise momentum formula: per
+    element, |T| (mbar_T H_p(Du_T)) . Dphi_k, mbar_T the element mean of m,
+    summed into the free dofs."""
+    space = problem.space
+    K, M = fem.assemble_stiffness(space), fem.assemble_mass(space)
+    m = state.m
+    mbar = fem.extend_to_vertices(space, m)[space.mesh.triangles].mean(axis=1)
+    momentum = mbar[:, None] * hm.hp_many(problem.model, fem.element_gradients(space, state.u))
+    adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
+    dofs = space.elem_dofs.ravel()
+    r_adv = np.zeros(space.n_free)
+    np.add.at(r_adv, dofs[dofs >= 0], adv_local.ravel()[dofs >= 0])
+    b_fp = mfg._source_loads(problem)[1]
+    return K @ m + problem.lam * (M @ m) + r_adv - problem.lam * (M @ problem.m0) - b_fp
+
+
+@pytest.mark.parametrize("model", ["huber:1", "zero"])
+@pytest.mark.parametrize("coupling", ["local:linear", "nonlocal:linear"])
+def test_density_residual_is_the_elementwise_transport_formula(space16, model, coupling):
+    # u = 0.5 sin.sin has |Du| up to pi/2, so huber:1's kink |Du| = 1 is crossed
+    problem = mfg.make_mfg_problem(
+        space16, hm.model_from_spec(model), mfg.coupling_from_spec(coupling), 1.0, man.bump
+    )
+    state = mfg.MfgState(u=0.5 * fem.interpolate_nodal(space16, man.u_star), m=problem.m0)
+    r_m = mfg.mfg_residual(problem, state)[space16.n_free :]
+    assert np.abs(r_m - _elementwise_density_residual(problem, state)).max() <= 1e-14
+
+
+def test_non_finite_coupling_value_raises(space8):
+    nan = mfg.CouplingModel("local", "nan", lambda m: np.full(np.shape(m), np.nan), np.zeros_like)
+    problem = mfg.make_mfg_problem(space8, huber(), nan, 1.0, man.bump)
+    with pytest.raises(fem.FemError, match="non-finite"):
+        mfg.mfg_residual(problem, mfg.MfgState(u=np.zeros(space8.n_free), m=problem.m0))
+
+
 # ------------------------------------------------------------------ jacobian
+
+
+@pytest.mark.parametrize(
+    "coupling", [mfg.local_linear(1.0), mfg.nonlocal_linear(1.0)], ids=["local", "nonlocal"]
+)
+def test_density_block_is_bitwise_the_transpose_of_the_value_block(space16, coupling):
+    problem = mfg.make_mfg_problem(space16, huber(), coupling, 1.0, man.bump)
+    state = mfg.MfgState(u=0.5 * fem.interpolate_nodal(space16, man.u_star), m=problem.m0)
+    J = mfg.mfg_jacobian(problem, state)
+    n = space16.n_free
+    assert np.array_equal(J[n : 2 * n, n : 2 * n].toarray(), J[:n, :n].T.toarray())
 
 
 @pytest.mark.parametrize("make_coupling", [mfg.local_linear, mfg.nonlocal_linear])
