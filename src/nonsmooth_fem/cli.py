@@ -169,6 +169,9 @@ def _cmd_solve_hj(args) -> int:
             problem, tol=config["tol"], max_iter=config["max_iter"],
             theta_p=config["theta"],
         )
+    err_h1, err_l2 = fem.error_vs_exact(
+        space, report.final_u, man.u_star, man.grad_u_star, ("H1", "L2")
+    )
     payload = {
         "command": "solve-hj",
         "config": config,
@@ -177,12 +180,8 @@ def _cmd_solve_hj(args) -> int:
         "converged": report.converged,
         "iterations": report.iterations,
         "residuals": report.residual_history,
-        **{
-            f"err_{kind.lower()}": fem.error_vs_exact(
-                space, report.final_u, man.u_star, man.grad_u_star, kind
-            )
-            for kind in ("H1", "L2")
-        },
+        "err_h1": err_h1,
+        "err_l2": err_l2,
         "message": report.message,
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -293,17 +292,6 @@ def _cmd_convergence_mfg(args) -> int:
     return _write_study(args.out, "convergence-mfg", config, study, t0)
 
 
-def _scan_lambdas(text: str):
-    """The --lambdas grid: comma-separated finite numbers > 0."""
-    try:
-        lambdas = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        lambdas = [np.nan]
-    if not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
-        raise UsageError(f"lambdas must be finite numbers > 0, got {text!r}")
-    return lambdas
-
-
 def _check_echo(config: dict, source: str) -> None:
     """The solve flags' rules, and names as strings, on a report's config echo."""
     def number(key, kind=(int, float)):  # a JSON number of that kind, no bool
@@ -325,7 +313,6 @@ def _cmd_diagnose_stability(args) -> int:
     levels = _positive_levels(args.levels)
     if args.samples < 1:
         raise UsageError(f"samples must be at least 1, got {args.samples}")
-    lambdas = _scan_lambdas(args.lambdas) if args.lambdas else None
     try:
         with open(args.source) as fh:
             source = json.load(fh)
@@ -350,7 +337,7 @@ def _cmd_diagnose_stability(args) -> int:
                 f"level n={n} did not converge while rebuilding the scanned state"
             )
         cases.append((problem, report.final_state))
-    scan = dg.stability_scan(cases, n_selection_samples=args.samples, lambdas=lambdas)
+    scan = dg.stability_scan(cases, n_selection_samples=args.samples)
     lines = ["h,sample,smin"]
     for h, vals in zip(scan.hs, scan.smin):
         for idx, val in enumerate(vals):
@@ -501,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, metavar="MFG_JSON")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--levels", default="8,16,32")
-    p.add_argument("--lambdas", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_diagnose_stability)
 

@@ -205,7 +205,10 @@ def _whitened(A, grams: GramPair | None) -> np.ndarray:
     if Ad.shape != (grams.gram_Y.shape[0], grams.gram_X.shape[0]):
         raise ValueError("gram shapes do not match the operator")
     Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
-    Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
+    if grams.gram_Y is grams.gram_X:
+        Ly = Lx
+    else:
+        Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
     return Ly.T @ scipy.linalg.solve_triangular(Lx, Ad.T, lower=True).T
 
 
@@ -283,10 +286,11 @@ def preconditioned_constant(J, G, start=None) -> float:
     composing with the Riesz inverse G^{-1} turns it into an operator on the
     state space itself, whose smallest weighted singular value is the
     mesh-comparable stability constant (it equals 1 for J = G). Computed as
-    the smallest eigenvalue of J^T G^{-1} J x = s^2 G x: densely below the
-    cutoff, otherwise by one shift-invert Lanczos solve (ARPACK) whose
-    operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one LU of J and no
-    factorization of G. Returns 0.0 for singular J; raises
+    the smallest eigenvalue of J^T G^{-1} J x = s^2 G x: below the cutoff
+    densely, as the smallest singular value of L^{-1} J L^{-T} with one
+    Cholesky factor G = L L^T, otherwise by one shift-invert Lanczos solve
+    (ARPACK) whose operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one
+    LU of J and no factorization of G. Returns 0.0 for singular J; raises
     fem.NonconvergenceError, with the operator size and ARPACK's message,
     if the Lanczos solve does not converge.
 
@@ -326,9 +330,10 @@ def preconditioned_constant(J, G, start=None) -> float:
         Jd = _dense(J)
         if N > n:
             Jd = Jd[:n, :n] - Jd[:n, n:] @ scipy.linalg.solve(Jd[n:, n:], Jd[n:, :n])
-        Gd = _dense(G)
-        P = scipy.linalg.solve(Gd, Jd, assume_a="pos")
-        return banach_constant(P, GramPair(gram_X=Gd, gram_Y=Gd))
+        # with G = L L^T, G^{-1} J whitened by L on both sides is L^{-1} J L^{-T}
+        L = scipy.linalg.cholesky(_dense(G), lower=True)
+        JLt = scipy.linalg.solve_triangular(L, Jd.T, lower=True).T
+        return banach_constant(scipy.linalg.solve_triangular(L, JLt, lower=True))
     Jc = sp.csc_matrix(J)
     Gc = sp.csc_matrix(G)
     try:

@@ -29,12 +29,13 @@ total degree 4, hence exact for the L2 and H1 norms of a P1 function. Its
 weights and barycentrics stay in this module, applied by one matmul with
 a fixed reference tensor; the element coordinates of its points are never
 cached: quad_points builds them one rule point at a time where a field
-callable is evaluated (loads, errors against exact solutions), and the
-norms are summed one rule point at a time. The norms are L2, H1, Lr and
-W1r (2 <= r <= 6). Negative/fractional-order norms are
-never computed here; solvers report residuals in the discrete dual norm
-induced by (K + M)^{-1} instead, evaluated to a stated relative accuracy
-(ResidualNorm).
+callable is evaluated (loads, errors against exact solutions). The norms
+L2, H1, Lr and W1r (2 <= r <= 6) of a field, or of its error against an
+exact solution, come from one pass over the rule points (_norms) that adds
+each point's value and gradient errors into every requested norm.
+Negative/fractional-order norms are never computed here; solvers report
+residuals in the discrete dual norm induced by (K + M)^{-1} instead,
+evaluated to a stated relative accuracy (ResidualNorm).
 
 The inverse inequality between discrete norms on quasi-uniform P1 spaces
 is relied upon implicitly and its constant is not verified.
@@ -670,19 +671,38 @@ def _check_norm_args(kind: str, r):
             raise ValueError(f"exponent r must lie in [2, 6], got {r}")
 
 
-def _integrate(space: FeSpace, rows, kind: str, r) -> float:
-    """Norm of the given kind by the rule, summed one rule point at a time:
-    rows yields, for each rule point in the order of the rule, the values
-    and the squared gradient magnitudes there, both (nt,); the gradient
-    term is None for L2 and Lr. No (nq, nt) array is formed."""
-    p = 2.0 if kind in ("L2", "H1") else float(r)
-    total = 0.0
-    for w, (vals, grad_sq) in zip(_QUAD_WEIGHTS, rows):
-        density = np.abs(vals) ** p
-        if grad_sq is not None:
-            density += grad_sq ** (p / 2.0)
-        total += float(w * (space.elem_areas @ density))
-    return total ** (1.0 / p)
+def _norms(space: FeSpace, u_h: np.ndarray, kinds, r, u_exact=None, grad_exact=None) -> list:
+    """Norms of the given kinds, in their order, of e = u_exact - u_h, or of
+    u_h itself without u_exact, by the rule in one pass over its points: at
+    each point the value error, and the squared gradient error if a kind
+    needs it, are formed once as (nt,) rows and added into every kind's sum.
+    The gradient error uses the elementwise-constant discrete gradient. No
+    (nq, nt) array is formed."""
+    for kind in kinds:
+        _check_norm_args(kind, r)
+    exponents = [2.0 if kind in ("L2", "H1") else float(r) for kind in kinds]
+    corners = _corner_values(space, u_h)
+    grads_h = grad_sq = None
+    if {"H1", "W1r"} & set(kinds):
+        grads_h = element_gradients(space, u_h)
+        grad_sq = np.einsum("td,td->t", grads_h, grads_h)
+    points = quad_points(space)[2] if u_exact is not None else [None] * len(_QUAD_BARY)
+    totals = [0.0] * len(kinds)
+    for w, b, X in zip(_QUAD_WEIGHTS, _QUAD_BARY, points):
+        if X is None:
+            vals = b @ corners
+        else:  # the gradient first: its temporaries die before u's
+            if grads_h is not None:
+                diff = _eval_field(grad_exact, X, (2,)) - grads_h
+                grad_sq = np.einsum("td,td->t", diff, diff)
+                del diff
+            vals = _eval_field(u_exact, X, ()) - b @ corners
+        for i, (kind, p) in enumerate(zip(kinds, exponents)):
+            density = np.abs(vals) ** p
+            if kind in ("H1", "W1r"):
+                density += grad_sq ** (p / 2.0)
+            totals[i] += float(w * (space.elem_areas @ density))
+    return [total ** (1.0 / p) for total, p in zip(totals, exponents)]
 
 
 def _corner_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
@@ -691,38 +711,17 @@ def _corner_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
 
 
 def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> float:
-    """Discrete norm of a coefficient vector by the rule; exact for L2 and
-    H1, since u_h^2 is a polynomial of degree 2 per element."""
-    _check_norm_args(kind, r)
-    u = np.asarray(u, dtype=float)
-    corners = _corner_values(space, u)
-    grad_sq = None
-    if kind in ("H1", "W1r"):
-        grads = element_gradients(space, u)
-        grad_sq = (grads * grads).sum(axis=1)
-    return _integrate(space, ((b @ corners, grad_sq) for b in _QUAD_BARY), kind, r)
+    """Discrete norm of a coefficient vector by the rule (_norms); exact for
+    L2 and H1, since u_h^2 is a polynomial of degree 2 per element."""
+    return _norms(space, u, (kind,), r)[0]
 
 
 def error_vs_exact(
-    space: FeSpace, u_h: np.ndarray, u_exact, grad_exact, kind: str, r: float | None = None
-) -> float:
-    """Norm of (u_exact - u_h) by the rule; the gradient error uses the
-    elementwise-constant discrete gradient. Each field is evaluated, and
-    the norm summed, at one rule point at a time."""
-    _check_norm_args(kind, r)
-    corners = _corner_values(space, u_h)
-    grads_h = element_gradients(space, u_h) if kind in ("H1", "W1r") else None
-    _, _, points = quad_points(space)
-
-    def grad_error_sq(X):
-        if grads_h is None:
-            return None
-        diff = _eval_field(grad_exact, X, (2,)) - grads_h
-        return np.einsum("td,td->t", diff, diff)
-
-    def rows():  # the gradient first: its temporaries die before u's
-        for b, X in zip(_QUAD_BARY, points):
-            grad_sq = grad_error_sq(X)
-            yield _eval_field(u_exact, X, ()) - b @ corners, grad_sq
-
-    return _integrate(space, rows(), kind, r)
+    space: FeSpace, u_h: np.ndarray, u_exact, grad_exact, kind, r: float | None = None
+) -> float | tuple:
+    """Norm of (u_exact - u_h) by the rule (_norms), each field evaluated once
+    per rule point. kind is one kind, giving a float, or a tuple of kinds,
+    giving the tuple of their norms, in that order, from the same pass."""
+    if isinstance(kind, str):
+        return _norms(space, u_h, (kind,), r, u_exact, grad_exact)[0]
+    return tuple(_norms(space, u_h, kind, r, u_exact, grad_exact))

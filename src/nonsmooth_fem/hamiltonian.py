@@ -209,7 +209,10 @@ def model_from_spec(text: str) -> HamiltonianModel:
             raise ValueError(f"invalid huber parameter {arg!r} in {text!r}") from None
         return builtin_model("huber", delta=delta)
     if name in ("maxaffine", "max_affine"):
-        rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        except OSError as exc:
+            raise ValueError(f"cannot read max_affine file {arg!r}: {exc}") from None
         if rows.shape[1] != 3:
             raise ValueError(f"max_affine file {arg!r} needs rows a1,a2,b")
         return builtin_model(

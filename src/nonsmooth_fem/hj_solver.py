@@ -240,9 +240,8 @@ def convergence_study_hj(
         return problem, rep, (rep.final_u,)
 
     def level_errors(problem, rep):
-        return {
-            kind: fem.error_vs_exact(problem.space, rep.final_u, u_exact, grad_exact, kind)
-            for kind in ("L2", "H1")
-        }
+        kinds = ("L2", "H1")
+        errs = fem.error_vs_exact(problem.space, rep.final_u, u_exact, grad_exact, kinds)
+        return dict(zip(kinds, errs))
 
     return refinement_study(solve_level, level_errors, levels, {"solver": solver, "tol": tol})

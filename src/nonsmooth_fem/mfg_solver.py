@@ -15,7 +15,8 @@ The value equation linearizes to A(u) = K + lam M + B (fem.operator), with
 B[i][j] = (H_p(Du).Dphi_j, phi_i) the drift of H_p (the model's selection),
 and the density operator is A(u)^T, as in Achdou & Capuzzo-Dolcetta (SIAM
 J. Numer. Anal. 48, 2010); residual, Jacobian and Picard alike take A(u)
-from _value_linearization.
+from _value_linearization, passing it the element gradients Du that each
+computes once per iterate.
 
 Block Newton linearizes both equations at once. With Q the f'-weighted
 mass (composed with S E on the trial side for a nonlocal coupling, E the
@@ -125,21 +126,25 @@ def nonlocal_linear(c: float = 1.0) -> CouplingModel:
 
 
 def coupling_from_spec(text: str) -> CouplingModel:
-    """Parse a coupling string: 'zero', 'local:linear[:C]', 'local:arctan',
-    'nonlocal:linear[:C]'."""
-    parts = text.split(":")
-    if parts[0] == "zero" and len(parts) == 1:
+    """Parse a coupling string: 'zero', 'local:arctan', 'local:linear[:C]' or
+    'nonlocal:linear[:C]', C a finite number (default 1; negative allowed).
+    Anything else raises ValueError naming the spec."""
+    if text == "zero":
         return zero_coupling()
-    if parts[0] in ("local", "nonlocal") and len(parts) >= 2:
-        name = parts[1]
-        if name == "linear":
-            c = float(parts[2]) if len(parts) > 2 else 1.0
-            if parts[0] == "local":
-                return local_linear(c)
-            return nonlocal_linear(c)
-        if name == "arctan" and parts[0] == "local" and len(parts) == 2:
-            return local_arctan()
-    raise ValueError(f"unknown coupling {text!r}")
+    if text == "local:arctan":
+        return local_arctan()
+    parts = text.split(":")
+    if parts[0] in ("local", "nonlocal") and parts[1:2] == ["linear"] and len(parts) <= 3:
+        try:
+            c = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            c = np.nan
+        if np.isfinite(c):
+            return (local_linear if parts[0] == "local" else nonlocal_linear)(c)
+    raise ValueError(
+        f"unknown coupling {text!r}: expected zero, local:arctan, or "
+        "local:linear[:C] or nonlocal:linear[:C] with C a finite number"
+    )
 
 
 @dataclass(frozen=True)
@@ -267,10 +272,10 @@ def mfg_residual(problem: MfgProblem, state: MfgState) -> np.ndarray:
     return _residual(problem, state, *_source_loads(problem))
 
 
-def _value_linearization(problem, u) -> sp.csr_matrix:
-    """A(u) = K + lam M + B, B the drift of H_p(Du): the value block of the
-    Jacobian, whose transpose is the density operator."""
-    Du = fem.element_gradients(problem.space, u)
+def _value_linearization(problem, Du) -> sp.csr_matrix:
+    """A(u) = K + lam M + B, B the drift of H_p(Du), from the element
+    gradients Du of u, (nt, 2): the value block of the Jacobian, whose
+    transpose is the density operator."""
     return fem.operator(problem.space, problem.lam, hm.hp_many(problem.model, Du))
 
 
@@ -282,14 +287,15 @@ def _residual(problem, state, b_hjb, b_fp) -> np.ndarray:
     lam = problem.lam
 
     # value equation: nonlinearity per element, coupling at quadrature points
-    h_vals = hm.eval_many(problem.model, fem.element_gradients(space, u))
+    Du = fem.element_gradients(space, u)
+    h_vals = hm.eval_many(problem.model, Du)
     f_vals = _coupling_at_quad(problem, m, problem.coupling.f)
     if not (np.isfinite(h_vals).all() and np.isfinite(f_vals).all()):
         raise FemError("non-finite value in the coupled residual")
     r_u = K @ u + lam * (M @ u) + fem.load_from_values(space, h_vals)
     r_u = r_u - fem.load_from_values(space, f_vals) - b_hjb
     # density equation: the transpose of the value linearization
-    r_m = _value_linearization(problem, u).T @ m - lam * (M @ problem.m0) - b_fp
+    r_m = _value_linearization(problem, Du).T @ m - lam * (M @ problem.m0) - b_fp
     return np.concatenate([r_u, r_m])
 
 
@@ -337,9 +343,10 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     2 n_free + k n_v with the w's as trailing auxiliary unknowns. xi
     optionally overrides the per-element Jacobian selection in G."""
     space = problem.space
+    Du = fem.element_gradients(space, state.u)
     if xi is None:
-        xi = hm.hp_selection_many(problem.model, fem.element_gradients(space, state.u))
-    A = _value_linearization(problem, state.u)
+        xi = hm.hp_selection_many(problem.model, Du)
+    A = _value_linearization(problem, Du)
     minus_Q = -coupling_weighted_mass(problem, state.m)
     G = advection_sensitivity(problem, state, xi)
     At = A.T.tocsr()  # the pattern is symmetric, so A^T lies on it too
@@ -440,7 +447,7 @@ def mfg_picard(
                 f"{inner.message}"
             )
         u_new = inner.final_u
-        T = _value_linearization(problem, u_new).T.tocsr()
+        T = _value_linearization(problem, fem.element_gradients(space, u_new)).T.tocsr()
         dm = fem.krylov_solve(T, T @ m - rhs, prolongations)[0]
         return np.concatenate([u - u_new, theta_p * dm])
 
@@ -484,15 +491,10 @@ def convergence_study_mfg(
         return problem, rep, (rep.final_state.u, rep.final_state.m)
 
     def level_errors(problem, rep):
-        space = problem.space
-        u = (space, rep.final_state.u, u_exact, grad_u_exact)
-        m = (space, rep.final_state.m, m_exact, grad_m_exact)
-        errs = {
-            "u_H1": fem.error_vs_exact(*u, "H1"),
-            "m_L2": fem.error_vs_exact(*m, "L2"),
-            f"u_W1{r_label}": fem.error_vs_exact(*u, "W1r", r=r),
-            f"m_L{r_label}": fem.error_vs_exact(*m, "Lr", r=r),
-        }
+        space, state = problem.space, rep.final_state
+        u_h1, u_w1r = fem.error_vs_exact(space, state.u, u_exact, grad_u_exact, ("H1", "W1r"), r)
+        m_l2, m_lr = fem.error_vs_exact(space, state.m, m_exact, grad_m_exact, ("L2", "Lr"), r)
+        errs = {"u_H1": u_h1, "m_L2": m_l2, f"u_W1{r_label}": u_w1r, f"m_L{r_label}": m_lr}
         errs["combined_H1_L2"] = errs["u_H1"] + errs["m_L2"]
         errs[f"combined_W1{r_label}_L{r_label}"] = (
             errs[f"u_W1{r_label}"] + errs[f"m_L{r_label}"]

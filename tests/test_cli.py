@@ -86,6 +86,36 @@ def test_unknown_coupling_named_in_error(capsys):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize(
+    "flag, spec, named",
+    [
+        ("--coupling", "local:linear:1:2", "'local:linear:1:2'"),
+        ("--coupling", "local:linear:nan", "'local:linear:nan'"),
+        ("--coupling", "nonlocal:linear:inf", "'nonlocal:linear:inf'"),
+        ("--coupling", "local:linear:abc", "'local:linear:abc'"),
+        ("--hamiltonian", "maxaffine:/missing.csv", "'/missing.csv'"),
+    ],
+    ids=["extra-field", "nan", "inf", "not-a-number", "missing-file"],
+)
+def test_malformed_model_specs_rejected_before_assembly(capsys, monkeypatch, flag, spec, named):
+    def no_space(grid):
+        raise AssertionError("a problem was assembled before the specs were checked")
+
+    monkeypatch.setattr(fem, "make_space", no_space)
+    code, _, err = run_cli(capsys, ["solve-mfg", "--n", "4", flag, spec])
+    assert code == 1
+    assert err.startswith("error: ") and named in err
+
+
+def test_negative_linear_coupling_accepted(capsys, tmp_path):
+    out = tmp_path / "neg.json"
+    code, _, _ = run_cli(
+        capsys, ["solve-mfg", "--n", "4", "--coupling", "local:linear:-1", "--out", str(out)]
+    )
+    assert code == 0
+    assert read_json(out)["config"]["coupling"] == "local:linear:-1"
+
+
 def test_unknown_manufactured_named_in_error(capsys):
     code, _, err = run_cli(
         capsys, ["solve-hj", "--n", "4", "--manufactured", "cossin"]
@@ -330,6 +360,14 @@ def test_seed_flag_removed(capsys):
     assert "--seed" in err
 
 
+def test_lambdas_flag_removed(capsys, mfg_report_path):
+    code, _, err = run_cli(
+        capsys, ["diagnose-stability", "--from", str(mfg_report_path), "--lambdas", "1"]
+    )
+    assert code == 1
+    assert "--lambdas" in err
+
+
 def test_diagnose_stability_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["diagnose-stability", "--from", str(tmp_path / "nope.json")]
@@ -346,17 +384,7 @@ def test_diagnose_stability_requires_config_echo(capsys, tmp_path):
     assert "config" in err
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--samples", "0"],
-        ["--lambdas", "0"],
-        ["--lambdas", "1,-2"],
-        ["--lambdas", "abc"],
-        ["--lambdas", "nan"],
-        ["--lambdas", "inf"],
-    ],
-)
+@pytest.mark.parametrize("flags", [["--samples", "0"]])
 def test_diagnose_stability_rejects_scan_options_before_solving(
     capsys, monkeypatch, mfg_report_path, flags
 ):

@@ -7,6 +7,7 @@ manufactured-solution convergence rates.
 """
 
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -680,6 +681,69 @@ def test_error_norm_sums_one_rule_point_at_a_time(kind, r):
     ref = _full_array_error(space, u, kind, r)
     assert abs(got - ref) <= 1e-14 * ref
     assert peak <= _ERROR_PEAK[kind] * space.mesh.n_triangles
+
+
+@pytest.mark.parametrize(
+    "kinds", [("L2", "H1"), ("H1", "W1r"), ("L2", "Lr"), ("L2", "H1", "Lr", "W1r")]
+)
+def test_error_kinds_of_one_pass_stay_within_their_largest_bound(kinds):
+    space = make_space(unit_square_mesh(64))
+    rng = np.random.default_rng(5)
+    u = interpolate_nodal(space, u_star) + 1e-3 * rng.standard_normal(space.n_free)
+    tracemalloc.start()
+    try:
+        got = error_vs_exact(space, u, u_star, grad_u_star, kinds, r=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == tuple(error_vs_exact(space, u, u_star, grad_u_star, k, r=4.0) for k in kinds)
+    assert peak <= max(_ERROR_PEAK[k] for k in kinds) * space.mesh.n_triangles
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    list(itertools.permutations(("L2", "H1", "Lr", "W1r"), 2)) + [("W1r", "Lr", "H1", "L2")],
+)
+def test_error_kinds_tuple_is_bitwise_the_single_kind_calls(kinds):
+    space = make_space(unit_square_mesh(8))
+    rng = np.random.default_rng(3)
+    u = interpolate_nodal(space, u_star) + 1e-2 * rng.standard_normal(space.n_free)
+    got = error_vs_exact(space, u, u_star, grad_u_star, kinds, r=3.0)
+    assert isinstance(got, tuple)
+    assert got == tuple(error_vs_exact(space, u, u_star, grad_u_star, k, r=3.0) for k in kinds)
+
+
+@pytest.mark.parametrize("kinds, grad_calls", [(("L2", "H1", "Lr", "W1r"), 6), (("L2", "Lr"), 0)])
+def test_error_kinds_evaluate_each_field_once_per_rule_point(kinds, grad_calls):
+    space = make_space(unit_square_mesh(4))
+    calls = {"u": 0, "grad": 0}
+
+    def counted(key, f):
+        def g(X):
+            calls[key] += 1
+            return f(X)
+        return g
+
+    error_vs_exact(
+        space, np.zeros(space.n_free), counted("u", u_star), counted("grad", grad_u_star),
+        kinds, r=4.0,
+    )
+    assert calls == {"u": 6, "grad": grad_calls}
+
+
+@pytest.mark.parametrize(
+    "kinds, r, message",
+    [(("L2", "bogus-kind"), None, "unknown norm kind"), (("H1", "Lr"), None, "requires the exponent r"),
+     (("W1r", "L2"), 7.0, "must lie in")],
+)
+def test_error_kinds_checked_before_any_field_is_evaluated(kinds, r, message):
+    space = make_space(unit_square_mesh(4))
+
+    def never(X):
+        raise AssertionError("a field was evaluated before the kinds were checked")
+
+    with pytest.raises(ValueError, match=message):
+        error_vs_exact(space, np.zeros(space.n_free), never, never, kinds, r=r)
 
 
 def test_cea_constant_and_aubin_nitsche():

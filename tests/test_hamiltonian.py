@@ -5,6 +5,8 @@ Huber branches) and from an independent scipy.integrate.quad oracle for the
 segment averages behind the secant identity.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,12 @@ def test_model_from_spec_strings(tmp_path):
         model_from_spec("huber:-1")
     with pytest.raises(ValueError):
         model_from_spec("huber:abc")
+
+
+def test_missing_maxaffine_file_named(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(str(missing)))):
+        model_from_spec(f"maxaffine:{missing}")
 
 
 # -------------------------------------------------------------- batch helpers

@@ -6,6 +6,7 @@ smooth regime, cross-solver agreement, and manufactured-solution rates.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ def test_coupling_from_spec():
     assert mfg.coupling_from_spec("nonlocal:linear").kind == "nonlocal"
     with pytest.raises(ValueError, match="wibble"):
         mfg.coupling_from_spec("local:wibble")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["local:linear:1:2", "local:linear:nan", "nonlocal:linear:inf", "local:linear:abc",
+     "local:linear:", "local:arctan:2", "zero:1", "local"],
+)
+def test_coupling_from_spec_rejects_malformed_specs(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        mfg.coupling_from_spec(spec)
 
 
 def test_coupling_kind_validated():
