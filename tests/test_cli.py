@@ -360,14 +360,6 @@ def test_seed_flag_removed(capsys):
     assert "--seed" in err
 
 
-def test_lambdas_flag_removed(capsys, mfg_report_path):
-    code, _, err = run_cli(
-        capsys, ["diagnose-stability", "--from", str(mfg_report_path), "--lambdas", "1"]
-    )
-    assert code == 1
-    assert "--lambdas" in err
-
-
 def test_diagnose_stability_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["diagnose-stability", "--from", str(tmp_path / "nope.json")]
@@ -384,7 +376,18 @@ def test_diagnose_stability_requires_config_echo(capsys, tmp_path):
     assert "config" in err
 
 
-@pytest.mark.parametrize("flags", [["--samples", "0"]])
+# --lambdas is no longer an option: every value of it is refused as unknown.
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--lambdas", "0"],
+        ["--lambdas", "1,-2"],
+        ["--lambdas", "abc"],
+        ["--lambdas", "nan"],
+        ["--lambdas", "inf"],
+    ],
+)
 def test_diagnose_stability_rejects_scan_options_before_solving(
     capsys, monkeypatch, mfg_report_path, flags
 ):
