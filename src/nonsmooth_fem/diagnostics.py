@@ -205,10 +205,7 @@ def _whitened(A, grams: GramPair | None) -> np.ndarray:
     if Ad.shape != (grams.gram_Y.shape[0], grams.gram_X.shape[0]):
         raise ValueError("gram shapes do not match the operator")
     Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
-    if grams.gram_Y is grams.gram_X:
-        Ly = Lx
-    else:
-        Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
+    Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
     return Ly.T @ scipy.linalg.solve_triangular(Lx, Ad.T, lower=True).T
 
 

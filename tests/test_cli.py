@@ -360,6 +360,14 @@ def test_seed_flag_removed(capsys):
     assert "--seed" in err
 
 
+def test_lambdas_flag_removed(capsys, mfg_report_path):
+    code, _, err = run_cli(
+        capsys, ["diagnose-stability", "--from", str(mfg_report_path), "--lambdas", "1"]
+    )
+    assert code == 1
+    assert "--lambdas" in err
+
+
 def test_diagnose_stability_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["diagnose-stability", "--from", str(tmp_path / "nope.json")]
@@ -376,16 +384,15 @@ def test_diagnose_stability_requires_config_echo(capsys, tmp_path):
     assert "config" in err
 
 
-# --lambdas is no longer an option: every value of it is refused as unknown.
 @pytest.mark.parametrize(
     "flags",
     [
         ["--samples", "0"],
-        ["--lambdas", "0"],
-        ["--lambdas", "1,-2"],
-        ["--lambdas", "abc"],
-        ["--lambdas", "nan"],
-        ["--lambdas", "inf"],
+        ["--samples", "-1"],
+        ["--levels", "abc"],
+        ["--levels", "64,32"],
+        ["--levels", "32,32"],
+        ["--levels", "1,32"],
     ],
 )
 def test_diagnose_stability_rejects_scan_options_before_solving(
