@@ -1,12 +1,14 @@
 """P1 Lagrange finite element core on triangulations.
 
-Provides dof management with homogeneous Dirichlet elimination, exact
-assembly of stiffness/mass forms (P1 gradients are elementwise constant)
-by one bincount into a CSR pattern cached per space, linear combinations
+Provides dof management with homogeneous Dirichlet elimination (int32
+connectivity), exact assembly of stiffness/mass forms (P1 gradients are
+elementwise constant) by one scatter into a CSR pattern cached per space,
+whose read-only index arrays every such matrix shares, linear combinations
 of such matrices on that pattern (free_sum), the assembler of every
 solver matrix, operator = K + lam M (+ drift_matrix), load vectors, nodal
 interpolation, discrete norms, the P1 prolongations of the unit-square
-grid hierarchy, the geometric V-cycle on that hierarchy, and the one
+grid hierarchy with their restrictions, built once per space, the
+geometric V-cycle on that hierarchy, and the one
 linear-solve routine, krylov_solve: GMRES preconditioned by one V-cycle
 per iteration. Every Newton step and every Picard update of the solvers
 goes through krylov_solve, and the V-cycle also preconditions the
@@ -115,7 +117,11 @@ class FeSpace:
     free_dofs maps dof index -> vertex index; dof_of_vertex maps vertex ->
     dof index or -1 on the boundary. Cached element geometry: elem_dofs
     (triangle-local dof or -1), elem_grads (constant basis gradients),
-    elem_areas.
+    elem_areas. The three index arrays are int32, like mesh.triangles.
+    _cache holds the free-dof CSR pattern (_free_pattern), whose read-only
+    indices and indptr every matrix assembled on the space shares, K, M,
+    the grid hierarchy with its restrictions (prolongations) and the dual
+    norm (residual_norm).
     """
 
     mesh: TriMesh
@@ -137,7 +143,7 @@ def _geometry(mesh: TriMesh):
             f"degenerate or inverted triangle {int(bad[0])} "
             f"(signed area {areas[bad[0]]:.3e})"
         )
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
     grads = np.empty_like(p)
     for i in range(3):
         a = p[:, (i + 1) % 3]
@@ -151,10 +157,10 @@ def _geometry(mesh: TriMesh):
 def make_space(mesh: TriMesh) -> FeSpace:
     areas, grads = _geometry(mesh)
     boundary = np.asarray(mesh.boundary_vertex)
-    free = np.where(~boundary)[0].astype(np.int64)
-    dof_of_vertex = -np.ones(mesh.n_vertices, dtype=np.int64)
-    dof_of_vertex[free] = np.arange(free.size)
-    elem_dofs = dof_of_vertex[np.asarray(mesh.triangles)]
+    free = np.flatnonzero(~boundary).astype(np.int32)
+    dof_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    dof_of_vertex[free] = np.arange(free.size, dtype=np.int32)
+    elem_dofs = dof_of_vertex[mesh.triangles]
     return FeSpace(
         mesh=mesh,
         free_dofs=free,
@@ -180,64 +186,70 @@ def _assemble_p1(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
 
 def _free_pattern(space: FeSpace):
     """CSR pattern of the free-dof P1 matrices, cached on the space:
-    (slot, indices, indptr). slot[e] is the CSR position that entry e of a
-    raveled (nt, 3, 3) element array sums into; entries touching a boundary
-    vertex go to the spare position nnz, which is dropped."""
+    (slot, indices, indptr), all three read-only. slot[e] is the CSR
+    position that entry e of a raveled (nt, 3, 3) element array sums into;
+    entries touching a boundary vertex go to the spare position nnz, which
+    is dropped. Every matrix assembled on the space references indices and
+    indptr instead of copying them, so an in-place change to one (sort,
+    prune) raises ValueError instead of corrupting the others."""
     if "pattern" not in space._cache:
         n, dofs = space.n_free, space.elem_dofs
-        # key i * n + j of entry (i, j); n * n, past every real key, for an
+        # key i * n + j of entry (i, j), in int64 (n * n passes 2^31 from
+        # unit_square_mesh(217) on); n * n, past every real key, for an
         # entry touching the boundary
-        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        keys = (dofs[:, :, None].astype(np.int64) * n + dofs[:, None, :]).ravel()
         keys[((dofs[:, :, None] < 0) | (dofs[:, None, :] < 0)).ravel()] = n * n
-        order = np.argsort(keys)
+        index = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
+        order = np.argsort(keys).astype(index)
         keys = keys[order]
         first = np.empty(keys.size, dtype=bool)
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         keys = keys[first]
         keys = keys[keys < n * n]
-        index = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
         slot = np.empty(order.size, dtype=index)
         slot[order] = np.cumsum(first, dtype=index) - 1  # rank of each key
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        space._cache["pattern"] = (slot, (keys % n).astype(index), indptr)
+        pattern = (slot, (keys % n).astype(index), indptr)
+        for a in pattern:
+            a.setflags(write=False)
+        space._cache["pattern"] = pattern
     return space._cache["pattern"]
 
 
 def _assemble_free(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Sum (nt, 3, 3) element matrices into the free-dof CSR: one bincount
-    into the cached pattern (_free_pattern)."""
+    """Sum (nt, 3, 3) element matrices into the free-dof CSR: one np.add.at
+    into the cached pattern (_free_pattern), whose index arrays the matrix
+    shares. np.bincount would sum in the same order but first copy the
+    int32 slots to int64: 144 bytes per free dof."""
     slot, indices, indptr = _free_pattern(space)
-    data = np.bincount(slot, weights=local.ravel(), minlength=indices.size + 1)
-    # fresh index arrays: an in-place change to one matrix (sort, prune)
-    # must not reach the cached pattern
-    return sp.csr_matrix(
-        (data[:-1], indices.copy(), indptr.copy()), shape=(space.n_free,) * 2
-    )
+    data = np.zeros(indices.size + 1)
+    np.add.at(data, slot, local.ravel())
+    return sp.csr_matrix((data[:-1], indices, indptr), shape=(space.n_free,) * 2)
 
 
 def free_sum(space: FeSpace, *terms) -> sp.csr_matrix:
     """sum of c * A over the (c, A) terms, each A a free-dof matrix on the
     cached pattern (assembled here: stiffness, mass, assemble_from_local, or
     the CSR form of a transpose of one). The sum has exactly the pattern's
-    entries; scipy's A + B would hold arrays sized for nnz(A) + nnz(B)."""
+    entries and shares its index arrays; scipy's A + B would hold arrays
+    sized for nnz(A) + nnz(B)."""
     _, indices, indptr = _free_pattern(space)
     data = np.zeros(indices.size)
     for c, A in terms:
-        if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+        shared = A.indptr is indptr and A.indices is indices
+        if not (shared or (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices))):
             raise FemError("free_sum: a term is not on the free-dof pattern")
         data += c * A.data
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(space.n_free,) * 2)
+    return sp.csr_matrix((data, indices, indptr), shape=(space.n_free,) * 2)
 
 
 def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
-    """Sum (nt, 3) element vectors into a free-dof vector, skipping dof -1."""
-    out = np.zeros(space.n_free)
-    dofs = space.elem_dofs.ravel()
-    keep = dofs >= 0
-    np.add.at(out, dofs[keep], local.ravel()[keep])
-    return out
+    """Sum (nt, 3) element vectors into a free-dof vector, skipping dof -1:
+    one bincount on dof + 1, whose bin 0 takes the boundary entries."""
+    bins = (space.elem_dofs + 1).ravel()
+    return np.bincount(bins, weights=local.ravel(), minlength=space.n_free + 1)[1:]
 
 
 def assemble_from_local(space: "FeSpace", local: np.ndarray) -> sp.csr_matrix:
@@ -285,8 +297,11 @@ def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
     """B[i][j] = integral of (b_T . Dphi_j) phi_i for an elementwise-constant
     vector field b given as one row per element: (nt, 2)."""
     drift = np.einsum("td,tjd->tj", field, space.elem_grads)  # b_T . Dphi_j
-    # integral of phi_i over T is |T|/3, independent of i
-    local = (space.elem_areas[:, None] / 3.0 * drift)[:, None, :] * np.ones((1, 3, 1))
+    # integral of phi_i over T is |T|/3, independent of i: the three rows
+    # of each element matrix are equal
+    drift *= space.elem_areas[:, None] / 3.0
+    local = np.repeat(drift[:, None, :], 3, axis=1)
+    del drift  # 48 bytes per free dof, not held through the scatter
     return assemble_from_local(space, local)
 
 
@@ -319,12 +334,19 @@ def _eval_field(f, pts: np.ndarray, shape: tuple) -> np.ndarray:
 def quad_points(space: FeSpace):
     """The rule on the space's elements: (bary, weights, points), bary (nq, 3)
     and weights (nq,) read-only, points a generator of the (nt, 2) element
-    coordinates of one rule point at a time, in the order of bary. Nothing
-    is cached, and the (nq, nt, 2) array of all the coordinates never
-    exists."""
-    corners = space.mesh.vertices[space.mesh.triangles.T]  # (3, nt, 2)
-    points = (np.tensordot(b, corners, axes=1) for b in _QUAD_BARY)
-    return _QUAD_BARY, _QUAD_WEIGHTS, points
+    coordinates of one rule point at a time, in the order of bary, each
+    summed from one gather of every corner. Nothing is cached, and neither
+    the (nq, nt, 2) array of all the coordinates nor the (3, nt, 2) array
+    of the corners ever exists."""
+    vertices, triangles = space.mesh.vertices, space.mesh.triangles
+
+    def point(b):
+        X = np.take(vertices, triangles[:, 0], axis=0) * b[0]
+        for k in (1, 2):
+            X += np.take(vertices, triangles[:, k], axis=0) * b[k]
+        return X
+
+    return _QUAD_BARY, _QUAD_WEIGHTS, (point(b) for b in _QUAD_BARY)
 
 
 def _load(space: FeSpace, vals: np.ndarray) -> np.ndarray:
@@ -418,7 +440,7 @@ def _locate(space: FeSpace, pts) -> tuple:
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     mesh = space.mesh
-    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    corners = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     n_cells = max(1, int(np.sqrt(mesh.n_triangles)))
     width = (hi - lo) / n_cells
@@ -488,7 +510,7 @@ class ResidualNorm:
 
     def __init__(self, space: FeSpace):
         self._W = operator(space, 1.0)
-        self._cycle = _VCycle(self._W, [P for P, _ in prolongations(space)])
+        self._cycle = _VCycle(self._W, prolongations(space))
 
     def __call__(self, r: np.ndarray) -> float:
         r = np.asarray(r, dtype=float)
@@ -530,16 +552,18 @@ def residual_norm(space: FeSpace) -> ResidualNorm:
 
 class _VCycle:
     """One V(2,2) cycle for A as a preconditioner: Galerkin coarse operators
-    P^T A P down the prolongations (finest first), damped Jacobi smoothing
-    and a sparse LU at the coarsest level. With no prolongations the cycle is
-    that LU, an exact solve. For symmetric A the cycle is symmetric. Each
-    P^T is stored once as CSR."""
+    R A P down the hierarchy, damped Jacobi smoothing and a sparse LU at the
+    coarsest level. hierarchy is a sequence of (P, R) pairs, finest first,
+    with R = P^T in CSR built once by its owner (prolongations per space,
+    mfg_solver's block hierarchy per solve) and shared by every cycle; the
+    CSC view P.T makes each Galerkin product about 1.6 times slower. With
+    an empty hierarchy the cycle is that LU, an exact solve. For symmetric
+    A the cycle is symmetric."""
 
-    def __init__(self, A, prolongations):
-        self.prolongations = prolongations
-        self.restrictions = [P.T.tocsr() for P in prolongations]
+    def __init__(self, A, hierarchy):
+        self.hierarchy = hierarchy
         self.ops = [A.tocsr()]
-        for R, P in zip(self.restrictions, prolongations):
+        for P, R in hierarchy:
             self.ops.append((R @ self.ops[-1] @ P).tocsr())
         self.weights = [_JACOBI_OMEGA / op.diagonal() for op in self.ops[:-1]]
         coarse = self.ops[-1].tocsc()
@@ -553,30 +577,30 @@ class _VCycle:
             ) from exc
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
-        if level == len(self.prolongations):
+        if level == len(self.hierarchy):
             return self.lu.solve(b)
         A, w = self.ops[level], self.weights[level]
+        P, R = self.hierarchy[level]
         x = w * b
         for _ in range(_JACOBI_SWEEPS - 1):
             x += w * (b - A @ x)
-        x += self.prolongations[level] @ self(
-            self.restrictions[level] @ (b - A @ x), level + 1
-        )
+        x += P @ self(R @ (b - A @ x), level + 1)
         for _ in range(_JACOBI_SWEEPS):
             x += w * (b - A @ x)
         return x
 
 
-def krylov_solve(A, b: np.ndarray, prolongations=()) -> tuple:
+def krylov_solve(A, b: np.ndarray, hierarchy=()) -> tuple:
     """Solve A y = b by restarted GMRES preconditioned with one V-cycle
     (_VCycle) per iteration, to relative residual _KRYLOV_RTOL; returns
-    (y, GMRES iterations). prolongations are the block prolongations of A's
-    unknowns, finest first (prolongations). A singular coarsest factor,
-    or GMRES stopping above its tolerance, raises FemError."""
+    (y, GMRES iterations). hierarchy holds the (P, R) pairs of A's
+    unknowns, finest first (prolongations(space) for one field). A singular
+    coarsest factor, or GMRES stopping above its tolerance, raises
+    FemError."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    cycle = _VCycle(A, prolongations)
+    cycle = _VCycle(A, hierarchy)
     n = A.shape[0]
     iterations = 0
 
@@ -638,21 +662,38 @@ def _grid_prolongation(n: int) -> sp.csr_matrix:
     )
 
 
+def _grid_levels(space: FeSpace) -> list:
+    """The n of every level that has a coarsening below it, finest first:
+    n is halved while it is even and above 8, so the list is empty for odd
+    n, for n <= 8 and for any mesh that is not unit_square_mesh(n)."""
+    levels = []
+    n = _unit_square_n(space.mesh)
+    while n is not None and n % 2 == 0 and n > _COARSEST_N:
+        levels.append(n)
+        n //= 2
+    return levels
+
+
 def prolongations(space: FeSpace) -> tuple:
-    """The grid hierarchy below the space: one pair (P, P_v) per coarsening,
-    finest first, with P the P1 prolongation between free dofs and P_v
-    between all vertices. n is halved while it is even and above 8, so the
-    tuple is empty for odd n, for n <= 8 and for any mesh that is not
-    unit_square_mesh(n). Cached on the space."""
+    """The grid hierarchy below the space (_grid_levels): one pair (P, R)
+    per coarsening, finest first, with P the P1 prolongation between free
+    dofs and R = P^T in CSR, the restriction every _VCycle on the space
+    shares. Cached on the space."""
     if "prolongations" not in space._cache:
         levels = []
-        n = _unit_square_n(space.mesh)
-        while n is not None and n % 2 == 0 and n > _COARSEST_N:
-            P_v = _grid_prolongation(n)
-            levels.append((P_v[_grid_interior(n)][:, _grid_interior(n // 2)], P_v))
-            n //= 2
+        for n in _grid_levels(space):
+            P = _grid_prolongation(n)[_grid_interior(n)][:, _grid_interior(n // 2)]
+            levels.append((P, P.T.tocsr()))
         space._cache["prolongations"] = tuple(levels)
     return space._cache["prolongations"]
+
+
+def vertex_prolongations(space: FeSpace) -> list:
+    """The P1 prolongations between all vertices, one per coarsening of
+    prolongations(space), finest first; built on each call and not cached,
+    since only the nonlocal MFG Newton step, whose auxiliary unknowns live
+    on all vertices, reads them."""
+    return [_grid_prolongation(n) for n in _grid_levels(space)]
 
 
 # ---------------------------------------------------------------------- norms

@@ -116,18 +116,18 @@ def newton_matrix(problem: HjProblem, u: np.ndarray):
     return fem.operator(space, problem.lam, hm.selection_field(problem.model, space, u))
 
 
-def _newton_step(J, r: np.ndarray, prolongations) -> np.ndarray:
-    """The Newton step dx of J dx = r, solved by fem.krylov_solve with
-    prolongations J's grid hierarchy (empty: the V-cycle is one sparse LU).
+def _newton_step(J, r: np.ndarray, hierarchy) -> np.ndarray:
+    """The Newton step dx of J dx = r, solved by fem.krylov_solve on J's
+    grid hierarchy of (P, R) pairs (empty: the V-cycle is one sparse LU).
 
     J may carry trailing auxiliary unknowns: a square matrix of size
     N >= len(r) whose leading len(r) unknowns are the iterate's and whose
     trailing rows have zero right side (mfg_solver's lifted nonlocal
     system). The step is then the leading len(r) entries of the solution
     with r padded by zeros; with N == len(r) it is the plain Newton step.
-    J and its hierarchy are freed on return, so they do not stay alive
-    through the line search and raise the peak memory."""
-    return fem.krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), prolongations)[0][: len(r)]
+    J and its coarse operators are freed on return, so they do not stay
+    alive through the line search and raise the peak memory."""
+    return fem.krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), hierarchy)[0][: len(r)]
 
 
 def damped_iteration(residual, step, norm, x0, tol, max_iter) -> SolveReport:
@@ -183,10 +183,10 @@ def solve_newton(problem: HjProblem, u0=None, tol=1e-10, max_iter=50) -> SolveRe
     space = problem.space
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     b = load_vector(problem)
-    prolongations = [P for P, _ in fem.prolongations(space)]
+    hierarchy = fem.prolongations(space)
     return damped_iteration(
         lambda v: _residual(problem, v, b),
-        lambda v, r: _newton_step(newton_matrix(problem, v), r, prolongations),
+        lambda v, r: _newton_step(newton_matrix(problem, v), r, hierarchy),
         fem.residual_norm(space), u, tol, max_iter,
     )
 
@@ -203,10 +203,10 @@ def solve_picard(
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     b = load_vector(problem)
     W = fem.operator(space, problem.lam)
-    prolongations = [P for P, _ in fem.prolongations(space)]
+    hierarchy = fem.prolongations(space)
     return damped_iteration(
         lambda v: _residual(problem, v, b),
-        lambda v, r: theta_p * fem.krylov_solve(W, r, prolongations)[0],
+        lambda v, r: theta_p * fem.krylov_solve(W, r, hierarchy)[0],
         fem.residual_norm(space), u, tol, max_iter,
     )
 

@@ -396,21 +396,31 @@ def _damped_iteration(problem, state0, loads, step, tol, max_iter) -> MfgSolveRe
     )
 
 
+def _block_hierarchy(space, n_w: int) -> list:
+    """The (P, R) pairs of the stacked unknowns (du, dm, w_1, ..., w_n_w),
+    finest first: P = block_diag(P, P, P_v, ..., P_v) with P_v acting on
+    the all-vertex w's (fem.vertex_prolongations, built only when n_w > 0)
+    and R = P^T in CSR, each built once for every V-cycle of a solve."""
+    levels = fem.prolongations(space)
+    vertex = fem.vertex_prolongations(space) if n_w else [None] * len(levels)
+    hierarchy = []
+    for (P, _), P_v in zip(levels, vertex):
+        B = sp.block_diag((P, P) + (P_v,) * n_w, format="csr")
+        hierarchy.append((B, B.T.tocsr()))
+    return hierarchy
+
+
 def mfg_newton(problem: MfgProblem, state0=None, tol=1e-9, max_iter=50) -> MfgSolveReport:
     """Damped block Newton on the stacked residual (see
     hj_solver.damped_iteration). Each step solves with mfg_jacobian (see the
-    module docstring), preconditioned by a V-cycle with prolongation
+    module docstring), preconditioned by a V-cycle on the block hierarchy
     block_diag(P, P), or for a nonlocal coupling block_diag(P, P, P_v, ...,
-    P_v), P_v acting on the all-vertex w's."""
-    # block prolongations for (du, dm) and the all-vertex w_1, ..., w_k
+    P_v), P_v acting on the all-vertex w's (_block_hierarchy)."""
     n_w = 0 if problem.coupling.kind == "local" else _SMOOTHING_STEPS
-    prolongations = [
-        sp.block_diag((P, P) + (P_v,) * n_w, format="csr")
-        for P, P_v in fem.prolongations(problem.space)
-    ]
+    hierarchy = _block_hierarchy(problem.space, n_w)
     return _damped_iteration(
         problem, state0, _source_loads(problem),
-        lambda x, r: hj_solver._newton_step(mfg_jacobian(problem, _split(x)), r, prolongations),
+        lambda x, r: hj_solver._newton_step(mfg_jacobian(problem, _split(x)), r, hierarchy),
         tol, max_iter,
     )
 
@@ -427,7 +437,7 @@ def mfg_picard(
     space = problem.space
     b_hjb, b_fp = loads = _source_loads(problem)
     rhs = problem.lam * (fem.assemble_mass(space) @ problem.m0) + b_fp
-    prolongations = [P for P, _ in fem.prolongations(space)]
+    hierarchy = fem.prolongations(space)
     inner_tol = max(tol / 10.0, 1e-13)
     outer = itertools.count()
 
@@ -448,7 +458,7 @@ def mfg_picard(
             )
         u_new = inner.final_u
         T = _value_linearization(problem, fem.element_gradients(space, u_new)).T.tocsr()
-        dm = fem.krylov_solve(T, T @ m - rhs, prolongations)[0]
+        dm = fem.krylov_solve(T, T @ m - rhs, hierarchy)[0]
         return np.concatenate([u - u_new, theta_p * dm])
 
     return _damped_iteration(problem, state0, loads, step, tol, max_iter)

@@ -269,7 +269,7 @@ def test_criterion_9_localization_probe():
     verdict(9, "localization", ok, f"max_spread={worst:.2e}")
 
 
-def _direct_newton_step(J, r, prolongations):
+def _direct_newton_step(J, r, hierarchy):
     """Reference Newton step: one sparse LU of the whole Jacobian."""
     return spla.splu(J.tocsc()).solve(np.pad(r, (0, J.shape[0] - len(r))))[: len(r)]
 

@@ -260,7 +260,7 @@ def test_krylov_solve_of_k_plus_lambda_m_within_one_cycle(lam):
     space = make_space(unit_square_mesh(256))
     W = fem.free_sum(space, (1.0, assemble_stiffness(space)), (lam, assemble_mass(space)))
     b = assemble_load(space, f_poisson)
-    v, iterations = fem.krylov_solve(W, b, [P for P, _ in fem.prolongations(space)])
+    v, iterations = fem.krylov_solve(W, b, fem.prolongations(space))
     assert np.linalg.norm(b - W @ v) <= fem._KRYLOV_RTOL * np.linalg.norm(b)
     assert 0 < iterations < fem._GMRES_RESTART
 
@@ -271,7 +271,9 @@ def test_krylov_solve_of_k_plus_lambda_m_within_one_cycle(lam):
 @pytest.mark.parametrize("n", [10, 16, 32])
 def test_prolongation_is_p1_interpolation(n):
     fine, coarse = make_space(unit_square_mesh(n)), make_space(unit_square_mesh(n // 2))
-    (P, P_v), *_ = fem.prolongations(fine)
+    (P, R), *_ = fem.prolongations(fine)
+    P_v = fem.vertex_prolongations(fine)[0]
+    assert R.format == "csr" and (R != P.T).nnz == 0
     rng = np.random.default_rng(n)
     u_c = rng.standard_normal(coarse.n_free)
     exact = fem.evaluate(coarse, u_c, fine.mesh.vertices[fine.free_dofs])
@@ -288,10 +290,11 @@ def test_prolongation_is_p1_interpolation(n):
     "n, depth", [(64, 3), (48, 3), (40, 3), (12, 1), (10, 1), (8, 0), (9, 0), (33, 0)]
 )
 def test_hierarchy_halves_even_n_above_eight(n, depth):
-    levels = fem.prolongations(make_space(unit_square_mesh(n)))
-    assert len(levels) == depth
+    space = make_space(unit_square_mesh(n))
+    levels = fem.prolongations(space)
+    assert len(levels) == len(fem.vertex_prolongations(space)) == depth
     sizes = [n]
-    for P, P_v in levels:
+    for (P, _), P_v in zip(levels, fem.vertex_prolongations(space)):
         sizes.append(sizes[-1] // 2)
         assert P.shape == ((sizes[-2] - 1) ** 2, (sizes[-1] - 1) ** 2)
         assert P_v.shape == ((sizes[-2] + 1) ** 2, (sizes[-1] + 1) ** 2)
@@ -319,7 +322,7 @@ def _dual_norm_loads(space):
     prob = hj_solver.HjProblem(space, model, 1.0, manufactured.hj_source(model, 1.0))
     r0 = hj_solver.hj_residual(prob, np.zeros(space.n_free))
     J = hj_solver.newton_matrix(prob, np.zeros(space.n_free))
-    u1 = -fem.krylov_solve(J, r0, [P for P, _ in fem.prolongations(space)])[0]
+    u1 = -fem.krylov_solve(J, r0, fem.prolongations(space))[0]
     return {
         "random": np.random.default_rng(space.n_free).standard_normal(space.n_free),
         "smooth": interpolate_nodal(space, lambda X: np.sin(np.pi * X[:, 0]) * X[:, 1]),
@@ -437,6 +440,73 @@ def test_free_sum_matches_scipy_sum_on_the_pattern():
     with pytest.raises(FemError, match="not on the free-dof pattern"):
         fem.free_sum(prob.space, (1.0, K), (1.0, sp.identity(K.shape[0], format="csr")))
     assert np.array_equal(fem.free_sum(prob.space, (2.0, C)).toarray(), 2.0 * C.toarray())
+
+
+def test_pattern_keys_past_int32_match_coo_assembly():
+    # n_free^2 = 4.2e9 passes 2^31 at n=256: pattern keys i * n + j formed
+    # in int32 would wrap
+    space = make_space(unit_square_mesh(256))
+    assert space.n_free**2 > np.iinfo(np.int32).max
+    stiff = np.einsum("tid,tjd->tij", space.elem_grads, space.elem_grads)
+    stiff *= space.elem_areas[:, None, None]
+    dofs = space.elem_dofs.astype(np.int64)
+    for A, local in ((assemble_stiffness(space), stiff),
+                     (assemble_mass(space), fem._local_mass(space.elem_areas))):
+        reference = fem._assemble_p1(local, dofs, space.n_free)
+        assert np.array_equal(A.indptr, reference.indptr)
+        assert np.array_equal(A.indices, reference.indices)
+        assert np.array_equal(A.data, reference.data)
+
+
+def test_matrices_share_the_read_only_pattern():
+    space = make_space(unit_square_mesh(16))
+    prob = hj_solver.HjProblem(space, builtin_model("eikonal"), 0.5, f_poisson)
+    u = interpolate_nodal(space, u_star)
+    drift = np.random.default_rng(2).normal(size=(space.mesh.n_triangles, 2))
+    _, indices, indptr = fem._free_pattern(space)
+    matrices = {
+        "K": assemble_stiffness(space),
+        "M": assemble_mass(space),
+        "W": fem.residual_norm(space)._W,
+        "operator": fem.operator(space, 1.5, drift),
+        "newton": hj_solver.newton_matrix(prob, u),
+    }
+    for name, A in matrices.items():
+        assert np.shares_memory(A.indices, indices), name
+        assert np.shares_memory(A.indptr, indptr), name
+        for a in (A.indices, A.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    # an in-place sort raises instead of reordering every matrix's columns
+    K = matrices["K"]
+    K.has_sorted_indices = False
+    with pytest.raises(ValueError):
+        K.sort_indices()
+    assert np.array_equal(fem._free_pattern(space)[1], _unique_pattern(space)[1])
+
+
+def test_connectivity_is_int32():
+    space = make_space(unit_square_mesh(8))
+    for a in (space.mesh.triangles, space.free_dofs, space.dof_of_vertex, space.elem_dofs):
+        assert a.dtype == np.int32
+
+
+def test_vector_scatter_matches_masked_add_at_bitwise():
+    space = make_space(renumbered_mesh(12))
+    local = np.random.default_rng(4).standard_normal((space.mesh.n_triangles, 3))
+    dofs = space.elem_dofs.ravel()
+    keep = dofs >= 0
+    reference = np.zeros(space.n_free)
+    np.add.at(reference, dofs[keep], local.ravel()[keep])
+    assert np.array_equal(fem._assemble_p1_vector(space, local), reference)
+
+
+def test_rule_points_are_the_barycentric_combinations():
+    space = make_space(renumbered_mesh(12))
+    bary, _, points = fem.quad_points(space)
+    corners = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
+    for b, X in zip(bary, points, strict=True):
+        assert np.allclose(X, np.einsum("k,tkd->td", b, corners), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from nonsmooth_fem.mesh import MeshError, signed_areas, unit_square_mesh
+from nonsmooth_fem.mesh import MeshError, TriMesh, signed_areas, unit_square_mesh
 
 
 def test_unit_square_smallest():
@@ -38,6 +38,18 @@ def test_unit_square_area_partition():
 def test_unit_square_h(n):
     m = unit_square_mesh(n)
     assert m.mesh_size_h == pytest.approx(math.sqrt(2.0) / n, rel=1e-15)
+
+
+def test_vertex_count_beyond_int32_is_rejected():
+    # checked before any array is copied: these views hold no memory
+    too_many = np.iinfo(np.int32).max + 1
+    with pytest.raises(MeshError, match="exceed int32"):
+        TriMesh(
+            np.broadcast_to(np.zeros(2), (too_many, 2)),
+            np.zeros((1, 3), dtype=np.int64),
+            np.broadcast_to(False, (too_many,)),
+            1.0,
+        )
 
 
 def test_unit_square_rejects_nonpositive_n():

@@ -314,9 +314,9 @@ def test_nonlocal_newton_solves_a_sparse_system(monkeypatch):
     solved = []
     newton_step = hj_solver._newton_step
 
-    def recording_step(J, r, prolongations):
+    def recording_step(J, r, hierarchy):
         solved.append(J)
-        return newton_step(J, r, prolongations)
+        return newton_step(J, r, hierarchy)
 
     monkeypatch.setattr(hj_solver, "_newton_step", recording_step)
     report = mfg.mfg_newton(problem, tol=1e-9)
@@ -334,7 +334,6 @@ def test_krylov_iterations_are_mesh_independent():
     counts = {"hj": [], "local": [], "lifted": []}
     for n in (32, 64, 128):
         space = space_of(n)
-        levels = fem.prolongations(space)
         u = fem.interpolate_nodal(space, man.u_star)
         state = mfg.MfgState(u=u, m=fem.interpolate_nodal(space, man.m_star))
         hj = hj_solver.HjProblem(space, hm.builtin_model("eikonal"), 1.0, man.bump)
@@ -344,22 +343,16 @@ def test_krylov_iterations_are_mesh_independent():
         )
         k = mfg._SMOOTHING_STEPS
         systems = {
-            "hj": (hj_solver.newton_matrix(hj, u), [P for P, _ in levels]),
-            "local": (
-                mfg.mfg_jacobian(local, state),
-                [sp.block_diag((P, P)) for P, _ in levels],
-            ),
-            "lifted": (
-                mfg.mfg_jacobian(lifted, state),
-                [sp.block_diag((P, P) + (P_v,) * k) for P, P_v in levels],
-            ),
+            "hj": (hj_solver.newton_matrix(hj, u), fem.prolongations(space)),
+            "local": (mfg.mfg_jacobian(local, state), mfg._block_hierarchy(space, 0)),
+            "lifted": (mfg.mfg_jacobian(lifted, state), mfg._block_hierarchy(space, k)),
         }
         rng = np.random.default_rng(n)
-        for name, (J, prolongations) in systems.items():
+        for name, (J, hierarchy) in systems.items():
             # right sides as Newton poses them: zero in the auxiliary rows
             n_x = space.n_free if name == "hj" else 2 * space.n_free
             b = np.pad(rng.normal(size=n_x), (0, J.shape[0] - n_x))
-            y, iterations = fem.krylov_solve(J, b, prolongations)
+            y, iterations = fem.krylov_solve(J, b, hierarchy)
             assert np.linalg.norm(b - J @ y) <= 1e-10 * np.linalg.norm(b)
             counts[name].append(iterations)
     for name, its in counts.items():
@@ -374,8 +367,8 @@ def test_newton_gmres_fits_one_restart_cycle(monkeypatch):
     counts = []
     krylov_solve = fem.krylov_solve
 
-    def recording(A, b, prolongations=()):
-        y, iterations = krylov_solve(A, b, prolongations)
+    def recording(A, b, hierarchy=()):
+        y, iterations = krylov_solve(A, b, hierarchy)
         counts.append(iterations)
         return y, iterations
 
@@ -534,7 +527,7 @@ def undamped_picard(problem, tol, max_iter, theta_p):
 
     K, M = fem.assemble_stiffness(space), fem.assemble_mass(space)
     rhs = problem.lam * (M @ problem.m0) + b_fp
-    prolongations = [P for P, _ in fem.prolongations(space)]
+    hierarchy = fem.prolongations(space)
     state = mfg.MfgState(u=np.zeros(space.n_free), m=np.array(problem.m0, dtype=float))
     history = [norm(mfg.mfg_residual(problem, state))]
     while history[-1] > tol and len(history) <= max_iter:
@@ -545,7 +538,7 @@ def undamped_picard(problem, tol, max_iter, theta_p):
         u = inner.final_u
         B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u)))
         T = fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, B.T.tocsr()))
-        dm = fem.krylov_solve(T, T @ state.m - rhs, prolongations)[0]
+        dm = fem.krylov_solve(T, T @ state.m - rhs, hierarchy)[0]
         state = mfg.MfgState(u=u, m=state.m - theta_p * dm)
         history.append(norm(mfg.mfg_residual(problem, state)))
     return state, history
