@@ -307,7 +307,7 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) 
     selection of H_p per element, (nt, 2, 2) (hm.hp_selection_many); the
     element integral of the P1 density is exact via its nodal mean."""
     space = problem.space
-    nodal = fem.extend_to_vertices(space, state.m)[np.asarray(space.mesh.triangles)]
+    nodal = np.take(fem.extend_to_vertices(space, state.m), space.mesh.triangles)
     mbar = nodal.mean(axis=1)
     xig = np.einsum("tde,tje->tjd", xi, space.elem_grads)  # xi Dphi_j
     local = np.einsum("tjd,tid->tij", xig, space.elem_grads)

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import fem, hj_solver, manufactured
+from nonsmooth_fem import mesh as mesh_module
 from nonsmooth_fem.fem import (
     FemError,
     NonconvergenceError,
@@ -489,6 +490,58 @@ def test_connectivity_is_int32():
     space = make_space(unit_square_mesh(8))
     for a in (space.mesh.triangles, space.free_dofs, space.dof_of_vertex, space.elem_dofs):
         assert a.dtype == np.int32
+
+
+def jittered_mesh(n, seed=0):
+    """unit_square_mesh(n) with every interior vertex moved by up to a fifth
+    of the grid spacing in x and y: generic coordinates, positive areas, and
+    its mesh size from mesh._max_edge_length as unit_square_mesh's."""
+    grid = unit_square_mesh(n)
+    shift = np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n, grid.vertices.shape)
+    shift[grid.boundary_vertex] = 0.0
+    vertices = grid.vertices + shift
+    h = mesh_module._max_edge_length(vertices, grid.triangles)
+    return TriMesh(vertices, grid.triangles, grid.boundary_vertex, h)
+
+
+def _reference_geometry(mesh):
+    """Areas, longest edge and basis gradients from one (nt, 3, 2) gather of
+    the corner points and a (3, nt, 2) stack of the edge vectors."""
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    h = float(np.sqrt((e * e).sum(axis=-1)).max())
+    grads = np.empty_like(p)
+    for i in range(3):
+        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+        grads[:, i, 0] = a[:, 1] - b[:, 1]
+        grads[:, i, 1] = b[:, 0] - a[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    return areas, h, grads
+
+
+def _same_csr(A, B):
+    return all(np.array_equal(getattr(A, k), getattr(B, k)) for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(1), unit_square_mesh(3), unit_square_mesh(16), unit_square_mesh(64), jittered_mesh(12)],
+    ids=["n1", "n3", "n16", "n64", "jittered12"],
+)
+def test_geometry_and_stiffness_are_bitwise_the_point_gather_formulas(mesh):
+    areas, h, grads = _reference_geometry(mesh)
+    space = make_space(mesh)
+    assert np.array_equal(mesh_module.signed_areas(mesh), areas)
+    assert mesh.mesh_size_h == h
+    assert np.array_equal(space.elem_areas, areas)
+    assert np.array_equal(space.elem_grads, grads)
+    local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    assert _same_csr(assemble_stiffness(space), fem._assemble_free(space, local))
+    assert _same_csr(
+        full_stiffness(mesh), fem._assemble_p1(local, np.asarray(mesh.triangles), mesh.n_vertices)
+    )
 
 
 def test_vector_scatter_matches_masked_add_at_bitwise():

@@ -5,6 +5,7 @@ recomputed in-test by independent routes (edge multisets, area sums).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_refine_h_halves_exactly():
 def test_area_partition_along_refinement_sequence():
     for n in (3, 6, 12, 24):
         assert abs(signed_areas(unit_square_mesh(n)).sum() - 1.0) <= 1e-12
+
+
+def test_mesh_build_peak_per_free_dof():
+    # the mesh size from two (nt, 3) corner coordinate arrays and (nt,)
+    # edge columns: a traced peak of about 205 bytes per free dof at n=128,
+    # bound 225; an (nt, 3, 2) corner gather with a (3, nt, 2) edge stack
+    # peaked at 383
+    tracemalloc.start()
+    try:
+        unit_square_mesh(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 225 * 127**2
 
 
 def test_mesh_immutable():
