@@ -63,15 +63,14 @@ class ConvergenceReport:
 def _nested_start(space, coarse):
     """The finished level's solution vectors prolongated onto space, or None.
 
-    coarse is (fem._unit_square_n of that level's mesh, its vectors). They
-    are prolongated when that level is the first coarsening in space's
-    hierarchy (fem.prolongations), whose cached P is exact P1
-    interpolation; after no level, a non-doubling level, on odd n or on
-    other meshes the start is None."""
+    coarse is (that level's n, 0 before the first level, its vectors).
+    They are prolongated when space.mesh.n is twice that n and that level
+    is the first coarsening in space's hierarchy (fem.prolongations), whose
+    cached P is exact P1 interpolation; after no level, a non-doubling
+    level, on odd n or at n <= 8 the start is None."""
     n_coarse, vectors = coarse
-    hierarchy = fem.prolongations(space) if n_coarse else ()
-    # P maps the free dofs of unit_square_mesh(n // 2) to space's
-    if not hierarchy or hierarchy[0][0].shape[1] != (n_coarse - 1) ** 2:
+    hierarchy = fem.prolongations(space) if space.mesh.n == 2 * n_coarse else ()
+    if not hierarchy:
         return None
     return tuple(hierarchy[0][0] @ x for x in vectors)
 
@@ -109,9 +108,9 @@ def refinement_study(solve_level, level_errors, levels, meta) -> ConvergenceRepo
             "errors": level_errors(problem, rep),
             "iterations": rep.iterations,
         }
-        return row, (fem._unit_square_n(problem.space.mesh), solution)
+        return row, (n, solution)
 
-    rows, coarse = [], (None, ())
+    rows, coarse = [], (0, ())
     for n in levels:
         row, coarse = run_level(n, coarse)
         rows.append(row)

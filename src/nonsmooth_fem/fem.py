@@ -1,4 +1,4 @@
-"""P1 Lagrange finite element core on triangulations.
+"""P1 Lagrange finite element core on unit_square_mesh(n).
 
 Provides dof management with homogeneous Dirichlet elimination (int32
 connectivity), exact assembly of stiffness/mass forms (P1 gradients are
@@ -13,7 +13,8 @@ linear-solve routine, krylov_solve: GMRES preconditioned by one V-cycle
 per iteration. Every Newton step and every Picard update of the solvers
 goes through krylov_solve, and the V-cycle also preconditions the
 conjugate gradients of the dual norm (ResidualNorm), so none of them
-factors a matrix above the coarsest grid.
+factors a matrix above the coarsest grid. The hierarchy, the CSR pattern
+(a 7-point stencil) and point location come from grid arithmetic on mesh.n.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -51,11 +52,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TriMesh, corner_areas, corner_coordinates, unit_square_arrays
+from .mesh import TriMesh, corner_areas, corner_coordinates, grid_boundary
 
 
 class FemError(RuntimeError):
-    """Assembly or evaluation failure (degenerate element, bad data)."""
+    """Assembly or evaluation failure (bad data, a point off the mesh)."""
 
 
 class NonconvergenceError(FemError):
@@ -140,15 +141,10 @@ def _geometry(mesh: TriMesh):
     """Signed areas (nt,) and constant P1 basis gradients (nt, 3, 2), both
     from one gather of the corner coordinates (mesh.corner_coordinates):
     Dphi_i = (y_a - y_b, x_b - x_a) / (2 area), with a and b the corners
-    after i in counterclockwise order. Rejects degenerate elements."""
+    after i in counterclockwise order. Every element of the family is
+    counterclockwise, so every area is positive."""
     x, y = corner_coordinates(mesh.vertices, mesh.triangles)
     areas = corner_areas(x, y)
-    bad = np.where(areas <= 0.0)[0]
-    if bad.size:
-        raise FemError(
-            f"degenerate or inverted triangle {int(bad[0])} "
-            f"(signed area {areas[bad[0]]:.3e})"
-        )
     grads = np.empty((mesh.n_triangles, 3, 2))
     for i in range(3):
         a, b = (i + 1) % 3, (i + 2) % 3
@@ -160,8 +156,7 @@ def _geometry(mesh: TriMesh):
 
 def make_space(mesh: TriMesh) -> FeSpace:
     areas, grads = _geometry(mesh)
-    boundary = np.asarray(mesh.boundary_vertex)
-    free = np.flatnonzero(~boundary).astype(np.int32)
+    free = np.flatnonzero(~mesh.boundary_vertex).astype(np.int32)
     dof_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int32)
     dof_of_vertex[free] = np.arange(free.size, dtype=np.int32)
     elem_dofs = np.take(dof_of_vertex, mesh.triangles)
@@ -188,6 +183,17 @@ def _assemble_p1(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((v[keep], (i[keep], j[keep])), shape=(n, n)).tocsr()
 
 
+# the 7-point stencil of the free dof at grid position (a, b), dof
+# b (n - 1) + a: its neighbours' (da, db) in ascending dof order
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+# _ELEMENT_STENCIL[t % 2, k, l]: the stencil entry that couples corner k of
+# triangle t with its corner l, for the even (v00, v10, v11) and the odd
+# (v00, v11, v01) half of a grid cell
+_ELEMENT_STENCIL = np.array(
+    [[[3, 4, 6], [2, 3, 5], [0, 1, 3]], [[3, 6, 5], [0, 3, 2], [1, 4, 3]]], dtype=np.int32
+)
+
+
 def _free_pattern(space: FeSpace):
     """CSR pattern of the free-dof P1 matrices, cached on the space:
     (slot, indices, indptr), all three read-only. slot[e] is the CSR
@@ -195,31 +201,34 @@ def _free_pattern(space: FeSpace):
     entries touching a boundary vertex go to the spare position nnz, which
     is dropped. Every matrix assembled on the space references indices and
     indptr instead of copying them, so an in-place change to one (sort,
-    prune) raises ValueError instead of corrupting the others."""
+    prune) raises ValueError instead of corrupting the others.
+
+    Built in closed form from the grid, with no sort: row d holds the
+    _STENCIL neighbours of dof d that are free, and entry (k, l) of
+    triangle t sums into the position of stencil entry
+    _ELEMENT_STENCIL[t % 2, k, l] of the row of its corner k."""
     if "pattern" not in space._cache:
-        n, dofs = space.n_free, space.elem_dofs
-        # key i * n + j of entry (i, j), in int64 (n * n passes 2^31 from
-        # unit_square_mesh(217) on); n * n, past every real key, for an
-        # entry touching the boundary
-        keys = (dofs[:, :, None].astype(np.int64) * n + dofs[:, None, :]).ravel()
-        keys[((dofs[:, :, None] < 0) | (dofs[:, None, :] < 0)).ravel()] = n * n
-        index = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
-        # stable: equal keys get equal ranks whatever their order, so the
-        # slots are those of any sort; numpy's radix/timsort is faster here
-        order = np.argsort(keys, kind="stable").astype(index)
-        keys = keys[order]
-        first = np.empty(keys.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        keys = keys[keys < n * n]
-        slot = np.empty(order.size, dtype=index)
-        slot[order] = np.cumsum(first, dtype=index) - 1  # rank of each key
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        pattern = (slot, (keys % n).astype(index), indptr)
-        for a in pattern:
-            a.setflags(write=False)
+        m, n_free = space.mesh.n - 1, space.n_free
+        index = np.int32 if 9 * space.mesh.n_triangles < np.iinfo(np.int32).max else np.int64
+        dof = np.arange(n_free, dtype=index)
+        b, a = np.divmod(dof, max(m, 1))  # m = 0: no free dof
+        da, db = np.array(_STENCIL, dtype=index).T
+        a, b = a[:, None] + da, b[:, None] + db
+        inside = (0 <= a) & (a < m) & (0 <= b) & (b < m)  # (n_free, 7)
+        indices = (dof[:, None] + (db * m + da))[inside]
+        indptr = np.zeros(n_free + 1, dtype=index)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        # the CSR position of every stencil entry, row-major, nnz where the
+        # neighbour is on the boundary, and a last row of nnz that dof -1
+        # (a boundary corner) reaches as 7 * -1 + entry
+        position = np.full(7 * (n_free + 1), indices.size, dtype=index)
+        position[:-7][inside.ravel()] = np.arange(indices.size, dtype=index)
+        del a, b, inside  # 63 bytes per free dof, not held through the gather
+        rows = space.elem_dofs.astype(index, copy=False).reshape(-1, 2, 3, 1) * 7
+        slot = position[(rows + _ELEMENT_STENCIL).ravel()]
+        pattern = (slot, indices, indptr)
+        for array in pattern:
+            array.setflags(write=False)
         space._cache["pattern"] = pattern
     return space._cache["pattern"]
 
@@ -281,13 +290,13 @@ def _local_stiffness(grads: np.ndarray, areas: np.ndarray) -> np.ndarray:
 def full_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Stiffness on ALL vertices (no Dirichlet elimination)."""
     areas, grads = _geometry(mesh)
-    return _assemble_p1(_local_stiffness(grads, areas), np.asarray(mesh.triangles), mesh.n_vertices)
+    return _assemble_p1(_local_stiffness(grads, areas), mesh.triangles, mesh.n_vertices)
 
 
 def full_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Mass on ALL vertices (no Dirichlet elimination)."""
     areas, _ = _geometry(mesh)
-    return _assemble_p1(_local_mass(areas), np.asarray(mesh.triangles), mesh.n_vertices)
+    return _assemble_p1(_local_mass(areas), mesh.triangles, mesh.n_vertices)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
@@ -434,57 +443,38 @@ def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return np.einsum("tk,tkd->td", nodal, space.elem_grads)
 
 
-def _ragged(counts: np.ndarray) -> tuple:
-    """(owner, rank) of every slot when owner i holds counts[i] slots in a
-    row: owner repeats i counts[i] times, rank runs 0 .. counts[i] - 1."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-
-
 def _locate(space: FeSpace, pts) -> tuple:
     """(elements, barycentric coordinates) of each point, (N,) and (N, 3):
     the lowest-index element whose barycentrics are all >= -1e-12. A point
     outside the mesh raises FemError.
 
-    Candidates come from a uniform grid of about sqrt(nt) x sqrt(nt) cells
-    over the mesh's bounding box, each element listed, in ascending order,
-    in every cell its (slightly widened) bounding box touches; each point is
-    tested against its cell's list only, all points in one array pass.
+    Candidates come from grid arithmetic: with c = floor(n x - 1e-9), the
+    8 triangles of the cells c and c + 1 in x and in y (clipped to the
+    grid), in ascending element index, each tested as in a search over all
+    elements; the first hit is the lowest-index element that passes. On
+    this grid the barycentrics are affine in (n x, n y) with unit
+    coefficients, so an element of cell column i passes only if
+    i - 2e-12 <= n x <= i + 1 + 2e-12, which puts i in {c, c + 1}: the
+    1e-9 shift covers the slack and the rounding of n x. Likewise in y.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    mesh = space.mesh
-    corners = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    n_cells = max(1, int(np.sqrt(mesh.n_triangles)))
-    width = (hi - lo) / n_cells
-    pad = 1e-10 * (hi - lo).max()  # beyond the -1e-12 barycentric slack
-
-    def cell(x):  # (N, 2) points -> (N, 2) cell indices, clipped to the grid
-        return np.clip(((x - lo) / width).astype(np.int64), 0, n_cells - 1)
-
-    # element lists of the cells in CSR form, each list in ascending order
-    c_lo, c_hi = cell(corners.min(axis=1) - pad), cell(corners.max(axis=1) + pad)
-    span = c_hi - c_lo + 1
-    elem, k = _ragged(span[:, 0] * span[:, 1])
-    iy, ix = np.divmod(k, span[elem, 0])
-    cell_id = (c_lo[elem, 1] + iy) * n_cells + c_lo[elem, 0] + ix
-    cell_elems = elem[np.argsort(cell_id, kind="stable")]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(cell_id, minlength=n_cells**2))])
-
-    # every (point, candidate) pair, grouped by point in point order
-    ci, cj = cell(pts).T
-    c = cj * n_cells + ci
-    point, rank = _ragged(starts[c + 1] - starts[c])
-    cand = cell_elems[starts[c][point] + rank]
+    mesh, n = space.mesh, space.mesh.n
+    ci, cj = (np.clip(np.floor(n * pts[:, d] - 1e-9).astype(np.int64)[:, None] + (0, 1), 0, n - 1)
+              for d in (0, 1))
+    # cell rows j, then cell columns i, then the two halves of each cell
+    cells = (cj[:, :, None] * n + ci[:, None, :]).reshape(-1, 4)
+    cand = (2 * cells[:, :, None] + (0, 1)).ravel()
     # lambda_k(x) = Dphi_k . (x - p_0) for k = 1, 2; lambda_0 = 1 - both
-    lam12 = np.einsum("nkd,nd->nk", space.elem_grads[cand, 1:, :], pts[point] - corners[cand, 0])
+    p0 = np.take(mesh.vertices, mesh.triangles[cand, 0], axis=0)
+    lam12 = np.einsum("nkd,nd->nk", space.elem_grads[cand, 1:, :], np.repeat(pts, 8, axis=0) - p0)
     lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-    hits = np.flatnonzero((lam >= -1e-12).all(axis=1))
-    found, pick = np.unique(point[hits], return_index=True)
-    if len(found) < len(pts):
-        x = pts[np.setdiff1d(np.arange(len(pts)), found)[0]]
+    hits = (lam >= -1e-12).all(axis=1).reshape(-1, 8)
+    found = hits.any(axis=1)
+    if not found.all():
+        x = pts[np.argmin(found)]
         raise FemError(f"point ({x[0]:.6g}, {x[1]:.6g}) outside the mesh")
-    return cand[hits[pick]], lam[hits[pick]]
+    pick = 8 * np.arange(len(pts)) + np.argmax(hits, axis=1)
+    return cand[pick], lam[pick]
 
 
 def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
@@ -642,23 +632,6 @@ def krylov_solve(A, b: np.ndarray, hierarchy=()) -> tuple:
 _COARSEST_N = 8  # coarsening stops at n <= 8 and at odd n
 
 
-def _unit_square_n(mesh: TriMesh) -> int | None:
-    """n if mesh is unit_square_mesh(n), vertex numbering included; else None."""
-    n = int(round(np.sqrt(mesh.n_vertices))) - 1
-    if n < 1 or (n + 1) ** 2 != mesh.n_vertices:
-        return None
-    vertices, triangles = unit_square_arrays(n)
-    same = np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, triangles)
-    return n if same else None
-
-
-def _grid_interior(n: int) -> np.ndarray:
-    """Vertex ids of the interior vertices of unit_square_mesh(n), ascending:
-    its free dofs."""
-    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    return np.flatnonzero((0 < i) & (i < n) & (0 < j) & (j < n))
-
-
 def _grid_prolongation(n: int) -> sp.csr_matrix:
     """P1 prolongation from unit_square_mesh(n // 2) to unit_square_mesh(n)
     on all vertices, n even. Fine vertex (i, j) takes the mean of the coarse
@@ -679,10 +652,10 @@ def _grid_prolongation(n: int) -> sp.csr_matrix:
 def _grid_levels(space: FeSpace) -> list:
     """The n of every level that has a coarsening below it, finest first:
     n is halved while it is even and above 8, so the list is empty for odd
-    n, for n <= 8 and for any mesh that is not unit_square_mesh(n)."""
+    n and for n <= 8."""
     levels = []
-    n = _unit_square_n(space.mesh)
-    while n is not None and n % 2 == 0 and n > _COARSEST_N:
+    n = space.mesh.n
+    while n % 2 == 0 and n > _COARSEST_N:
         levels.append(n)
         n //= 2
     return levels
@@ -696,7 +669,9 @@ def prolongations(space: FeSpace) -> tuple:
     if "prolongations" not in space._cache:
         levels = []
         for n in _grid_levels(space):
-            P = _grid_prolongation(n)[_grid_interior(n)][:, _grid_interior(n // 2)]
+            # rows and columns of the free dofs of levels n and n // 2
+            fine, coarse = (np.flatnonzero(~grid_boundary(k)) for k in (n, n // 2))
+            P = _grid_prolongation(n)[fine][:, coarse]
             levels.append((P, P.T.tocsr()))
         space._cache["prolongations"] = tuple(levels)
     return space._cache["prolongations"]

@@ -1,9 +1,12 @@
-"""Triangulations of the unit square.
+"""The mesh family of the unit square: unit_square_mesh(n).
 
-The built-in family triangulates the unit square with a fixed diagonal
-convention (lower-left to upper-right) so runs are bit-reproducible. It is
-built by index arithmetic on whole arrays; unit_square_mesh(2n) halves the
-mesh size of unit_square_mesh(n) exactly on dyadic grids.
+Every mesh is the structured triangulation of (0,1)^2 with n subdivisions
+per side and a fixed diagonal convention (lower-left to upper-right), so
+runs are bit-reproducible. A TriMesh is its subdivision count: its arrays
+are built from n by index arithmetic on whole arrays, and no other array
+can be given to it. fem reads mesh.n for the grid hierarchy, point location
+and the CSR pattern. unit_square_mesh(2n) halves the mesh size of
+unit_square_mesh(n) exactly on dyadic grids.
 
 Element geometry starts from one gather of the corner coordinates,
 corner_coordinates: the x and the y of every element's corners as two
@@ -17,49 +20,46 @@ frozen after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class MeshError(ValueError):
-    """Invalid mesh data (array shapes, subdivision count)."""
-
-
-def _frozen(a: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    """Invalid subdivision count."""
 
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Triangulation: vertex coordinates, vertex-index triples, boundary flags.
+    """unit_square_mesh(n): n is its one field and its only constructor
+    argument; the rest is built from n.
 
-    mesh_size_h is the maximum element diameter (longest edge). triangles
-    is int32, half the bytes of int64 connectivity; a mesh with more
-    vertices than int32 can index raises MeshError.
+    vertices (float64, (n+1)^2 x 2) are numbered row by row from (0, 0);
+    triangles (int32, 2 n^2 x 3) list the two halves of grid cell (i, j),
+    row-major by cell, as (v00, v10, v11) then (v00, v11, v01);
+    boundary_vertex flags the vertices on the square's sides; mesh_size_h
+    is the longest edge. All three arrays are read-only. Two meshes are
+    equal when their n are. An n that is not a positive integer, or whose
+    (n+1)^2 vertices int32 cannot index, raises MeshError before any array
+    exists.
     """
 
-    vertices: np.ndarray = field(repr=False)
-    triangles: np.ndarray = field(repr=False)
-    boundary_vertex: np.ndarray = field(repr=False)
-    mesh_size_h: float
+    n: int
 
     def __post_init__(self):
-        if len(self.vertices) > np.iinfo(np.int32).max:
-            raise MeshError(f"{len(self.vertices)} vertices exceed int32 indexing")
-        object.__setattr__(self, "vertices", _frozen(self.vertices, np.float64))
-        object.__setattr__(self, "triangles", _frozen(self.triangles, np.int32))
-        object.__setattr__(
-            self, "boundary_vertex", _frozen(self.boundary_vertex, bool)
-        )
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (n, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (m, 3) array")
-        if self.boundary_vertex.shape != (self.vertices.shape[0],):
-            raise MeshError("boundary_vertex must have one flag per vertex")
+        n = self.n
+        if int(n) != n or n < 1:
+            raise MeshError(f"subdivision count must be a positive integer, got {n!r}")
+        n = int(n)
+        if (n + 1) ** 2 > np.iinfo(np.int32).max:
+            raise MeshError(f"{(n + 1) ** 2} vertices exceed int32 indexing")
+        vertices, triangles = unit_square_arrays(n)
+        for name, a in (("vertices", vertices), ("triangles", triangles),
+                        ("boundary_vertex", grid_boundary(n))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mesh_size_h", _max_edge_length(vertices, triangles))
 
     @property
     def n_vertices(self) -> int:
@@ -117,20 +117,16 @@ def unit_square_arrays(n: int) -> tuple:
     return vertices, triangles
 
 
-def unit_square_mesh(n: int) -> TriMesh:
-    """Structured triangulation of (0,1)^2 with n subdivisions per side.
+def grid_boundary(n: int) -> np.ndarray:
+    """Boundary flags of the vertices of unit_square_mesh(n): vertex
+    j (n + 1) + i lies on a side when i or j is 0 or n."""
+    side = np.arange(n + 1) % n == 0
+    return (side[:, None] | side[None, :]).ravel()
 
-    (n+1)^2 vertices and 2*n^2 triangles; each grid cell is split along the
-    diagonal from its lower-left to its upper-right corner.
+
+def unit_square_mesh(n: int) -> TriMesh:
+    """Structured triangulation of (0,1)^2 with n subdivisions per side:
+    TriMesh(n), (n+1)^2 vertices and 2*n^2 triangles; each grid cell is
+    split along the diagonal from its lower-left to its upper-right corner.
     """
-    if int(n) != n or n < 1:
-        raise MeshError(f"subdivision count must be a positive integer, got {n!r}")
-    vertices, triangles = unit_square_arrays(int(n))
-    boundary = (
-        (vertices[:, 0] == 0.0)
-        | (vertices[:, 0] == 1.0)
-        | (vertices[:, 1] == 0.0)
-        | (vertices[:, 1] == 1.0)
-    )
-    h = _max_edge_length(vertices, triangles)
-    return TriMesh(vertices, triangles, boundary, h)
+    return TriMesh(n)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nonsmooth_fem import mesh
 from nonsmooth_fem.mesh import MeshError, TriMesh, signed_areas, unit_square_mesh
 
 
@@ -41,16 +42,26 @@ def test_unit_square_h(n):
     assert m.mesh_size_h == pytest.approx(math.sqrt(2.0) / n, rel=1e-15)
 
 
-def test_vertex_count_beyond_int32_is_rejected():
-    # checked before any array is copied: these views hold no memory
-    too_many = np.iinfo(np.int32).max + 1
-    with pytest.raises(MeshError, match="exceed int32"):
-        TriMesh(
-            np.broadcast_to(np.zeros(2), (too_many, 2)),
-            np.zeros((1, 3), dtype=np.int64),
-            np.broadcast_to(False, (too_many,)),
-            1.0,
-        )
+def test_vertex_count_beyond_int32_is_rejected(monkeypatch):
+    # 46342^2 vertices pass int32: rejected before any array is built (the
+    # grid coordinates alone would take about 17 GB each)
+    def build(n):
+        raise AssertionError(f"arrays built for n={n}")
+
+    monkeypatch.setattr(mesh, "unit_square_arrays", build)
+    with pytest.raises(MeshError, match="2147580964 vertices exceed int32"):
+        unit_square_mesh(46341)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 16])
+def test_mesh_is_its_subdivision_count(n):
+    # the arrays come from n alone; there is no other constructor
+    m = unit_square_mesh(n)
+    vertices, triangles = mesh.unit_square_arrays(n)
+    assert m == TriMesh(n) and m.n == n and hash(m) == hash(TriMesh(n))
+    assert np.array_equal(m.vertices, vertices) and np.array_equal(m.triangles, triangles)
+    with pytest.raises(TypeError):
+        TriMesh(vertices, triangles, m.boundary_vertex, m.mesh_size_h)
 
 
 def test_unit_square_rejects_nonpositive_n():
