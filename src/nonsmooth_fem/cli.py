@@ -65,6 +65,33 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A number of that kind, not a bool (JSON true parses as one)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The rules of the solve flags, checked on the parsed flags before any
+# assembly (_solver_config) and on a report's config echo (_check_echo):
+# key -> (test of the config, what the key's value must be)
+_SOLVER_RULES = {
+    "solver": (lambda c: c["solver"] in ("newton", "picard"), "newton or picard"),
+    "lambda": (lambda c: _is_number(c["lambda"]) and np.isfinite(c["lambda"]), "a finite number"),
+    "tol": (lambda c: _is_number(c["tol"]) and 0 < c["tol"] < np.inf, "a finite number > 0"),
+    "max_iter": (lambda c: _is_number(c["max_iter"], int) and c["max_iter"] >= 0, "an integer >= 0"),
+    "theta": (
+        lambda c: _is_number(c["theta"])
+        and (0 < c["theta"] <= 1 if c["solver"] == "picard" else np.isfinite(c["theta"])),
+        "a finite number, in (0, 1] for the picard solver",
+    ),
+}
+
+
+def _check_rules(config: dict, rules: dict, where: str = "") -> None:
+    for key, (ok, what) in rules.items():
+        if not ok(config):
+            raise UsageError(f"{where}{key} must be {what}, got {config[key]!r}")
+
+
 def _manufactured_name(name: str) -> str:
     if name not in _MANUFACTURED:
         raise UsageError(f"unknown manufactured solution {name!r}")
@@ -130,19 +157,22 @@ def _cmd_mesh_info(args) -> int:
 
 
 def _solver_config(args) -> dict:
-    """Config echo of the flags the HJ and MFG subcommands share."""
+    """Config echo of the flags the HJ and MFG subcommands share, checked
+    against _SOLVER_RULES."""
     n = getattr(args, "n", None)
     if n is not None and n < 2:
         raise UsageError("n must be at least 2")
-    return {
+    config = {
         "n": n,
         "hamiltonian": args.hamiltonian,
-        "lambda": _check_finite("lambda", args.lam),
+        "lambda": float(args.lam),
         "solver": args.solver,
-        "tol": _check_finite("tol", args.tol),
+        "tol": float(args.tol),
         "max_iter": args.max_iter,
-        "theta": _check_finite("theta", args.theta),
+        "theta": float(args.theta),
     }
+    _check_rules(config, _SOLVER_RULES)
+    return config
 
 
 def _hj_config(args) -> dict:
@@ -293,20 +323,12 @@ def _cmd_convergence_mfg(args) -> int:
 
 
 def _check_echo(config: dict, source: str) -> None:
-    """The solve flags' rules, and names as strings, on a report's config echo."""
-    def number(key, kind=(int, float)):  # a JSON number of that kind, no bool
-        return isinstance(config[key], kind) and not isinstance(config[key], bool)
-    for key, ok, what in [
-        ("solver", config["solver"] in ("newton", "picard"), "newton or picard"),
-        *((key, number(key) and np.isfinite(config[key]), "a finite number")
-          for key in ("lambda", "tol", "theta")),
-        ("max_iter", number("max_iter", int) and config["max_iter"] >= 0, "an integer >= 0"),
-        *((key, isinstance(config[key], str), "a string")
-          for key in ("hamiltonian", "coupling", "m0")),
-        ("manufactured", config["manufactured"] in (None, *_MANUFACTURED), "null or sinsin"),
-    ]:
-        if not ok:
-            raise UsageError(f"config in {source!r}: {key} must be {what}, got {config[key]!r}")
+    """The solve flags' rules (_SOLVER_RULES), and names as strings, on a
+    report's config echo."""
+    names = {key: (lambda c, key=key: isinstance(c[key], str), "a string")
+             for key in ("hamiltonian", "coupling", "m0")}
+    names["manufactured"] = (lambda c: c["manufactured"] in (None, *_MANUFACTURED), "null or sinsin")
+    _check_rules(config, {**_SOLVER_RULES, **names}, f"config in {source!r}: ")
 
 
 def _cmd_diagnose_stability(args) -> int:

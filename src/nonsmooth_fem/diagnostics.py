@@ -370,8 +370,9 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     """Smallest weighted singular value of the coupled block linearization,
     sampled over generalized-Jacobian selections at kink elements.
 
-    cases: a (problem, converged-state) pair or a list of them (one per mesh
-    level). With a lambda grid, each case is re-assembled at every grid value
+    cases: a (problem, converged-state) pair, told by its first element
+    being an MfgProblem, or a list or tuple of them (one per mesh level).
+    With a lambda grid, each case is re-assembled at every grid value
     using its first selection sample; the per-level minima land in
     meta["lambda_scan"]. A lambda that is not finite and positive raises
     ValueError before any level is assembled. A singular level (constant
@@ -397,7 +398,8 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
 
     from . import mfg_solver
 
-    if isinstance(cases, tuple):
+    cases = list(cases)
+    if cases and isinstance(cases[0], mfg_solver.MfgProblem):
         cases = [cases]
     if n_selection_samples < 1:
         raise ValueError("need at least one selection sample")

@@ -2,19 +2,20 @@
 
 Provides dof management with homogeneous Dirichlet elimination (int32
 connectivity), exact assembly of stiffness/mass forms (P1 gradients are
-elementwise constant) by one scatter into a CSR pattern cached per space,
-whose read-only index arrays every such matrix shares, linear combinations
-of such matrices on that pattern (free_sum), the assembler of every
-solver matrix, operator = K + lam M (+ drift_matrix), load vectors, nodal
-interpolation, discrete norms, the P1 prolongations of the unit-square
-grid hierarchy with their restrictions, built once per space, the
-geometric V-cycle on that hierarchy, and the one
-linear-solve routine, krylov_solve: GMRES preconditioned by one V-cycle
-per iteration. Every Newton step and every Picard update of the solvers
-goes through krylov_solve, and the V-cycle also preconditions the
-conjugate gradients of the dual norm (ResidualNorm), so none of them
-factors a matrix above the coarsest grid. The hierarchy, the CSR pattern
-(a 7-point stencil) and point location come from grid arithmetic on mesh.n.
+elementwise constant), on the free dofs or on all vertices, by one scatter
+into a CSR pattern cached per space, whose read-only index arrays every
+matrix on it shares, linear combinations of free-dof matrices (free_sum),
+the assembler of every solver matrix, operator = K + lam M
+(+ drift_matrix), load vectors, nodal interpolation, discrete norms, the
+P1 prolongations of the unit-square grid hierarchy with their
+restrictions, built once per space, the geometric V-cycle on that
+hierarchy, and the one linear-solve routine, krylov_solve: GMRES
+preconditioned by one V-cycle per iteration. Every Newton step and every
+Picard update of the solvers goes through krylov_solve, and the V-cycle
+also preconditions the conjugate gradients of the dual norm
+(ResidualNorm), so none of them factors a matrix above the coarsest grid.
+The hierarchy, point location and both patterns (one 7-point stencil on
+two lattices) come from grid arithmetic on mesh.n.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -121,10 +122,11 @@ class FeSpace:
     (nt, 3, 2)), elem_areas, both formed by _geometry from one gather of the
     corner coordinates. The three index arrays are int32, like
     mesh.triangles.
-    _cache holds the free-dof CSR pattern (_free_pattern), whose read-only
-    indices and indptr every matrix assembled on the space shares, K, M,
-    the grid hierarchy with its restrictions (prolongations) and the dual
-    norm (residual_norm).
+    _cache holds the CSR patterns (_pattern) of the free dofs ("pattern")
+    and of all vertices ("vertex_pattern"), whose read-only indices and
+    indptr every matrix assembled on them shares, K, M, the grid hierarchy
+    with its restrictions (prolongations), the dual norm (residual_norm)
+    and, for a nonlocal MFG coupling, mfg_solver's mollifier ("smoother").
     """
 
     mesh: TriMesh
@@ -174,17 +176,8 @@ def make_space(mesh: TriMesh) -> FeSpace:
 # ------------------------------------------------------------------ assembly
 
 
-def _assemble_p1(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum (nt, 3, 3) element matrices into an n x n CSR, skipping dof -1."""
-    i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
-    j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
-    v = local.ravel()
-    keep = (i >= 0) & (j >= 0)
-    return sp.coo_matrix((v[keep], (i[keep], j[keep])), shape=(n, n)).tocsr()
-
-
-# the 7-point stencil of the free dof at grid position (a, b), dof
-# b (n - 1) + a: its neighbours' (da, db) in ascending dof order
+# the 7-point stencil of the unknown b m + a at position (a, b) of a
+# row-major lattice of side m: its neighbours' (da, db) in ascending order
 _STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 # _ELEMENT_STENCIL[t % 2, k, l]: the stencil entry that couples corner k of
 # triangle t with its corner l, for the even (v00, v10, v11) and the odd
@@ -194,54 +187,58 @@ _ELEMENT_STENCIL = np.array(
 )
 
 
-def _free_pattern(space: FeSpace):
-    """CSR pattern of the free-dof P1 matrices, cached on the space:
-    (slot, indices, indptr), all three read-only. slot[e] is the CSR
-    position that entry e of a raveled (nt, 3, 3) element array sums into;
-    entries touching a boundary vertex go to the spare position nnz, which
-    is dropped. Every matrix assembled on the space references indices and
-    indptr instead of copying them, so an in-place change to one (sort,
+def _pattern(space: FeSpace, corners: np.ndarray) -> tuple:
+    """CSR pattern of the P1 matrices on the unknowns that corners numbers,
+    cached on the space: (slot, indices, indptr), all three read-only.
+    corners is space.elem_dofs (free dofs, -1 on the boundary: a lattice of
+    side m = n - 1) or space.mesh.triangles (all vertices: side m = n + 1).
+    slot[e] is the CSR position that entry e of a raveled (nt, 3, 3)
+    element array sums into, or the spare position nnz, which is dropped,
+    for an entry off the lattice. Every matrix assembled on a pattern
+    references indices and indptr, so an in-place change to one (sort,
     prune) raises ValueError instead of corrupting the others.
 
-    Built in closed form from the grid, with no sort: row d holds the
-    _STENCIL neighbours of dof d that are free, and entry (k, l) of
-    triangle t sums into the position of stencil entry
-    _ELEMENT_STENCIL[t % 2, k, l] of the row of its corner k."""
-    if "pattern" not in space._cache:
-        m, n_free = space.mesh.n - 1, space.n_free
+    Built in closed form, with no sort: row d holds the _STENCIL neighbours
+    of d on the lattice, and entry (k, l) of triangle t sums into stencil
+    entry _ELEMENT_STENCIL[t % 2, k, l] of the row of its corner k."""
+    free = corners is space.elem_dofs
+    if not (free or corners is space.mesh.triangles):
+        raise FemError("corners must be the space's elem_dofs or its mesh's triangles")
+    key = "pattern" if free else "vertex_pattern"
+    if key not in space._cache:
+        m = space.mesh.n - 1 if free else space.mesh.n + 1
         index = np.int32 if 9 * space.mesh.n_triangles < np.iinfo(np.int32).max else np.int64
-        dof = np.arange(n_free, dtype=index)
+        dof = np.arange(m * m, dtype=index)
         b, a = np.divmod(dof, max(m, 1))  # m = 0: no free dof
         da, db = np.array(_STENCIL, dtype=index).T
         a, b = a[:, None] + da, b[:, None] + db
-        inside = (0 <= a) & (a < m) & (0 <= b) & (b < m)  # (n_free, 7)
+        inside = (0 <= a) & (a < m) & (0 <= b) & (b < m)  # (m^2, 7)
         indices = (dof[:, None] + (db * m + da))[inside]
-        indptr = np.zeros(n_free + 1, dtype=index)
+        indptr = np.zeros(m * m + 1, dtype=index)
         np.cumsum(inside.sum(axis=1), out=indptr[1:])
         # the CSR position of every stencil entry, row-major, nnz where the
-        # neighbour is on the boundary, and a last row of nnz that dof -1
-        # (a boundary corner) reaches as 7 * -1 + entry
-        position = np.full(7 * (n_free + 1), indices.size, dtype=index)
+        # neighbour is off the lattice, and a last row of nnz that corner -1
+        # reaches as 7 * -1 + entry
+        position = np.full(7 * (m * m + 1), indices.size, dtype=index)
         position[:-7][inside.ravel()] = np.arange(indices.size, dtype=index)
-        del a, b, inside  # 63 bytes per free dof, not held through the gather
-        rows = space.elem_dofs.astype(index, copy=False).reshape(-1, 2, 3, 1) * 7
-        slot = position[(rows + _ELEMENT_STENCIL).ravel()]
-        pattern = (slot, indices, indptr)
+        del a, b, inside  # 63 bytes per row, not held through the gather
+        rows = corners.astype(index, copy=False).reshape(-1, 2, 3, 1) * 7
+        pattern = (position[(rows + _ELEMENT_STENCIL).ravel()], indices, indptr)
         for array in pattern:
             array.setflags(write=False)
-        space._cache["pattern"] = pattern
-    return space._cache["pattern"]
+        space._cache[key] = pattern
+    return space._cache[key]
 
 
-def _assemble_free(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Sum (nt, 3, 3) element matrices into the free-dof CSR: one np.add.at
-    into the cached pattern (_free_pattern), whose index arrays the matrix
-    shares. np.bincount would sum in the same order but first copy the
-    int32 slots to int64: 144 bytes per free dof."""
-    slot, indices, indptr = _free_pattern(space)
+def _assemble(space: FeSpace, local: np.ndarray, corners: np.ndarray) -> sp.csr_matrix:
+    """Sum (nt, 3, 3) element matrices into the CSR on the unknowns that
+    corners numbers: one np.add.at into the cached pattern (_pattern), whose
+    index arrays the matrix shares. np.bincount would sum in the same order
+    but first copy the int32 slots to int64: 144 bytes per free dof."""
+    slot, indices, indptr = _pattern(space, corners)
     data = np.zeros(indices.size + 1)
     np.add.at(data, slot, local.ravel())
-    return sp.csr_matrix((data[:-1], indices, indptr), shape=(space.n_free,) * 2)
+    return sp.csr_matrix((data[:-1], indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 def free_sum(space: FeSpace, *terms) -> sp.csr_matrix:
@@ -250,7 +247,7 @@ def free_sum(space: FeSpace, *terms) -> sp.csr_matrix:
     the CSR form of a transpose of one). The sum has exactly the pattern's
     entries and shares its index arrays; scipy's A + B would hold arrays
     sized for nnz(A) + nnz(B)."""
-    _, indices, indptr = _free_pattern(space)
+    _, indices, indptr = _pattern(space, space.elem_dofs)
     data = np.zeros(indices.size)
     for c, A in terms:
         shared = A.indptr is indptr and A.indices is indices
@@ -267,13 +264,14 @@ def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
     return np.bincount(bins, weights=local.ravel(), minlength=space.n_free + 1)[1:]
 
 
-def assemble_from_local(space: "FeSpace", local: np.ndarray) -> sp.csr_matrix:
-    """Sum per-element (nt, 3, 3) contributions into a free-dof CSR matrix.
+def assemble_from_local(space: "FeSpace", local: np.ndarray, corners: np.ndarray) -> sp.csr_matrix:
+    """Sum per-element (nt, 3, 3) contributions into a CSR matrix on the
+    free dofs (corners = space.elem_dofs) or all vertices (mesh.triangles).
 
     Entry local[t, i, j] couples local test vertex i with trial vertex j of
-    triangle t; boundary vertices (dof -1) are dropped.
+    triangle t; boundary vertices (dof -1) are dropped on the free dofs.
     """
-    return _assemble_free(space, np.asarray(local, dtype=float))
+    return _assemble(space, np.asarray(local, dtype=float), corners)
 
 
 def _local_stiffness(grads: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -287,30 +285,29 @@ def _local_stiffness(grads: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return local
 
 
-def full_stiffness(mesh: TriMesh) -> sp.csr_matrix:
+def full_stiffness(space: FeSpace) -> sp.csr_matrix:
     """Stiffness on ALL vertices (no Dirichlet elimination)."""
-    areas, grads = _geometry(mesh)
-    return _assemble_p1(_local_stiffness(grads, areas), mesh.triangles, mesh.n_vertices)
+    local = _local_stiffness(space.elem_grads, space.elem_areas)
+    return _assemble(space, local, space.mesh.triangles)
 
 
-def full_mass(mesh: TriMesh) -> sp.csr_matrix:
+def full_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass on ALL vertices (no Dirichlet elimination)."""
-    areas, _ = _geometry(mesh)
-    return _assemble_p1(_local_mass(areas), mesh.triangles, mesh.n_vertices)
+    return _assemble(space, _local_mass(space.elem_areas), space.mesh.triangles)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     """K[i][j] = integral of Dphi_j . Dphi_i, exact, on free dofs."""
     if "K" not in space._cache:
         local = _local_stiffness(space.elem_grads, space.elem_areas)
-        space._cache["K"] = _assemble_free(space, local)
+        space._cache["K"] = _assemble(space, local, space.elem_dofs)
     return space._cache["K"]
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """M[i][j] = integral of phi_j phi_i via the exact element formula."""
     if "M" not in space._cache:
-        space._cache["M"] = _assemble_free(space, _local_mass(space.elem_areas))
+        space._cache["M"] = _assemble(space, _local_mass(space.elem_areas), space.elem_dofs)
     return space._cache["M"]
 
 
@@ -323,7 +320,7 @@ def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
     drift *= space.elem_areas[:, None] / 3.0
     local = np.repeat(drift[:, None, :], 3, axis=1)
     del drift  # 48 bytes per free dof, not held through the scatter
-    return assemble_from_local(space, local)
+    return assemble_from_local(space, local, space.elem_dofs)
 
 
 def operator(space: FeSpace, lam: float, drift=None) -> sp.csr_matrix:

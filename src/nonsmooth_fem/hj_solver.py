@@ -23,8 +23,8 @@ one restart cycle of 20 suffices and the basis holds 21 vectors). The
 dual norm is evaluated by conjugate gradients with a V-cycle of K + M
 (fem.ResidualNorm: 4-5 iterations at every n, relative error of ||r||^2 at
 most 1.4e-10), so an HJ Newton solve factors no fine-grid matrix. On a
-mesh with no hierarchy (odd n, n <= 8, other numberings) each V-cycle is
-the LU of its matrix and both Krylov solves stop after one iteration.
+mesh with no hierarchy (odd n, or n <= 8) each V-cycle is the LU of its
+matrix and both Krylov solves stop after one iteration.
 
 Picard iterates the linear solution operator T = (K + lam M)^{-1} on the
 lagged nonlinearity, u <- (1-theta) u + theta T(b - H-load(u)); it is

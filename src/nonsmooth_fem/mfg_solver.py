@@ -221,13 +221,13 @@ class _Smoother:
     sigma = h^2. Symmetric in the lumped inner product and bounded on L2.
 
     L (sparse, CSC) and M_lump (the lumped-mass diagonal) are the blocks of
-    the lifted Jacobian's rows."""
+    the lifted Jacobian's rows. K and the mass lumped into M_lump are the
+    space's all-vertex matrices (fem.full_stiffness, fem.full_mass)."""
 
     def __init__(self, space):
-        mesh = space.mesh
-        K = fem.full_stiffness(mesh)
-        self.M_lump = np.asarray(fem.full_mass(mesh).sum(axis=1)).ravel()
-        sigma = mesh.mesh_size_h**2
+        K = fem.full_stiffness(space)
+        self.M_lump = np.asarray(fem.full_mass(space).sum(axis=1)).ravel()
+        sigma = space.mesh.mesh_size_h**2
         self.L = (sp.diags(self.M_lump) + sigma * K).tocsc()
         self._lu = spla.splu(self.L, permc_spec="MMD_AT_PLUS_A")
 
@@ -312,7 +312,7 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) 
     xig = np.einsum("tde,tje->tjd", xi, space.elem_grads)  # xi Dphi_j
     local = np.einsum("tjd,tid->tij", xig, space.elem_grads)
     local *= (space.elem_areas * mbar)[:, None, None]
-    return fem.assemble_from_local(space, local)
+    return fem.assemble_from_local(space, local, space.elem_dofs)
 
 
 def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
@@ -320,20 +320,14 @@ def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:
     the density the coupling sees (m, or S m for a nonlocal coupling).
 
     Local: the (n_free, n_free) matrix, the coupling block itself. Nonlocal:
-    Q_fv, free test dofs against all trial vertices, (n_free, n_v); the
+    Q_fv, the free rows of the all-vertex matrix, (n_free, n_v); the
     coupling block is Q_fv S E, which the lifted Jacobian keeps factored as
     Q_fv w_k."""
     space = problem.space
     local = fem.weighted_local_mass(space, _coupling_at_quad(problem, m, problem.coupling.df))
     if problem.coupling.kind == "local":
-        return fem.assemble_from_local(space, local)
-    rows = np.repeat(space.elem_dofs[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(np.asarray(space.mesh.triangles)[:, None, :], 3, axis=1).ravel()
-    keep = rows >= 0
-    return sp.csr_matrix(
-        (local.ravel()[keep], (rows[keep], cols[keep])),
-        shape=(space.n_free, space.mesh.n_vertices),
-    )
+        return fem.assemble_from_local(space, local, space.elem_dofs)
+    return fem.assemble_from_local(space, local, space.mesh.triangles)[space.free_dofs]
 
 
 def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix:
@@ -353,17 +347,13 @@ def mfg_jacobian(problem: MfgProblem, state: MfgState, xi=None) -> sp.csr_matrix
     if problem.coupling.kind == "local":
         return sp.bmat([[A, minus_Q], [G, At]], format="csr")
     smoother = _smoother(problem)
-    n_free, n_v = space.n_free, space.mesh.n_vertices
+    minus_Ml = sp.diags(-smoother.M_lump, format="csr")
     k = _SMOOTHING_STEPS
-    Ml_E = sp.csr_matrix(
-        (smoother.M_lump[space.free_dofs], (space.free_dofs, np.arange(n_free))),
-        shape=(n_v, n_free),
-    )
     rows = [[A] + [None] * k + [minus_Q], [G, At] + [None] * k]
     for j in range(k):
         # L w_{j+1} - M_lump w_j = 0, with w_0 = E dm
         row = [None] * (k + 2)
-        row[1 + j] = -Ml_E if j == 0 else -sp.diags(smoother.M_lump)
+        row[1 + j] = minus_Ml[:, space.free_dofs] if j == 0 else minus_Ml
         row[2 + j] = smoother.L
         rows.append(row)
     return sp.bmat(rows, format="csr")

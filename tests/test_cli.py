@@ -444,7 +444,37 @@ def test_diagnose_stability_checks_the_config_echo_before_solving(
 def test_negative_iteration_limit_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["solve-hj", "--n", "8", "--max-iter", "-1"])
     assert code == 1
-    assert "max_iter must be nonnegative" in err
+    assert "max_iter must be an integer >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("command", ["solve-hj", "solve-mfg", "convergence-hj", "convergence-mfg"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tol", "0"],
+        ["--tol", "nan"],
+        ["--max-iter", "-1"],
+        ["--solver", "picard", "--theta", "0"],
+        ["--solver", "picard", "--theta", "1.5"],
+    ],
+    ids=["tol-0", "tol-nan", "max_iter--1", "picard-theta-0", "picard-theta-1.5"],
+)
+def test_bad_solver_flags_rejected_before_any_assembly(capsys, monkeypatch, command, flags):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built before the solver flags were checked")
+
+    monkeypatch.setattr(cli.mesh, "unit_square_mesh", no_mesh)
+    code, _, err = run_cli(capsys, [command] + flags)
+    assert code == 1
+    key = flags[-2][2:].replace("-", "_")
+    assert err.startswith(f"error: {key} must be ")
+
+
+def test_picard_theta_is_free_under_newton(capsys, tmp_path):
+    # theta only steers Picard: Newton runs with any finite value
+    out = tmp_path / "hj.json"
+    code, _, _ = run_cli(capsys, ["solve-hj", "--n", "4", "--theta", "0", "--out", str(out)])
+    assert code == 0 and read_json(out)["config"]["theta"] == 0.0
 
 
 def test_diagnose_stability_arpack_failure_exits_nonconvergence(

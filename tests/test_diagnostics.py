@@ -407,6 +407,15 @@ def test_scan_family_is_h_uniform(monotone_family):
     assert report.ratio_max_min <= 10.0
 
 
+def test_scan_takes_a_tuple_of_pairs_as_a_list(monotone_family):
+    # a tuple of two (problem, state) pairs is two levels, not one pair
+    cases = monotone_family[:2]
+    as_list = dg.stability_scan(list(cases), 1)
+    as_tuple = dg.stability_scan(tuple(cases), 1)
+    assert len(as_tuple.hs) == 2
+    assert dataclasses.asdict(as_tuple) == dataclasses.asdict(as_list)
+
+
 def test_scan_samples_kink_selections():
     report = dg.stability_scan(kinked_case(16), n_selection_samples=6)
     assert report.meta["kink_elements"][0] > 0

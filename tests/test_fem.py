@@ -95,7 +95,7 @@ def test_space_counts():
 
 
 def test_full_stiffness_annihilates_constants():
-    K = full_stiffness(unit_square_mesh(3))
+    K = full_stiffness(make_space(unit_square_mesh(3)))
     ones = np.ones(K.shape[0])
     assert np.abs(K @ ones).max() <= 1e-12
 
@@ -127,7 +127,7 @@ def test_stiffness_spd_on_random_vectors():
 
 
 def test_full_mass_total_is_domain_area():
-    M = full_mass(unit_square_mesh(3))
+    M = full_mass(make_space(unit_square_mesh(3)))
     assert M.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -161,7 +161,7 @@ def test_load_constant_matches_mass_row_sums():
     mesh = unit_square_mesh(3)
     space = make_space(mesh)
     b = assemble_load(space, lambda p: np.ones(np.atleast_2d(p).shape[0]))
-    rows = np.asarray(full_mass(mesh).sum(axis=1)).ravel()
+    rows = np.asarray(full_mass(space).sum(axis=1)).ravel()
     expected = rows[np.asarray(space.free_dofs)]
     assert np.allclose(b, expected, rtol=1e-14, atol=1e-16)
 
@@ -172,7 +172,7 @@ def test_load_affine_exact_order2_vs_order3():
     mesh = unit_square_mesh(4)
     space = make_space(mesh)
     f = lambda p: 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
-    exact = (full_mass(mesh) @ f(mesh.vertices))[space.free_dofs]
+    exact = (full_mass(space) @ f(mesh.vertices))[space.free_dofs]
     assert np.allclose(assemble_load(space, f), exact, rtol=1e-14, atol=1e-16)
 
 
@@ -351,25 +351,43 @@ def test_dual_norm_iteration_cap_raises(monkeypatch):
 # ------------------------------------------------------------------- assembly
 
 
+def _coo_assembly(local, dofs, n):
+    """Sum (nt, 3, 3) element matrices into an n x n CSR through a COO
+    matrix, skipping dof -1: the oracle of the pattern scatter."""
+    i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
+    j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
+    v = local.ravel()
+    keep = (i >= 0) & (j >= 0)
+    return sp.coo_matrix((v[keep], (i[keep], j[keep])), shape=(n, n)).tocsr()
+
+
+def _lattices(space):
+    """(corners, unknowns) of the free dofs and of all vertices."""
+    return [(space.elem_dofs, space.n_free), (space.mesh.triangles, space.mesh.n_vertices)]
+
+
 @pytest.mark.parametrize("mesh", [unit_square_mesh(8), unit_square_mesh(7)])
 def test_pattern_assembly_matches_coo_assembly(mesh):
     space = make_space(mesh)
     local = np.random.default_rng(0).standard_normal((mesh.n_triangles, 3, 3))
-    A = fem.assemble_from_local(space, local)
-    reference = fem._assemble_p1(local, space.elem_dofs, space.n_free)
-    assert A.has_canonical_format
-    assert np.array_equal(A.indptr, reference.indptr)
-    assert np.array_equal(A.indices, reference.indices)
-    assert np.abs(A.data - reference.data).max() <= 1e-14 * np.abs(reference.data).max()
+    for corners, n in _lattices(space):
+        A = fem.assemble_from_local(space, local, corners)
+        reference = _coo_assembly(local, corners, n)
+        assert A.shape == (n, n) and A.has_canonical_format
+        assert np.array_equal(A.indptr, reference.indptr)
+        assert np.array_equal(A.indices, reference.indices)
+        assert np.abs(A.data - reference.data).max() <= 1e-14 * np.abs(reference.data).max()
+    with pytest.raises(FemError, match="elem_dofs or its mesh's triangles"):
+        fem.assemble_from_local(space, local, space.elem_dofs.copy())
 
 
-def _unique_pattern(space):
-    """(slot, indices, indptr) of the free-dof pattern by np.unique."""
-    n, dofs = space.n_free, space.elem_dofs
+def _unique_pattern(dofs, n):
+    """(slot, indices, indptr) of the pattern of the n unknowns that dofs
+    numbers, by np.unique."""
     i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
     j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
     keep = (i >= 0) & (j >= 0)
-    keys, inverse = np.unique(i[keep] * n + j[keep], return_inverse=True)
+    keys, inverse = np.unique(i[keep].astype(np.int64) * n + j[keep], return_inverse=True)
     slot = np.full(i.size, keys.size)
     slot[keep] = inverse
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
@@ -378,23 +396,26 @@ def _unique_pattern(space):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16], ids=lambda n: f"n{n}")
 def test_free_pattern_matches_unique_and_sorts_once(n):
-    # the closed-form stencil, no sort: under 40 bytes of transient memory
-    # per element entry, where np.unique(..., return_inverse=True) took
-    # 60-67 and one argsort of int64 keys 24-27
+    # the closed-form stencil, no sort, on the free dofs and on all
+    # vertices: under 40 bytes of transient memory per element entry, where
+    # np.unique(..., return_inverse=True) took 60-67 and one argsort of
+    # int64 keys 24-27
     mesh = unit_square_mesh(n)
     space = make_space(mesh)
-    tracemalloc.start()
-    try:
-        got = fem._free_pattern(space)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    for a, b in zip(got, _unique_pattern(space)):
-        assert a.dtype == np.int32 and np.array_equal(a, b)
-    # below n = 8 the fixed cost of a few dozen small arrays, about 7 KB
-    # (8.4 KB for the argsort pattern at n = 3), passes the per-entry bound
-    if n >= 8:
-        assert peak <= 40 * 9 * mesh.n_triangles
+    for corners, size in _lattices(space):
+        tracemalloc.start()
+        try:
+            got = fem._pattern(space, corners)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fem._pattern(space, corners) is got  # cached
+        for a, b in zip(got, _unique_pattern(corners, size)):
+            assert a.dtype == np.int32 and np.array_equal(a, b)
+        # below n = 8 the fixed cost of a few dozen small arrays, about 7 KB
+        # (8.4 KB for the argsort pattern at n = 3), passes the per-entry bound
+        if n >= 8:
+            assert peak <= 40 * 9 * mesh.n_triangles
 
 
 def test_free_sum_matches_scipy_sum_on_the_pattern():
@@ -424,7 +445,7 @@ def test_pattern_keys_past_int32_match_coo_assembly():
     dofs = space.elem_dofs.astype(np.int64)
     for A, local in ((assemble_stiffness(space), stiff),
                      (assemble_mass(space), fem._local_mass(space.elem_areas))):
-        reference = fem._assemble_p1(local, dofs, space.n_free)
+        reference = _coo_assembly(local, dofs, space.n_free)
         assert np.array_equal(A.indptr, reference.indptr)
         assert np.array_equal(A.indices, reference.indices)
         assert np.array_equal(A.data, reference.data)
@@ -435,7 +456,7 @@ def test_matrices_share_the_read_only_pattern():
     prob = hj_solver.HjProblem(space, builtin_model("eikonal"), 0.5, f_poisson)
     u = interpolate_nodal(space, u_star)
     drift = np.random.default_rng(2).normal(size=(space.mesh.n_triangles, 2))
-    _, indices, indptr = fem._free_pattern(space)
+    _, indices, indptr = fem._pattern(space, space.elem_dofs)
     matrices = {
         "K": assemble_stiffness(space),
         "M": assemble_mass(space),
@@ -454,7 +475,8 @@ def test_matrices_share_the_read_only_pattern():
     K.has_sorted_indices = False
     with pytest.raises(ValueError):
         K.sort_indices()
-    assert np.array_equal(fem._free_pattern(space)[1], _unique_pattern(space)[1])
+    unique = _unique_pattern(space.elem_dofs, space.n_free)
+    assert np.array_equal(fem._pattern(space, space.elem_dofs)[1], unique[1])
 
 
 def test_connectivity_is_int32():
@@ -497,10 +519,8 @@ def test_geometry_and_stiffness_are_bitwise_the_point_gather_formulas(mesh):
     assert np.array_equal(space.elem_areas, areas)
     assert np.array_equal(space.elem_grads, grads)
     local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    assert _same_csr(assemble_stiffness(space), fem._assemble_free(space, local))
-    assert _same_csr(
-        full_stiffness(mesh), fem._assemble_p1(local, np.asarray(mesh.triangles), mesh.n_vertices)
-    )
+    assert _same_csr(assemble_stiffness(space), fem._assemble(space, local, space.elem_dofs))
+    assert _same_csr(full_stiffness(space), _coo_assembly(local, mesh.triangles, mesh.n_vertices))
 
 
 def test_vector_scatter_matches_masked_add_at_bitwise():

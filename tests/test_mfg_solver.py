@@ -267,6 +267,32 @@ def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
     assert np.max(np.abs(smoother.apply(ones) - ones)) <= 1e-10
 
 
+def test_smoother_reads_the_cached_geometry_on_the_vertex_pattern(monkeypatch):
+    # K and the lumped mass of the mollifier come from the space's element
+    # geometry, scattered into its one read-only all-vertex pattern
+    space = space_of(8)
+    problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(), 1.0, man.bump)
+
+    def no_geometry(mesh):
+        raise AssertionError("element geometry recomputed")
+
+    monkeypatch.setattr(fem, "_geometry", no_geometry)
+    smoother = mfg._smoother(problem)
+    assert space._cache["smoother"] is smoother and mfg._smoother(problem) is smoother
+    _, indices, indptr = fem._pattern(space, space.mesh.triangles)
+    n_v = space.mesh.n_vertices
+    for A in (fem.full_stiffness(space), fem.full_mass(space)):
+        assert A.shape == (n_v, n_v) and A.has_canonical_format
+        assert np.shares_memory(A.indices, indices) and np.shares_memory(A.indptr, indptr)
+        for a in (A.indices, A.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    # the nonlocal coupling mass is the free rows of a matrix on that
+    # pattern, where every free vertex has its whole 7-point stencil
+    Q = mfg.coupling_weighted_mass(problem, problem.m0)
+    assert Q.shape == (space.n_free, n_v) and Q.nnz == 7 * space.n_free
+
+
 def test_nonlocal_coupling_mass_matches_dense_composition(space8):
     # reference: for a linear coupling Q_fv = c * (full mass at free rows),
     # and the reduced Jacobian's coupling block is -Q_fv @ S @ E, with S
@@ -277,7 +303,7 @@ def test_nonlocal_coupling_mass_matches_dense_composition(space8):
     rng = np.random.default_rng(5)
     n_v, n = space8.mesh.n_vertices, space8.n_free
     state = mfg.MfgState(u=0.01 * rng.normal(size=n), m=rng.normal(size=n))
-    Q_fv = c * fem.full_mass(space8.mesh).toarray()[space8.free_dofs]
+    Q_fv = c * fem.full_mass(space8).toarray()[space8.free_dofs]
     Q = mfg.coupling_weighted_mass(problem, state.m)
     assert Q.shape == (n, n_v)
     assert np.max(np.abs(Q.toarray() - Q_fv)) <= 1e-12 * np.max(np.abs(Q_fv))
