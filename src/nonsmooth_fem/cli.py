@@ -228,16 +228,21 @@ def _mfg_config(args) -> dict:
 
 
 def _mfg_problem_from_config(config: dict, n: int) -> mfg.MfgProblem:
+    """The level-n problem of an MFG config; lambda and the m0 name are
+    checked before the mesh is built."""
     model = hm.model_from_spec(config["hamiltonian"])
     coupling = mfg.coupling_from_spec(config["coupling"])
-    space = fem.make_space(mesh.unit_square_mesh(n))
     lam = config["lambda"]
-    if config.get("manufactured"):
+    if not lam > 0:
+        raise UsageError(f"lambda must be positive, got {lam}")
+    m0 = None if config.get("manufactured") else _m0_field(config["m0"])
+    space = fem.make_space(mesh.unit_square_mesh(n))
+    if m0 is None:
         g_hjb, g_fp = man.mfg_sources(model, coupling, lam)
         return mfg.make_mfg_problem(
             space, model, coupling, lam, man.m_star, g_hjb=g_hjb, g_fp=g_fp
         )
-    return mfg.make_mfg_problem(space, model, coupling, lam, _m0_field(config["m0"]))
+    return mfg.make_mfg_problem(space, model, coupling, lam, m0)
 
 
 def _solve_mfg_once(config: dict, n: int) -> tuple:

@@ -371,7 +371,8 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     sampled over generalized-Jacobian selections at kink elements.
 
     cases: a (problem, converged-state) pair, told by its first element
-    being an MfgProblem, or a list or tuple of them (one per mesh level).
+    being an MfgProblem, or a non-empty list or tuple of them (one per mesh
+    level); no case at all raises ValueError.
     With a lambda grid, each case is re-assembled at every grid value
     using its first selection sample; the per-level minima land in
     meta["lambda_scan"]. A lambda that is not finite and positive raises
@@ -399,7 +400,9 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
     from . import mfg_solver
 
     cases = list(cases)
-    if cases and isinstance(cases[0], mfg_solver.MfgProblem):
+    if not cases:
+        raise ValueError("stability_scan needs at least one (problem, state) case, got none")
+    if isinstance(cases[0], mfg_solver.MfgProblem):
         cases = [cases]
     if n_selection_samples < 1:
         raise ValueError("need at least one selection sample")

@@ -17,8 +17,8 @@ reproducible:
     huber       the inner branch I/delta on the sphere |z| = delta
 
 mean_value_matrix returns a vector A with A . (z1 - z2) = H(z1) - H(z2)
-exactly: the average of the selection along the segment (closed-form
-piecewise integrals for the built-ins, adaptive Simpson otherwise) plus a
+exactly: the average of the selection along the segment (the model's own
+segment_mean, a closed-form piecewise integral for every built-in) plus a
 rank-one correction along z1 - z2 that cancels the residual roundoff. It is
 a test oracle, not a solver ingredient.
 """
@@ -32,10 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive segment quadrature failed to reach its tolerance."""
-
-
 @dataclass(frozen=True)
 class HamiltonianModel:
     """Immutable Hamiltonian description, vectorized over gradient rows.
@@ -45,6 +41,11 @@ class HamiltonianModel:
     with Lipschitz gradient, and then selection is H_p. Callers go through
     eval_many, selection_many, hp_many and hp_selection_many, which also
     accept a single gradient z as one row.
+
+    segment_mean(p, d) -> (m0, m1) is the mean of selection along p + t d,
+    t in [0, 1], for (x, y) pairs p and d of floats; mean_value_matrix
+    needs it, and every built-in sets its closed form. name is a label
+    only and selects no behaviour.
     """
 
     name: str
@@ -52,6 +53,7 @@ class HamiltonianModel:
     h: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[np.ndarray], np.ndarray]
     hp_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    segment_mean: Optional[Callable[[list, list], tuple]] = None
     params: dict = field(default_factory=dict)
 
 
@@ -97,6 +99,7 @@ def _zero_model() -> HamiltonianModel:
         h=lambda Z: np.zeros(len(Z)),
         selection=np.zeros_like,
         hp_jacobian=lambda Z: np.zeros((len(Z), 2, 2)),
+        segment_mean=lambda p, d: (0.0, 0.0),
     )
 
 
@@ -116,6 +119,7 @@ def _eikonal_model() -> HamiltonianModel:
         lipschitz_C_H=1.0,
         h=lambda Z: np.linalg.norm(Z, axis=1),
         selection=sel,
+        segment_mean=lambda p, d: _unit_direction_mean(p, d, 0.0, 1.0),
     )
 
 
@@ -151,6 +155,7 @@ def _huber_model(delta: float) -> HamiltonianModel:
         h=h,
         selection=hp,
         hp_jacobian=hp_jac,
+        segment_mean=lambda p, d: _huber_segment_mean(p, d, delta),
         params={"delta": delta},
     )
 
@@ -170,6 +175,7 @@ def _max_affine_model(pieces) -> HamiltonianModel:
         h=lambda Z: (Z @ A.T + b).max(axis=1),
         # argmax takes the lowest index on ties
         selection=lambda Z: A[np.argmax(Z @ A.T + b, axis=1)],
+        segment_mean=lambda p, d: _max_affine_segment_mean(norm_pieces, p, d),
         params={"pieces": norm_pieces},
     )
 
@@ -330,41 +336,16 @@ def _max_affine_segment_mean(pieces, p, d):
     return m0, m1
 
 
-def _adaptive_simpson(f, lo, hi, tol, depth=60):
-    def simpson(a_, b_, fa, fm, fb):
-        return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a_, b_, fa, fm, fb, whole, tol_, depth_):
-        m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a_, m, fa, flm, fm)
-        right = simpson(m, b_, fm, frm, fb)
-        err = np.abs(left + right - whole).max()
-        if err <= 15.0 * tol_:
-            return left + right + (left + right - whole) / 15.0
-        if depth_ == 0:
-            raise QuadratureError(
-                f"segment quadrature stalled on [{a_:.3g}, {b_:.3g}] (error {err:.2e})"
-            )
-        return rec(a_, m, fa, flm, fm, left, tol_ / 2, depth_ - 1) + rec(
-            m, b_, fm, frm, fb, right, tol_ / 2, depth_ - 1
-        )
-
-    fa, fb = f(lo), f(hi)
-    fm = f(0.5 * (lo + hi))
-    whole = simpson(lo, hi, fa, fm, fb)
-    return rec(lo, hi, fa, fm, fb, whole, tol, depth)
-
-
 def mean_value_matrix(model: HamiltonianModel, z1, z2) -> np.ndarray:
     """Vector A with A . (z1 - z2) = H(z1) - H(z2) to roundoff.
 
-    A is the average of the Clarke selection along the segment [z2, z1]
-    (hence inside the convex hull of the subdifferentials there, up to
-    quadrature roundoff) plus a correction parallel to z1 - z2 that makes
-    the secant identity exact.
+    A is the model's segment_mean of the Clarke selection along [z2, z1]
+    (hence inside the convex hull of the subdifferentials there) plus a
+    correction parallel to z1 - z2 that makes the secant identity exact. A
+    model without segment_mean raises ValueError.
     """
+    if model.segment_mean is None:
+        raise ValueError(f"model {model.name!r} has no segment_mean")
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     dz = z1 - z2
@@ -373,25 +354,11 @@ def mean_value_matrix(model: HamiltonianModel, z1, z2) -> np.ndarray:
     # scalar arithmetic on (x, y) pairs: this oracle runs once per pair
     p = z2.tolist()
     d = dz.tolist()
-    if model.name == "zero":
-        mean = (0.0, 0.0)
-    elif model.name == "eikonal":
-        mean = _unit_direction_mean(p, d, 0.0, 1.0)
-    elif model.name == "huber":
-        mean = _huber_segment_mean(p, d, model.params["delta"])
-    elif model.name == "max_affine":
-        mean = _max_affine_segment_mean(model.params["pieces"], p, d)
-    else:
-        mean = _adaptive_simpson(
-            lambda t: selection_many(model, z2 + t * dz)[0],
-            0.0,
-            1.0,
-            1e-13,
-        ).tolist()
+    mean = model.segment_mean(p, d)
     h1, h2 = model.h(np.array([z1, z2])).tolist()
     # correction along d/|d|: its exact-arithmetic value is zero (the
-    # segment mean telescopes), so it only sweeps up quadrature and
-    # rounding residue; the rescaled frame keeps subnormal segments usable
+    # segment mean telescopes), so it only sweeps up rounding residue; the
+    # rescaled frame keeps subnormal segments usable
     s = max(abs(d[0]), abs(d[1]))
     e0, e1 = d[0] / s, d[1] / s
     nhat = math.hypot(e0, e1)

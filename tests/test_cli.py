@@ -477,6 +477,49 @@ def test_picard_theta_is_free_under_newton(capsys, tmp_path):
     assert code == 0 and read_json(out)["config"]["theta"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve-mfg", "--n", "512", "--lambda", "0"], "lambda must be positive, got 0.0"),
+        (["solve-mfg", "--n", "512", "--lambda", "-1", "--manufactured", "sinsin"],
+         "lambda must be positive, got -1.0"),
+        (["solve-mfg", "--n", "512", "--m0", "bogus"], "unknown density field 'bogus'"),
+        (["convergence-mfg", "--levels", "256,512", "--lambda", "0"],
+         "lambda must be positive, got 0.0"),
+    ],
+    ids=["solve-lambda-0", "solve-manufactured-lambda--1", "solve-m0-bogus", "convergence-lambda-0"],
+)
+def test_mfg_lambda_and_m0_rejected_before_any_mesh(capsys, monkeypatch, argv, message):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built before lambda and m0 were checked")
+
+    monkeypatch.setattr(cli.mesh, "unit_square_mesh", no_mesh)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("lambda", 0.0, "lambda must be positive, got 0.0"),
+     ("m0", "bogus", "unknown density field 'bogus'")],
+)
+def test_diagnose_stability_echo_lambda_and_m0_rejected_before_any_mesh(
+    capsys, monkeypatch, tmp_path, mfg_report_path, key, value, message
+):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built before lambda and m0 were checked")
+
+    report = read_json(mfg_report_path)
+    report["config"][key] = value
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(report))
+    monkeypatch.setattr(cli.mesh, "unit_square_mesh", no_mesh)
+    code, _, err = run_cli(capsys, ["diagnose-stability", "--from", str(path), "--levels", "8"])
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_diagnose_stability_arpack_failure_exits_nonconvergence(
     capsys, monkeypatch, mfg_report_path
 ):

@@ -416,6 +416,13 @@ def test_scan_takes_a_tuple_of_pairs_as_a_list(monotone_family):
     assert dataclasses.asdict(as_tuple) == dataclasses.asdict(as_list)
 
 
+@pytest.mark.parametrize("cases", [[], ()], ids=["list", "tuple"])
+def test_scan_rejects_an_empty_case_list_first(cases):
+    # the empty case list is named before the sample count or lambdas are read
+    with pytest.raises(ValueError, match=r"at least one \(problem, state\) case, got none"):
+        dg.stability_scan(cases, 0, lambdas=[-1.0])
+
+
 def test_scan_samples_kink_selections():
     report = dg.stability_scan(kinked_case(16), n_selection_samples=6)
     assert report.meta["kink_elements"][0] > 0

@@ -5,6 +5,7 @@ Huber branches) and from an independent scipy.integrate.quad oracle for the
 segment averages behind the secant identity.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -505,17 +506,44 @@ def test_mean_value_adjacent_floats_stay_in_ball():
 
 def test_mean_value_custom_model_fallback():
     # smooth non-builtin: H = |z|^2 / 2, selection = z; mean over the segment
-    # is the midpoint, and the secant identity is exact for quadratics
+    # is the midpoint, which the model passes as its own segment_mean, and
+    # the secant identity is exact for quadratics
     m = HamiltonianModel(
         name="quadratic",
         lipschitz_C_H=100.0,
         h=lambda Z: 0.5 * (Z * Z).sum(axis=1),
         selection=lambda Z: Z.copy(),
+        segment_mean=lambda p, d: (p[0] + d[0] / 2, p[1] + d[1] / 2),
     )
     z1 = np.array([1.0, 2.0])
     z2 = np.array([-0.5, 0.25])
     A = mean_value_matrix(m, z1, z2)
     assert np.allclose(A, (z1 + z2) / 2, atol=1e-11)
+
+
+def test_mean_value_without_segment_mean_names_the_model():
+    m = HamiltonianModel(
+        name="no-mean",
+        lipschitz_C_H=1.0,
+        h=lambda Z: np.linalg.norm(Z, axis=1),
+        selection=lambda Z: pytest.fail("no map may run before the check"),
+    )
+    for z1, z2 in [([1.0, 2.0], [-0.5, 0.25]), ([1.0, 2.0], [1.0, 2.0])]:
+        with pytest.raises(ValueError, match="'no-mean' has no segment_mean"):
+            mean_value_matrix(m, np.array(z1), np.array(z2))
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: f"{m.name}-{m.lipschitz_C_H:g}")
+def test_mean_value_of_renamed_builtin_is_bitwise_the_builtin(model):
+    # the name is a label: the model's own segment_mean integrates it
+    renamed = dataclasses.replace(model, name="renamed")
+    g = rng(53)
+    Z1, Z2 = _random_pairs(g, 300)
+    Z2[-30:] = -Z1[-30:] * g.uniform(0.1, 10.0, size=(30, 1))  # through the origin
+    for z1, z2 in zip(Z1, Z2):
+        assert np.array_equal(
+            mean_value_matrix(renamed, z1, z2), mean_value_matrix(model, z1, z2)
+        )
 
 
 # -------------------------------------------------------------- element fields
