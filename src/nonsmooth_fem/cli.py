@@ -228,13 +228,12 @@ def _mfg_config(args) -> dict:
 
 
 def _mfg_problem_from_config(config: dict, n: int) -> mfg.MfgProblem:
-    """The level-n problem of an MFG config; lambda and the m0 name are
-    checked before the mesh is built."""
+    """The level-n problem of an MFG config; lambda, the model's gradient
+    data and the m0 name are checked before the mesh is built."""
     model = hm.model_from_spec(config["hamiltonian"])
     coupling = mfg.coupling_from_spec(config["coupling"])
     lam = config["lambda"]
-    if not lam > 0:
-        raise UsageError(f"lambda must be positive, got {lam}")
+    mfg.check_model_and_lambda(model, lam)
     m0 = None if config.get("manufactured") else _m0_field(config["m0"])
     space = fem.make_space(mesh.unit_square_mesh(n))
     if m0 is None:

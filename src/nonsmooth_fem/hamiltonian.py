@@ -6,8 +6,11 @@ whose gradient H_p exists everywhere and is itself Lipschitz, so that the
 selection is H_p) a selection from its generalized Jacobian. H depends on
 the gradient z only; every map is vectorized over gradient rows, and P1
 gradients are constant per element, so solvers evaluate each map once per
-element. Solvers only ever need a single selection at the current iterate;
-the full set-valued subdifferential is never materialized.
+element. The built-in maps work on the two (N,) columns of the rows (|z|
+is sqrt(z0 z0 + z1 z1), bitwise np.linalg.norm), and Huber's Jacobian
+selection is formed in place in its (N, 2, 2) result. Solvers only ever
+need a single selection at the current iterate; the full set-valued
+subdifferential is never materialized.
 
 Tie-breaks on kink sets are fixed per model so that every run is
 reproducible:
@@ -65,6 +68,11 @@ def _rows(Z) -> np.ndarray:
     return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
+def _radius(Z: np.ndarray) -> np.ndarray:
+    """|z| per row, (N, 2) -> (N,): bitwise np.linalg.norm(Z, axis=1)."""
+    return np.sqrt(Z[:, 0] * Z[:, 0] + Z[:, 1] * Z[:, 1])
+
+
 def eval_many(model: HamiltonianModel, Z: np.ndarray) -> np.ndarray:
     """H at each gradient row: (N, 2) -> (N,)."""
     return model.h(_rows(Z))
@@ -107,17 +115,17 @@ def _eikonal_model() -> HamiltonianModel:
     # z/|z| is scale-invariant; divide by the max component first so the
     # result stays unit-length even when |z| sits below the normal range
     def sel(Z):
-        s = np.abs(Z).max(axis=1)
+        s = np.maximum(np.abs(Z[:, 0]), np.abs(Z[:, 1]))
         safe = np.where(s > 0.0, s, 1.0)
         W = Z / safe[:, None]
-        r = np.linalg.norm(W, axis=1)
+        r = _radius(W)
         r = np.where(r > 0.0, r, 1.0)
         return np.where((s > 0.0)[:, None], W / r[:, None], 0.0)
 
     return HamiltonianModel(
         name="eikonal",
         lipschitz_C_H=1.0,
-        h=lambda Z: np.linalg.norm(Z, axis=1),
+        h=_radius,
         selection=sel,
         segment_mean=lambda p, d: _unit_direction_mean(p, d, 0.0, 1.0),
     )
@@ -129,24 +137,25 @@ def _huber_model(delta: float) -> HamiltonianModel:
     delta = float(delta)
 
     def h(Z):
-        r = np.linalg.norm(Z, axis=1)
+        r = _radius(Z)
         return np.where(r <= delta, r * r / (2 * delta), r - delta / 2)
 
     def hp(Z):
-        r = np.linalg.norm(Z, axis=1)
+        r = _radius(Z)
         safe = np.where(r > 0.0, r, 1.0)
         return np.where((r <= delta)[:, None], Z / delta, Z / safe[:, None])
 
     def hp_jac(Z):
-        r = np.linalg.norm(Z, axis=1)
-        out = np.empty((len(Z), 2, 2))
-        inner = r <= delta  # tie at r == delta resolved to the inner branch
-        out[inner] = np.eye(2) / delta
-        zo = Z[~inner]
-        ro = r[~inner]
-        out[~inner] = (
-            np.eye(2)[None] - zo[:, :, None] * zo[:, None, :] / (ro * ro)[:, None, None]
-        ) / ro[:, None, None]
+        # (I - z z^T / r^2) / r on every row, formed in place with r = 1 on
+        # the inner rows, which then take I / delta (the tie r == delta too)
+        r = _radius(Z)
+        inner = r <= delta
+        np.copyto(r, 1.0, where=inner)
+        out = Z[:, :, None] * Z[:, None, :]
+        out /= (r * r)[:, None, None]
+        np.subtract(np.eye(2), out, out=out)
+        out /= r[:, None, None]
+        np.copyto(out, np.eye(2) / delta, where=inner[:, None, None])
         return out
 
     return HamiltonianModel(

@@ -566,6 +566,85 @@ def test_solve_caches_no_rule_coordinates():
         assert getattr(value, "shape", None) != (6, space.mesh.n_triangles, 2)
 
 
+# ----------------------------------------------- kernels against their old forms
+
+
+def _allocating_vcycle(cycle, b, level=0):
+    """The V-cycle with a temporary per operation, x += w * (b - A @ x): the
+    oracle of the in-place sweeps."""
+    if level == len(cycle.hierarchy):
+        return cycle.lu.solve(b)
+    A, w = cycle.ops[level], cycle.weights[level]
+    P, R = cycle.hierarchy[level]
+    x = w * b
+    for _ in range(fem._JACOBI_SWEEPS - 1):
+        x += w * (b - A @ x)
+    x += P @ _allocating_vcycle(cycle, R @ (b - A @ x), level + 1)
+    for _ in range(fem._JACOBI_SWEEPS):
+        x += w * (b - A @ x)
+    return x
+
+
+@pytest.mark.parametrize("n", [7, 16, 64])
+def test_vcycle_in_place_sweeps_are_bitwise_the_allocating_cycle(n):
+    # n = 7 has no hierarchy (the cycle is the LU), 16 one and 64 three levels
+    space = make_space(unit_square_mesh(n))
+    rng = np.random.default_rng(n)
+    drift = rng.standard_normal((space.mesh.n_triangles, 2))
+    for A in (fem.operator(space, 1.0), fem.operator(space, 0.5, drift)):
+        cycle = fem._VCycle(A, fem.prolongations(space))
+        for _ in range(3):
+            b = rng.standard_normal(space.n_free) * 10.0 ** rng.uniform(-8, 8)
+            b_before = b.copy()
+            assert np.array_equal(cycle(b), _allocating_vcycle(cycle, b))
+            assert np.array_equal(b, b_before)
+
+
+@pytest.mark.parametrize("n", [3, 24])
+def test_drift_matrix_is_bitwise_its_einsum_form(n):
+    space = make_space(unit_square_mesh(n))
+    rng = np.random.default_rng(n)
+    nt = space.mesh.n_triangles
+    field = rng.standard_normal((nt, 2)) * 10.0 ** rng.uniform(-6, 6, (nt, 2))
+    field[:3] = [[0.0, 0.0], [-0.0, 1.0], [5e-324, -2.0]]
+    drift = np.einsum("td,tjd->tj", field, space.elem_grads)
+    drift *= space.elem_areas[:, None] / 3.0
+    local = np.repeat(drift[:, None, :], 3, axis=1)
+    assert _same_csr(fem.drift_matrix(space, field), fem._assemble(space, local, space.elem_dofs))
+
+
+def _einsum_norm(space, u, kind, r, u_exact=None, grad_exact=None):
+    """One norm by the one-pass sum of fem._norms with its squared gradient
+    terms by einsum: the oracle of their product form."""
+    p = 2.0 if kind in ("L2", "H1") else float(r)
+    corners = fem._corner_values(space, u)
+    grads = element_gradients(space, u)
+    grad_sq = np.einsum("td,td->t", grads, grads)
+    points = fem.quad_points(space)[2] if u_exact is not None else [None] * len(fem._QUAD_BARY)
+    total = 0.0
+    for w, b, X in zip(fem._QUAD_WEIGHTS, fem._QUAD_BARY, points):
+        vals = b @ corners
+        if X is not None:
+            diff = grad_exact(X) - grads
+            grad_sq = np.einsum("td,td->t", diff, diff)
+            vals = u_exact(X) - vals
+        density = np.abs(vals) ** p
+        if kind in ("H1", "W1r"):
+            density += grad_sq ** (p / 2.0)
+        total += float(w * (space.elem_areas @ density))
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("kind, r", [("H1", None), ("W1r", 4.0), ("W1r", 3.0)])
+def test_gradient_norms_are_bitwise_their_einsum_form(kind, r):
+    space = make_space(unit_square_mesh(24))
+    u = interpolate_nodal(space, u_star)
+    u += 1e-3 * np.random.default_rng(8).standard_normal(space.n_free)
+    assert norm(space, u, kind, r) == _einsum_norm(space, u, kind, r)
+    got = error_vs_exact(space, u, u_star, grad_u_star, kind, r)
+    assert got == _einsum_norm(space, u, kind, r, u_star, grad_u_star)
+
+
 # ------------------------------------------------------------ point location
 
 

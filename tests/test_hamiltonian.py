@@ -256,6 +256,83 @@ def test_batch_evaluators_match_pointwise(name, kwargs):
         assert np.array_equal(hp_selection_many(m, Z[k : k + 1])[0], jv[k])
 
 
+# ----------------------------------------------- row maps against their old forms
+
+
+def _old_eikonal_selection(Z):
+    s = np.abs(Z).max(axis=1)
+    safe = np.where(s > 0.0, s, 1.0)
+    W = Z / safe[:, None]
+    r = np.linalg.norm(W, axis=1)
+    r = np.where(r > 0.0, r, 1.0)
+    return np.where((s > 0.0)[:, None], W / r[:, None], 0.0)
+
+
+def _old_huber_maps(Z, delta):
+    """(h, hp, hp_jacobian) with np.linalg.norm and the Jacobian selection
+    by masked assignment."""
+    r = np.linalg.norm(Z, axis=1)
+    h = np.where(r <= delta, r * r / (2 * delta), r - delta / 2)
+    safe = np.where(r > 0.0, r, 1.0)
+    hp = np.where((r <= delta)[:, None], Z / delta, Z / safe[:, None])
+    jac = np.empty((len(Z), 2, 2))
+    inner = r <= delta
+    jac[inner] = np.eye(2) / delta
+    zo, ro = Z[~inner], r[~inner]
+    jac[~inner] = (
+        np.eye(2)[None] - zo[:, :, None] * zo[:, None, :] / (ro * ro)[:, None, None]
+    ) / ro[:, None, None]
+    return h, hp, jac
+
+
+def _kernel_rows(seed, n=20_000):
+    """Random gradient rows over 200 decades with zeros, signed zeros,
+    subnormals, axis rows and rows on the spheres |z| = 1, 1/4 and 10."""
+    g = rng(seed)
+    Z = g.standard_normal((n, 2)) * 10.0 ** g.uniform(-100, 100, (n, 1))
+    Z[:12] = [[0.0, 0.0], [-0.0, 0.0], [5e-324, 0.0], [1e-320, 3e-320], [-1e-310, 2e-308],
+              [0.6, 0.8], [3.0, 4.0], [0.0, -0.25], [6.0, -8.0], [0.25, 0.0], [1.0, 0.0],
+              [0.0, 10.0]]
+    Z[12:1000] = g.uniform(-2, 2, (988, 2))
+    return Z
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_maps_are_bitwise_their_norm_and_masked_forms(seed):
+    Z = _kernel_rows(seed)
+    assert np.array_equal(hamiltonian._radius(Z), np.linalg.norm(Z, axis=1))
+    eikonal = builtin_model("eikonal")
+    assert np.array_equal(eval_many(eikonal, Z), np.linalg.norm(Z, axis=1))
+    assert np.array_equal(selection_many(eikonal, Z), _old_eikonal_selection(Z))
+    for delta in (1.0, 0.25, 10.0):
+        model = builtin_model("huber", delta=delta)
+        h, hp, jac = _old_huber_maps(Z, delta)
+        assert np.array_equal(eval_many(model, Z), h)
+        assert np.array_equal(hp_many(model, Z), hp)
+        assert np.array_equal(hp_selection_many(model, Z), jac)
+
+
+def test_eikonal_selection_is_unit_on_subnormal_rows():
+    sel = selection_many(builtin_model("eikonal"), [[5e-324, 0.0], [1e-320, 3e-320], [0.0, 0.0]])
+    assert np.array_equal(sel[0], [1.0, 0.0])
+    assert abs(np.hypot(*sel[1]) - 1.0) <= 1e-15 and (sel[1] > 0.0).all()
+    assert np.array_equal(sel[2], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0, 5.0])
+def test_huber_jacobian_tie_takes_the_inner_branch_exactly(delta):
+    model = builtin_model("huber", delta=delta)
+    # |z| == delta in floating point on each row; the last row sits one ulp out
+    Z = np.array([[delta, 0.0], [0.0, -delta], [0.6 * delta, 0.8 * delta],
+                  [np.nextafter(delta, np.inf), 0.0]])
+    r = np.linalg.norm(Z, axis=1)
+    assert (r[:3] == delta).all() and r[3] > delta
+    jac = hp_selection_many(model, Z)
+    assert np.array_equal(jac[:3], np.broadcast_to(np.eye(2) / delta, (3, 2, 2)))
+    outer = (np.eye(2) - np.outer(Z[3], Z[3]) / (r[3] * r[3])) / r[3]
+    assert np.array_equal(jac[3], outer)
+
+
 # ----------------------------------------------------------- Lipschitz bounds
 
 

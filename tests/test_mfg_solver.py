@@ -761,6 +761,91 @@ def test_mfg_sources_reproduce_strong_form():
     assert np.max(np.abs(g_fp(X) - expect_fp)) <= 1e-12
 
 
+def _old_grad_u_star(X):
+    sx, cx = np.sin(np.pi * X[:, 0]), np.cos(np.pi * X[:, 0])
+    sy, cy = np.sin(np.pi * X[:, 1]), np.cos(np.pi * X[:, 1])
+    return np.pi * np.column_stack([cx * sy, sx * cy])
+
+
+def _old_hess_u_star(X):
+    sx, cx = np.sin(np.pi * X[:, 0]), np.cos(np.pi * X[:, 0])
+    sy, cy = np.sin(np.pi * X[:, 1]), np.cos(np.pi * X[:, 1])
+    H = np.empty((len(X), 2, 2))
+    H[:, 0, 0] = -np.pi**2 * sx * sy
+    H[:, 1, 1] = -np.pi**2 * sx * sy
+    H[:, 0, 1] = np.pi**2 * cx * cy
+    H[:, 1, 0] = H[:, 0, 1]
+    return H
+
+
+def _old_sources(model, coupling, lam):
+    """hj_source, g_hjb and g_fp with every field evaluated on its own and
+    the trace by einsum: the oracle of the one-jet sources."""
+    u = m = man.u_star
+    Du = Dm = _old_grad_u_star
+
+    def f(X):
+        return (2.0 * np.pi**2 + lam) * u(X) + hm.eval_many(model, Du(X))
+
+    def g_hjb(X):
+        return (2.0 * np.pi**2 + lam) * u(X) + hm.eval_many(model, Du(X)) - coupling.f(m(X))
+
+    def g_fp(X):
+        Z = Du(X)
+        hp = hm.hp_many(model, Z)
+        div_hp = np.einsum("nij,nji->n", hm.hp_selection_many(model, Z), _old_hess_u_star(X))
+        return 2.0 * np.pi**2 * m(X) - ((Dm(X) * hp).sum(axis=1) + m(X) * div_hp)
+
+    return f, g_hjb, g_fp
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.25, 10.0])
+@pytest.mark.parametrize(
+    "coupling", [mfg.local_linear(1.0), mfg.local_arctan()], ids=["linear", "arctan"]
+)
+def test_sources_are_bitwise_the_per_field_forms(delta, coupling):
+    X = np.random.default_rng(17).uniform(-0.5, 1.5, (100_000, 2))
+    X[:4] = [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.25, 0.75]]
+    model = hm.builtin_model("huber", delta=delta)
+    f, g_hjb, g_fp = _old_sources(model, coupling, 0.7)
+    assert np.array_equal(man.grad_u_star(X), _old_grad_u_star(X))
+    assert np.array_equal(man.hess_u_star(X), _old_hess_u_star(X))
+    assert np.array_equal(man.hj_source(model, 0.7)(X), f(X))
+    for new, old in zip(man.mfg_sources(model, coupling, 0.7), (g_hjb, g_fp)):
+        assert np.array_equal(new(X), old(X))
+
+
+@pytest.mark.parametrize("name", ["zero", "eikonal"])
+def test_hj_source_is_bitwise_the_per_field_form(name):
+    X = np.random.default_rng(19).uniform(0.0, 1.0, (50_000, 2))
+    model = hm.builtin_model(name)
+    assert np.array_equal(man.hj_source(model, 2.0)(X), _old_sources(model, None, 2.0)[0](X))
+
+
+def _einsum_advection(problem, state, xi):
+    space = problem.space
+    nodal = np.take(fem.extend_to_vertices(space, state.m), space.mesh.triangles)
+    xig = np.einsum("tde,tje->tjd", xi, space.elem_grads)
+    local = np.einsum("tjd,tid->tij", xig, space.elem_grads)
+    local *= (space.elem_areas * nodal.mean(axis=1))[:, None, None]
+    return fem.assemble_from_local(space, local, space.elem_dofs)
+
+
+@pytest.mark.parametrize("n", [3, 32])
+def test_advection_sensitivity_is_bitwise_its_einsum_form(n):
+    space = space_of(n)
+    rng = np.random.default_rng(n)
+    problem = mfg.make_mfg_problem(space, huber(), mfg.local_linear(1.0), 1.0, man.bump)
+    state = mfg.MfgState(u=rng.standard_normal(space.n_free), m=rng.standard_normal(space.n_free))
+    nt = space.mesh.n_triangles
+    for xi in (rng.standard_normal((nt, 2, 2)) * 10.0 ** rng.uniform(-5, 5, (nt, 1, 1)),
+               hm.hp_selection_many(huber(), fem.element_gradients(space, state.u))):
+        got = mfg.advection_sensitivity(problem, state, xi)
+        want = _einsum_advection(problem, state, xi)
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
 def test_mfg_sources_require_gradient_data():
     with pytest.raises(ValueError):
         man.mfg_sources(hm.builtin_model("eikonal"), mfg.local_linear(1.0), 1.0)
