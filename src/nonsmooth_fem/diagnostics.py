@@ -214,12 +214,12 @@ def banach_constant(A, grams: GramPair | None = None) -> float:
     plain smallest singular value. Dense: whiten both sides by Cholesky
     factors and take the smallest SVD value, accurate to roundoff. Large
     sparse Jacobians go through preconditioned_constant instead."""
-    return float(np.linalg.svd(_whitened(A, grams), compute_uv=False)[-1])
+    return float(scipy.linalg.svdvals(_whitened(A, grams))[-1])
 
 
 def operator_norm(S, grams: GramPair | None = None) -> float:
     """Largest weighted singular value (dense computation)."""
-    return float(np.linalg.svd(_whitened(S, grams), compute_uv=False)[0])
+    return float(scipy.linalg.svdvals(_whitened(S, grams))[0])
 
 
 def perturbation_check(T, S, grams: GramPair | None = None):

@@ -1,21 +1,19 @@
 """P1 Lagrange finite element core on unit_square_mesh(n).
 
 Provides dof management with homogeneous Dirichlet elimination (int32
-connectivity), exact assembly of stiffness/mass forms (P1 gradients are
-elementwise constant), on the free dofs or on all vertices, by one scatter
-into a CSR pattern cached per space, whose read-only index arrays every
-matrix on it shares, linear combinations of free-dof matrices (free_sum),
-the assembler of every solver matrix, operator = K + lam M
-(+ drift_matrix), load vectors, nodal interpolation, discrete norms, the
-P1 prolongations of the unit-square grid hierarchy with their
-restrictions, built once per space, the geometric V-cycle on that
-hierarchy, and the one linear-solve routine, krylov_solve: GMRES
-preconditioned by one V-cycle per iteration. Every Newton step and every
-Picard update of the solvers goes through krylov_solve, and the V-cycle
-also preconditions the conjugate gradients of the dual norm
-(ResidualNorm), so none of them factors a matrix above the coarsest grid.
-The hierarchy, point location and both patterns (one 7-point stencil on
-two lattices) come from grid arithmetic on mesh.n.
+connectivity), exact assembly of stiffness/mass forms on the free dofs or
+on all vertices from the grid's two element shapes, summed as a 7-point
+stencil onto a CSR pattern cached per space (whose read-only index arrays
+every matrix on it shares), the assembler of every solver matrix,
+operator = K + lam M (+ drift_matrix), load vectors, nodal interpolation,
+discrete norms, the P1 prolongations of the grid hierarchy with their
+restrictions, built once per space, the geometric V-cycle on it, and the
+one linear-solve routine, krylov_solve: GMRES preconditioned by one
+V-cycle per iteration. Every Newton step and Picard update goes through
+krylov_solve, and the V-cycle also preconditions the conjugate gradients
+of the dual norm (ResidualNorm), so no matrix is factored above the
+coarsest grid. The geometry, hierarchy, point location and patterns come
+from grid arithmetic on mesh.n.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -53,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TriMesh, corner_areas, corner_coordinates, grid_boundary
+from .mesh import TriMesh, grid_boundary
 
 
 class FemError(RuntimeError):
@@ -112,21 +110,29 @@ def _local_mass(areas) -> np.ndarray:
     return np.asarray(areas, dtype=float)[..., None, None] * _P1_MASS
 
 
+# element t is half t % 2 of grid cell t // 2: the grid offsets of the corners
+# of the even (v00, v10, v11) and odd (v00, v11, v01) half, and 1/n times
+# their P1 basis gradients
+_CORNER_OFFSET = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+_SHAPE_GRADS = np.array([[[-1.0, 0], [1, -1], [0, 1]], [[0, -1], [1, 0], [-1, 1]]])
+_SHAPE_GRADS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FeSpace:
     """P1 space with homogeneous Dirichlet elimination.
 
     free_dofs maps dof index -> vertex index; dof_of_vertex maps vertex ->
-    dof index or -1 on the boundary. Cached element geometry: elem_dofs
-    (triangle-local dof or -1), elem_grads (constant basis gradients,
-    (nt, 3, 2)), elem_areas, both formed by _geometry from one gather of the
-    corner coordinates. The three index arrays are int32, like
-    mesh.triangles.
+    dof index or -1 on the boundary; elem_dofs holds each triangle's dofs,
+    -1 on the boundary. All three are int32, like mesh.triangles. The
+    element geometry is the grid's two shapes, broadcast by parity:
+    element t is half t % 2 of a cell, with basis gradients grads[t % 2]
+    (grads is (2, 3, 2)) and area 0.5 / n^2, as every element.
     _cache holds the CSR patterns (_pattern) of the free dofs ("pattern")
     and of all vertices ("vertex_pattern"), whose read-only indices and
-    indptr every matrix assembled on them shares, K, M, the grid hierarchy
-    with its restrictions (prolongations), the dual norm (residual_norm)
-    and, for a nonlocal MFG coupling, mfg_solver's mollifier ("smoother").
+    indptr every matrix assembled on them shares, the grid hierarchy with
+    its restrictions (prolongations), the dual norm (residual_norm) and,
+    for a nonlocal MFG coupling, mfg_solver's mollifier ("smoother").
     """
 
     mesh: TriMesh
@@ -134,30 +140,12 @@ class FeSpace:
     n_free: int
     dof_of_vertex: np.ndarray = field(repr=False)
     elem_dofs: np.ndarray = field(repr=False)
-    elem_grads: np.ndarray = field(repr=False)
-    elem_areas: np.ndarray = field(repr=False)
+    grads: np.ndarray = field(repr=False)
+    area: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _geometry(mesh: TriMesh):
-    """Signed areas (nt,) and constant P1 basis gradients (nt, 3, 2), both
-    from one gather of the corner coordinates (mesh.corner_coordinates):
-    Dphi_i = (y_a - y_b, x_b - x_a) / (2 area), with a and b the corners
-    after i in counterclockwise order. Every element of the family is
-    counterclockwise, so every area is positive."""
-    x, y = corner_coordinates(mesh.vertices, mesh.triangles)
-    areas = corner_areas(x, y)
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        np.subtract(y[:, a], y[:, b], out=grads[:, i, 0])
-        np.subtract(x[:, b], x[:, a], out=grads[:, i, 1])
-    grads /= (2.0 * areas)[:, None, None]
-    return areas, grads
-
-
 def make_space(mesh: TriMesh) -> FeSpace:
-    areas, grads = _geometry(mesh)
     free = np.flatnonzero(~mesh.boundary_vertex).astype(np.int32)
     dof_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int32)
     dof_of_vertex[free] = np.arange(free.size, dtype=np.int32)
@@ -168,8 +156,8 @@ def make_space(mesh: TriMesh) -> FeSpace:
         n_free=int(free.size),
         dof_of_vertex=dof_of_vertex,
         elem_dofs=elem_dofs,
-        elem_grads=grads,
-        elem_areas=areas,
+        grads=mesh.n * _SHAPE_GRADS,
+        area=0.5 / (mesh.n * mesh.n),
     )
 
 
@@ -179,82 +167,81 @@ def make_space(mesh: TriMesh) -> FeSpace:
 # the 7-point stencil of the unknown b m + a at position (a, b) of a
 # row-major lattice of side m: its neighbours' (da, db) in ascending order
 _STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
-# _ELEMENT_STENCIL[t % 2, k, l]: the stencil entry that couples corner k of
-# triangle t with its corner l, for the even (v00, v10, v11) and the odd
-# (v00, v11, v01) half of a grid cell
+# _ELEMENT_STENCIL[p, k, l]: the stencil entry that couples corner k of an
+# element of half p with its corner l
 _ELEMENT_STENCIL = np.array(
     [[[3, 4, 6], [2, 3, 5], [0, 1, 3]], [[3, 6, 5], [0, 3, 2], [1, 4, 3]]], dtype=np.int32
 )
+# the (half, corner) pairs in the order in which their elements ascend
+# around the vertex at that corner: cell row, then cell column, then half
+_SUM_ORDER = ((0, 2), (1, 1), (1, 2), (0, 1), (0, 0), (1, 0))
+_ROW_BLOCK = 32  # cell rows per block of the stencil sum, which stays in cache
+
+
+def _side(space: FeSpace, corners: np.ndarray) -> int:
+    """Side m of the row-major lattice of the unknowns that corners numbers:
+    n - 1 for space.elem_dofs (free dofs), n + 1 for space.mesh.triangles."""
+    if corners is space.elem_dofs or corners is space.mesh.triangles:
+        return space.mesh.n + (1 if corners is space.mesh.triangles else -1)
+    raise FemError("corners must be the space's elem_dofs or its mesh's triangles")
+
+
+def _inside(m: int) -> np.ndarray:
+    """(m, m, 7) mask: the _STENCIL neighbours on a lattice of side m."""
+    inside = np.ones((m, m, 7), dtype=bool)
+    edge = {-1: slice(0, 1), 1: slice(m - 1, m)}  # both empty at m = 0
+    for s, (da, db) in enumerate(_STENCIL):
+        inside[:, edge.get(da, slice(0)), s] = inside[edge.get(db, slice(0)), :, s] = False
+    return inside
 
 
 def _pattern(space: FeSpace, corners: np.ndarray) -> tuple:
-    """CSR pattern of the P1 matrices on the unknowns that corners numbers,
-    cached on the space: (slot, indices, indptr), all three read-only.
-    corners is space.elem_dofs (free dofs, -1 on the boundary: a lattice of
-    side m = n - 1) or space.mesh.triangles (all vertices: side m = n + 1).
-    slot[e] is the CSR position that entry e of a raveled (nt, 3, 3)
-    element array sums into, or the spare position nnz, which is dropped,
-    for an entry off the lattice. Every matrix assembled on a pattern
-    references indices and indptr, so an in-place change to one (sort,
-    prune) raises ValueError instead of corrupting the others.
-
-    Built in closed form, with no sort: row d holds the _STENCIL neighbours
-    of d on the lattice, and entry (k, l) of triangle t sums into stencil
-    entry _ELEMENT_STENCIL[t % 2, k, l] of the row of its corner k."""
-    free = corners is space.elem_dofs
-    if not (free or corners is space.mesh.triangles):
-        raise FemError("corners must be the space's elem_dofs or its mesh's triangles")
-    key = "pattern" if free else "vertex_pattern"
+    """CSR pattern (indices, indptr) of the unknowns that corners numbers
+    (_side), cached and read-only: row d holds d's _STENCIL neighbours on
+    the lattice. Every matrix on it shares both arrays, so an in-place
+    change (sort, prune) raises ValueError instead of corrupting others."""
+    m = _side(space, corners)
+    key = "pattern" if corners is space.elem_dofs else "vertex_pattern"
     if key not in space._cache:
-        m = space.mesh.n - 1 if free else space.mesh.n + 1
-        index = np.int32 if 9 * space.mesh.n_triangles < np.iinfo(np.int32).max else np.int64
-        dof = np.arange(m * m, dtype=index)
-        b, a = np.divmod(dof, max(m, 1))  # m = 0: no free dof
+        index = np.int32 if 7 * m * m <= np.iinfo(np.int32).max else np.int64
+        inside = _inside(m).reshape(m * m, 7)
         da, db = np.array(_STENCIL, dtype=index).T
-        a, b = a[:, None] + da, b[:, None] + db
-        inside = (0 <= a) & (a < m) & (0 <= b) & (b < m)  # (m^2, 7)
-        indices = (dof[:, None] + (db * m + da))[inside]
+        indices = (np.arange(m * m, dtype=index)[:, None] + (db * m + da))[inside]
         indptr = np.zeros(m * m + 1, dtype=index)
         np.cumsum(inside.sum(axis=1), out=indptr[1:])
-        # the CSR position of every stencil entry, row-major, nnz where the
-        # neighbour is off the lattice, and a last row of nnz that corner -1
-        # reaches as 7 * -1 + entry
-        position = np.full(7 * (m * m + 1), indices.size, dtype=index)
-        position[:-7][inside.ravel()] = np.arange(indices.size, dtype=index)
-        del a, b, inside  # 63 bytes per row, not held through the gather
-        rows = corners.astype(index, copy=False).reshape(-1, 2, 3, 1) * 7
-        pattern = (position[(rows + _ELEMENT_STENCIL).ravel()], indices, indptr)
-        for array in pattern:
-            array.setflags(write=False)
-        space._cache[key] = pattern
+        indices.flags.writeable = indptr.flags.writeable = False
+        space._cache[key] = (indices, indptr)
     return space._cache[key]
 
 
-def _assemble(space: FeSpace, local: np.ndarray, corners: np.ndarray) -> sp.csr_matrix:
-    """Sum (nt, 3, 3) element matrices into the CSR on the unknowns that
-    corners numbers: one np.add.at into the cached pattern (_pattern), whose
-    index arrays the matrix shares. np.bincount would sum in the same order
-    but first copy the int32 slots to int64: 144 bytes per free dof."""
-    slot, indices, indptr = _pattern(space, corners)
-    data = np.zeros(indices.size + 1)
-    np.add.at(data, slot, local.ravel())
-    return sp.csr_matrix((data[:-1], indices, indptr), shape=(len(indptr) - 1,) * 2)
+def _stencil_sum(n: int, local: np.ndarray, m: int) -> np.ndarray:
+    """The (m, m, 7) stencil array of element matrices local[j, i, p] (half p
+    of the cell in row j, column i; a view will do) on the lattice of side m:
+    entry (k, l) adds into entry _ELEMENT_STENCIL[p, k, l] of the row of
+    corner k, one shifted-slice add per (p, k, l). Row blocks ascend and
+    (p, k) follow _SUM_ORDER: each entry sums in ascending element index."""
+    shift = (n + 1 - m) // 2  # vertex (i, j) sits at lattice (i, j) - shift
+    stencil = np.zeros((m, m, 7))
+
+    def span(d, first, last):  # the cells first..last - 1 with their corner
+        lo, hi = max(first, shift - d), min(last, m + shift - d)  # at offset d
+        return slice(lo, hi), slice(lo + d - shift, hi + d - shift)  # on it
+
+    for j in range(0, n, _ROW_BLOCK):
+        for p, k in _SUM_ORDER:
+            dx, dy = _CORNER_OFFSET[p][k]
+            (cx, vx), (cy, vy) = span(dx, 0, n), span(dy, j, min(n, j + _ROW_BLOCK))
+            for l in range(3):
+                rows = stencil[vy, vx, _ELEMENT_STENCIL[p, k, l]]
+                np.add(rows, local[cy, cx, p, k, l], out=rows)
+    return stencil
 
 
-def free_sum(space: FeSpace, *terms) -> sp.csr_matrix:
-    """sum of c * A over the (c, A) terms, each A a free-dof matrix on the
-    cached pattern (assembled here: stiffness, mass, assemble_from_local, or
-    the CSR form of a transpose of one). The sum has exactly the pattern's
-    entries and shares its index arrays; scipy's A + B would hold arrays
-    sized for nnz(A) + nnz(B)."""
-    _, indices, indptr = _pattern(space, space.elem_dofs)
-    data = np.zeros(indices.size)
-    for c, A in terms:
-        shared = A.indptr is indptr and A.indices is indices
-        if not (shared or (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices))):
-            raise FemError("free_sum: a term is not on the free-dof pattern")
-        data += c * A.data
-    return sp.csr_matrix((data, indices, indptr), shape=(space.n_free,) * 2)
+def _csr(space: FeSpace, stencil: np.ndarray, corners: np.ndarray) -> sp.csr_matrix:
+    """The matrix of an (m, m, 7) stencil array on the cached pattern."""
+    indices, indptr = _pattern(space, corners)
+    m = _side(space, corners)
+    return sp.csr_matrix((stencil[_inside(m)], indices, indptr), shape=(m * m,) * 2)
 
 
 def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
@@ -266,71 +253,90 @@ def _assemble_p1_vector(space: "FeSpace", local: np.ndarray) -> np.ndarray:
 
 def assemble_from_local(space: "FeSpace", local: np.ndarray, corners: np.ndarray) -> sp.csr_matrix:
     """Sum per-element (nt, 3, 3) contributions into a CSR matrix on the
-    free dofs (corners = space.elem_dofs) or all vertices (mesh.triangles).
+    free dofs (corners = space.elem_dofs) or all vertices (mesh.triangles)
+    by _stencil_sum, which reads an (n, n, 2, 3, 3) view in place.
 
     Entry local[t, i, j] couples local test vertex i with trial vertex j of
     triangle t; boundary vertices (dof -1) are dropped on the free dofs.
     """
-    return _assemble(space, np.asarray(local, dtype=float), corners)
+    n = space.mesh.n
+    local = np.asarray(local, dtype=float).reshape(n, n, 2, 3, 3)
+    return _csr(space, _stencil_sum(n, local, _side(space, corners)), corners)
 
 
-def _local_stiffness(grads: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Exact P1 element stiffness matrices (nt, 3, 3),
-    areas * (Dphi_i . Dphi_j), from products of the (nt, 3) gradient
-    components: the x products, plus the y products, times the areas."""
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
-    local = gx[:, :, None] * gx[:, None, :]
-    local += gy[:, :, None] * gy[:, None, :]
-    local *= areas[:, None, None]
-    return local
+def _free_values(shapes: np.ndarray) -> np.ndarray:
+    """The seven stencil values of every free row for element matrices
+    shapes[p] on half p: each free row has all six elements, so entry s sums
+    the shapes[p, k, l] that _ELEMENT_STENCIL maps to s, in _stencil_sum's
+    order."""
+    shapes, values = np.broadcast_to(shapes, (2, 3, 3)).tolist(), [0.0] * 7
+    for p, k in _SUM_ORDER:  # float by float: a few microseconds
+        for s, term in zip(_ELEMENT_STENCIL[p, k].tolist(), shapes[p][k]):
+            values[s] += term
+    return np.array(values)
+
+
+def _free_matrix(space: FeSpace, values: np.ndarray) -> sp.csr_matrix:
+    m = space.mesh.n - 1
+    return _csr(space, np.broadcast_to(values, (m, m, 7)), space.elem_dofs)
+
+
+def _all_vertices(space: FeSpace, shapes: np.ndarray) -> sp.csr_matrix:
+    n = space.mesh.n  # boundary rows lack elements: the full stencil sum
+    return assemble_from_local(space, np.broadcast_to(shapes, (n, n, 2, 3, 3)), space.mesh.triangles)
+
+
+def _shape_stiffness(space: FeSpace) -> np.ndarray:
+    """The halves' P1 stiffness matrices (2, 3, 3): area (Dphi_i . Dphi_j)."""
+    gx, gy = space.grads[:, :, 0], space.grads[:, :, 1]
+    return (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]) * space.area
 
 
 def full_stiffness(space: FeSpace) -> sp.csr_matrix:
     """Stiffness on ALL vertices (no Dirichlet elimination)."""
-    local = _local_stiffness(space.elem_grads, space.elem_areas)
-    return _assemble(space, local, space.mesh.triangles)
+    return _all_vertices(space, _shape_stiffness(space))
 
 
 def full_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass on ALL vertices (no Dirichlet elimination)."""
-    return _assemble(space, _local_mass(space.elem_areas), space.mesh.triangles)
+    return _all_vertices(space, _local_mass(space.area))
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     """K[i][j] = integral of Dphi_j . Dphi_i, exact, on free dofs."""
-    if "K" not in space._cache:
-        local = _local_stiffness(space.elem_grads, space.elem_areas)
-        space._cache["K"] = _assemble(space, local, space.elem_dofs)
-    return space._cache["K"]
+    return _free_matrix(space, _free_values(_shape_stiffness(space)))
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """M[i][j] = integral of phi_j phi_i via the exact element formula."""
-    if "M" not in space._cache:
-        space._cache["M"] = _assemble(space, _local_mass(space.elem_areas), space.elem_dofs)
-    return space._cache["M"]
+    return _free_matrix(space, _free_values(_local_mass(space.area)))
 
 
 def drift_matrix(space: FeSpace, field: np.ndarray) -> sp.csr_matrix:
     """B[i][j] = integral of (b_T . Dphi_j) phi_i for an elementwise-constant
     vector field b given as one row per element: (nt, 2)."""
-    drift = field[:, :1] * space.elem_grads[:, :, 0]  # b_T . Dphi_j
-    drift += field[:, 1:] * space.elem_grads[:, :, 1]
+    n = space.mesh.n
+    bx, by = np.asarray(field, dtype=float).reshape(-1, 2, 2).T  # (half, cell)
+    grads = space.grads[:, :, :, None]
+    drift = bx[:, None] * grads[:, :, 0]  # b_T . Dphi_j: (half, j, cell)
+    drift += by[:, None] * grads[:, :, 1]
     # integral of phi_i over T is |T|/3, independent of i: the three rows
-    # of each element matrix are equal
-    drift *= space.elem_areas[:, None] / 3.0
-    local = np.repeat(drift[:, None, :], 3, axis=1)
-    del drift  # 48 bytes per free dof, not held through the scatter
-    return assemble_from_local(space, local, space.elem_dofs)
+    # of each element matrix are equal, one plane stands for all three
+    drift *= space.area / 3.0
+    rows = np.broadcast_to(drift.reshape(2, 1, 3, n, n).transpose(3, 4, 0, 1, 2), (n, n, 2, 3, 3))
+    return assemble_from_local(space, rows, space.elem_dofs)
 
 
 def operator(space: FeSpace, lam: float, drift=None) -> sp.csr_matrix:
     """K + lam M (+ drift_matrix(space, drift) for a drift (nt, 2)) on the
-    free-dof pattern: every solver matrix, and K + M at lam = 1."""
-    terms = [(1.0, assemble_stiffness(space)), (lam, assemble_mass(space))]
+    free-dof pattern: every solver matrix, and K + M at lam = 1. The sum
+    is formed per stencil value, (0 + K) + lam M, then the drift added per
+    entry, and neither K nor M is formed."""
+    stiffness, mass = _free_values(_shape_stiffness(space)), _free_values(_local_mass(space.area))
+    A = _free_matrix(space, 0.0 + stiffness + lam * mass)
     if drift is not None:
-        terms.append((1.0, drift_matrix(space, drift)))
-    return free_sum(space, *terms)
+        A.data += drift_matrix(space, drift).data
+    return A
 
 
 # ------------------------------------------------------------- field evaluation
@@ -372,9 +378,9 @@ def _load(space: FeSpace, vals: np.ndarray) -> np.ndarray:
     """b[i] = sum_T |T| * sum_q w_q vals[q, T] phi_i(x_q), for vals (nq, nt)
     or per-element values (nt,)."""
     if vals.ndim == 1:
-        b_local = (vals * space.elem_areas)[:, None] * (_QUAD_WEIGHTS @ _QUAD_BARY)
+        b_local = (vals * space.area)[:, None] * (_QUAD_WEIGHTS @ _QUAD_BARY)
     else:
-        b_local = (vals.T @ _QUAD_WB) * space.elem_areas[:, None]
+        b_local = (vals.T @ _QUAD_WB) * space.area
     return _assemble_p1_vector(space, b_local)
 
 
@@ -431,15 +437,17 @@ def weighted_local_mass(space: FeSpace, weight: np.ndarray) -> np.ndarray:
     """Element matrices (nt, 3, 3) of the weight-weighted P1 mass by the
     rule, weight given at the rule's points (nq, nt)."""
     local = (weight.T @ _QUAD_WBB).reshape(-1, 3, 3)
-    local *= space.elem_areas[:, None, None]
+    local *= space.area
     return local
 
 
 def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     """Elementwise-constant gradient of u_h: (nt, 2)."""
-    nodal = np.take(extend_to_vertices(space, u), space.mesh.triangles)  # (nt, 3)
-    # einsum's one pass: every product form measured 1.3-2 times slower
-    return np.einsum("tk,tkd->td", nodal, space.elem_grads)
+    nodal = np.take(extend_to_vertices(space, u), space.mesh.triangles).reshape(-1, 2, 3)
+    Du = np.empty((len(nodal), 2, 2))  # cell, half, component
+    for p in (0, 1):  # one matmul per half: einsum's broadcast was 3 times slower
+        np.matmul(nodal[:, p], space.grads[p], out=Du[:, p])
+    return Du.reshape(-1, 2)
 
 
 def _locate(space: FeSpace, pts) -> tuple:
@@ -465,7 +473,7 @@ def _locate(space: FeSpace, pts) -> tuple:
     cand = (2 * cells[:, :, None] + (0, 1)).ravel()
     # lambda_k(x) = Dphi_k . (x - p_0) for k = 1, 2; lambda_0 = 1 - both
     p0 = np.take(mesh.vertices, mesh.triangles[cand, 0], axis=0)
-    lam12 = np.einsum("nkd,nd->nk", space.elem_grads[cand, 1:, :], np.repeat(pts, 8, axis=0) - p0)
+    lam12 = np.einsum("nkd,nd->nk", space.grads[cand % 2, 1:, :], np.repeat(pts, 8, axis=0) - p0)
     lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
     hits = (lam >= -1e-12).all(axis=1).reshape(-1, 8)
     found = hits.any(axis=1)
@@ -724,6 +732,7 @@ def _norms(space: FeSpace, u_h: np.ndarray, kinds, r, u_exact=None, grad_exact=N
         grads_h = element_gradients(space, u_h)
         grad_sq = grads_h[:, 0] * grads_h[:, 0] + grads_h[:, 1] * grads_h[:, 1]
     points = quad_points(space)[2] if u_exact is not None else [None] * len(_QUAD_BARY)
+    areas = np.full(space.mesh.n_triangles, space.area)  # the sum by one dot
     totals = [0.0] * len(kinds)
     for w, b, X in zip(_QUAD_WEIGHTS, _QUAD_BARY, points):
         if X is None:
@@ -738,7 +747,7 @@ def _norms(space: FeSpace, u_h: np.ndarray, kinds, r, u_exact=None, grad_exact=N
             density = np.abs(vals) ** p
             if kind in ("H1", "W1r"):
                 density += grad_sq ** (p / 2.0)
-            totals[i] += float(w * (space.elem_areas @ density))
+            totals[i] += float(w * (areas @ density))
     return [total ** (1.0 / p) for total, p in zip(totals, exponents)]
 
 

@@ -8,11 +8,8 @@ can be given to it. fem reads mesh.n for the grid hierarchy, point location
 and the CSR pattern. unit_square_mesh(2n) halves the mesh size of
 unit_square_mesh(n) exactly on dyadic grids.
 
-Element geometry starts from one gather of the corner coordinates,
-corner_coordinates: the x and the y of every element's corners as two
-(nt, 3) arrays. The mesh size, the signed areas and fem's basis gradients
-are formed from their (nt,) columns; no (nt, 3, 2) array of corner points
-and no (3, nt, 2) stack of edge vectors is built.
+The mesh size and the signed areas come from one gather of the corner
+coordinates (corner_coordinates): two (nt, 3) arrays, x and y.
 
 Meshes are immutable value objects: the coordinate and index arrays are
 frozen after construction and safe to share across threads.

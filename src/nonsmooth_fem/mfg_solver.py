@@ -314,14 +314,17 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) 
     space = problem.space
     nodal = np.take(fem.extend_to_vertices(space, state.m), space.mesh.triangles)
     mbar = nodal.mean(axis=1)
-    gx, gy = space.elem_grads[:, :, 0], space.elem_grads[:, :, 1]
-    # the two components of xi Dphi_j, (nt, 3) each
-    ax, ay = (xi[:, d, :1] * gx + xi[:, d, 1:] * gy for d in (0, 1))
-    local = gx[:, :, None] * ax[:, None, :]  # (xi Dphi_j) . Dpsi_i
-    local += gy[:, :, None] * ay[:, None, :]
-    del ax, ay  # 48 bytes per element, not held through the scatter
-    local *= (space.elem_areas * mbar)[:, None, None]
-    return fem.assemble_from_local(space, local, space.elem_dofs)
+    # planes (half, ..., cell), so every product runs along the cells
+    gx, gy = space.grads[:, :, 0, None], space.grads[:, :, 1, None]  # (half, j, 1)
+    xi = xi.reshape(-1, 2, 2, 2).T  # (e, d, half, cell)
+    # the two components of xi Dphi_j, (half, j, cell) each
+    ax, ay = (xi[0, d][:, None] * gx + xi[1, d][:, None] * gy for d in (0, 1))
+    local = gx[:, :, None] * ax[:, None]  # (xi Dphi_j) . Dpsi_i: (half, i, j, cell)
+    local += gy[:, :, None] * ay[:, None]
+    del ax, ay  # 48 bytes per element, not held through the stencil sum
+    local *= (space.area * mbar).reshape(-1, 2).T[:, None, None]
+    n = space.mesh.n  # read as (cell row, cell column, half, i, j)
+    return fem.assemble_from_local(space, local.reshape(2, 3, 3, n, n).transpose(3, 4, 0, 1, 2), space.elem_dofs)
 
 
 def coupling_weighted_mass(problem: MfgProblem, m: np.ndarray) -> sp.csr_matrix:

@@ -36,6 +36,8 @@ from nonsmooth_fem.fem import (
 from nonsmooth_fem.hamiltonian import builtin_model, selection_field
 from nonsmooth_fem.mesh import unit_square_mesh
 
+import oracles
+
 
 def u_star(p):
     p = np.atleast_2d(p)
@@ -236,7 +238,7 @@ def test_solve_large_lambda_reaction_limit():
 def test_krylov_solve_of_k_plus_lambda_m_within_one_cycle(lam):
     # Picard's linear solve, here on the full Poisson load at n=256
     space = make_space(unit_square_mesh(256))
-    W = fem.free_sum(space, (1.0, assemble_stiffness(space)), (lam, assemble_mass(space)))
+    W = fem.operator(space, lam)
     b = assemble_load(space, f_poisson)
     v, iterations = fem.krylov_solve(W, b, fem.prolongations(space))
     assert np.linalg.norm(b - W @ v) <= fem._KRYLOV_RTOL * np.linalg.norm(b)
@@ -382,24 +384,22 @@ def test_pattern_assembly_matches_coo_assembly(mesh):
 
 
 def _unique_pattern(dofs, n):
-    """(slot, indices, indptr) of the pattern of the n unknowns that dofs
+    """(indices, indptr) of the pattern of the n unknowns that dofs
     numbers, by np.unique."""
     i = np.repeat(dofs[:, :, None], 3, axis=2).ravel()
     j = np.repeat(dofs[:, None, :], 3, axis=1).ravel()
     keep = (i >= 0) & (j >= 0)
-    keys, inverse = np.unique(i[keep].astype(np.int64) * n + j[keep], return_inverse=True)
-    slot = np.full(i.size, keys.size)
-    slot[keep] = inverse
+    keys = np.unique(i[keep].astype(np.int64) * n + j[keep])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return slot, keys % n, indptr
+    return keys % n, indptr
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16], ids=lambda n: f"n{n}")
 def test_free_pattern_matches_unique_and_sorts_once(n):
-    # the closed-form stencil, no sort, on the free dofs and on all
-    # vertices: under 40 bytes of transient memory per element entry, where
-    # np.unique(..., return_inverse=True) took 60-67 and one argsort of
-    # int64 keys 24-27
+    # the closed-form stencil, no sort and no slot table, on the free dofs
+    # and on all vertices: under 40 bytes of transient memory per element
+    # entry, where np.unique(..., return_inverse=True) took 60-67 and one
+    # argsort of int64 keys 24-27
     mesh = unit_square_mesh(n)
     space = make_space(mesh)
     for corners, size in _lattices(space):
@@ -418,7 +418,7 @@ def test_free_pattern_matches_unique_and_sorts_once(n):
             assert peak <= 40 * 9 * mesh.n_triangles
 
 
-def test_free_sum_matches_scipy_sum_on_the_pattern():
+def test_operator_matches_scipy_sum_on_the_pattern():
     prob = hj_solver.HjProblem(
         make_space(unit_square_mesh(12)), builtin_model("eikonal"), 0.5, f_poisson
     )
@@ -430,9 +430,6 @@ def test_free_sum_matches_scipy_sum_on_the_pattern():
     # exactly the pattern's entries, in arrays of exactly that size
     assert J.data.size == J.indices.size == K.nnz
     assert all(a.base is None or a.base.size == a.size for a in (J.data, J.indices))
-    with pytest.raises(FemError, match="not on the free-dof pattern"):
-        fem.free_sum(prob.space, (1.0, K), (1.0, sp.identity(K.shape[0], format="csr")))
-    assert np.array_equal(fem.free_sum(prob.space, (2.0, C)).toarray(), 2.0 * C.toarray())
 
 
 def test_pattern_keys_past_int32_match_coo_assembly():
@@ -440,11 +437,11 @@ def test_pattern_keys_past_int32_match_coo_assembly():
     # in int32 would wrap
     space = make_space(unit_square_mesh(256))
     assert space.n_free**2 > np.iinfo(np.int32).max
-    stiff = np.einsum("tid,tjd->tij", space.elem_grads, space.elem_grads)
-    stiff *= space.elem_areas[:, None, None]
+    areas, grads = oracles.element_geometry(space.mesh)
+    stiff = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
     dofs = space.elem_dofs.astype(np.int64)
     for A, local in ((assemble_stiffness(space), stiff),
-                     (assemble_mass(space), fem._local_mass(space.elem_areas))):
+                     (assemble_mass(space), oracles.local_mass(areas))):
         reference = _coo_assembly(local, dofs, space.n_free)
         assert np.array_equal(A.indptr, reference.indptr)
         assert np.array_equal(A.indices, reference.indices)
@@ -456,7 +453,7 @@ def test_matrices_share_the_read_only_pattern():
     prob = hj_solver.HjProblem(space, builtin_model("eikonal"), 0.5, f_poisson)
     u = interpolate_nodal(space, u_star)
     drift = np.random.default_rng(2).normal(size=(space.mesh.n_triangles, 2))
-    _, indices, indptr = fem._pattern(space, space.elem_dofs)
+    indices, indptr = fem._pattern(space, space.elem_dofs)
     matrices = {
         "K": assemble_stiffness(space),
         "M": assemble_mass(space),
@@ -476,7 +473,7 @@ def test_matrices_share_the_read_only_pattern():
     with pytest.raises(ValueError):
         K.sort_indices()
     unique = _unique_pattern(space.elem_dofs, space.n_free)
-    assert np.array_equal(fem._pattern(space, space.elem_dofs)[1], unique[1])
+    assert np.array_equal(fem._pattern(space, space.elem_dofs)[0], unique[0])
 
 
 def test_connectivity_is_int32():
@@ -516,11 +513,124 @@ def test_geometry_and_stiffness_are_bitwise_the_point_gather_formulas(mesh):
     space = make_space(mesh)
     assert np.array_equal(mesh_module.signed_areas(mesh), areas)
     assert mesh.mesh_size_h == h
-    assert np.array_equal(space.elem_areas, areas)
-    assert np.array_equal(space.elem_grads, grads)
-    local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    assert _same_csr(assemble_stiffness(space), fem._assemble(space, local, space.elem_dofs))
-    assert _same_csr(full_stiffness(space), _coo_assembly(local, mesh.triangles, mesh.n_vertices))
+    oracle_areas, oracle_grads = oracles.element_geometry(mesh)
+    assert np.array_equal(oracle_areas, areas) and np.array_equal(oracle_grads, grads)
+    # the two-shape table is every element's geometry: bitwise on dyadic
+    # grids, within rounding of the corner coordinates at n = 3
+    table_areas, table_grads = oracles.table_geometry(space)
+    exact = (mesh.n & (mesh.n - 1)) == 0
+    for table, oracle in ((table_areas, areas), (table_grads, grads)):
+        assert np.array_equal(table, oracle) or (
+            not exact and np.abs(table - oracle).max() <= 4e-16 * np.abs(oracle).max())
+    local = oracles.local_stiffness(grads, areas)
+    for A, corners in ((assemble_stiffness(space), space.elem_dofs),
+                       (full_stiffness(space), mesh.triangles)):
+        want = oracles.scatter(space, local, corners)
+        assert _same_csr(A, want) or (
+            not exact and np.abs(A.data - want.data).max() <= 1e-15 * np.abs(want.data).max())
+    # the oracle scatter itself is the COO sum
+    want = oracles.scatter(space, local, mesh.triangles)
+    assert _same_csr(want, _coo_assembly(local, mesh.triangles, mesh.n_vertices))
+
+
+def _oracle_norms(space, geometry, u, kinds, r, u_exact=None, grad_exact=None):
+    """fem._norms with the per-element areas and gradients of geometry: one
+    pass over the rule points per kind, each element's area in a dot."""
+    areas, grads = geometry
+    nodal = np.take(fem.extend_to_vertices(space, u), space.mesh.triangles)
+    Du = np.einsum("tk,tkd->td", nodal, grads)
+    out = []
+    for kind in kinds:
+        p = 2.0 if kind in ("L2", "H1") else float(r)
+        points = fem.quad_points(space)[2] if u_exact else [None] * len(fem._QUAD_BARY)
+        total = 0.0
+        for w, b, X in zip(fem._QUAD_WEIGHTS, fem._QUAD_BARY, points):
+            diff = Du if X is None else grad_exact(X) - Du
+            vals = b @ nodal.T if X is None else u_exact(X) - b @ nodal.T
+            density = np.abs(vals) ** p
+            if kind in ("H1", "W1r"):
+                density += (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) ** (p / 2.0)
+            total += float(w * (areas @ density))
+        out.append(total ** (1.0 / p))
+    return np.array(out)
+
+
+def _two_shape_outputs(n):
+    """(name, output, per-element oracle) for everything fem builds from the
+    element geometry on unit_square_mesh(n): the matrices, the stencil sum
+    of random element arrays on both lattices, the weighted local mass, the
+    element gradients, the loads and the norms."""
+    space = make_space(unit_square_mesh(n))
+    mesh, nt = space.mesh, space.mesh.n_triangles
+    areas, grads = geometry = oracles.element_geometry(mesh)
+    rng = np.random.default_rng(n)
+    field = rng.standard_normal((nt, 2))
+    weight = rng.standard_normal((len(fem._QUAD_BARY), nt))
+    local = rng.standard_normal((nt, 3, 3))
+    u = interpolate_nodal(space, u_star) + 1e-2 * rng.standard_normal(space.n_free)
+    nodal = np.take(fem.extend_to_vertices(space, u), mesh.triangles)
+    vals_q = u_star(np.stack(list(fem.quad_points(space)[2])).reshape(-1, 2)).reshape(-1, nt)
+    stiff, mass = oracles.local_stiffness(grads, areas), oracles.local_mass(areas)
+    dofs, tri = space.elem_dofs, mesh.triangles
+    kinds, r = ("L2", "H1", "Lr", "W1r"), 3.0
+    return [
+        ("K", assemble_stiffness(space), oracles.scatter(space, stiff, dofs)),
+        ("M", assemble_mass(space), oracles.scatter(space, mass, dofs)),
+        ("full K", full_stiffness(space), oracles.scatter(space, stiff, tri)),
+        ("full M", full_mass(space), oracles.scatter(space, mass, tri)),
+        ("drift", fem.drift_matrix(space, field),
+         oracles.scatter(space, oracles.local_drift(field, grads, areas), dofs)),
+        ("local free", fem.assemble_from_local(space, local, dofs), oracles.scatter(space, local, dofs)),
+        ("local all", fem.assemble_from_local(space, local, tri), oracles.scatter(space, local, tri)),
+        ("weighted mass", fem.weighted_local_mass(space, weight),
+         (weight.T @ fem._QUAD_WBB).reshape(-1, 3, 3) * areas[:, None, None]),
+        ("gradients", element_gradients(space, u), np.einsum("tk,tkd->td", nodal, grads)),
+        ("load", assemble_load(space, u_star),
+         fem._assemble_p1_vector(space, (vals_q.T @ fem._QUAD_WB) * areas[:, None])),
+        ("element load", fem.load_from_values(space, field[:, 0]), fem._assemble_p1_vector(
+            space, (field[:, 0] * areas)[:, None] * (fem._QUAD_WEIGHTS @ fem._QUAD_BARY))),
+        ("norms", np.array([norm(space, u, kind, r) for kind in kinds]),
+         _oracle_norms(space, geometry, u, kinds, r)),
+        ("errors", np.array(error_vs_exact(space, u, u_star, grad_u_star, kinds, r)),
+         _oracle_norms(space, geometry, u, kinds, r, u_star, grad_u_star)),
+    ]
+
+
+def _values(a):
+    return a.data if sp.issparse(a) else np.asarray(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64], ids=lambda n: f"n{n}")
+def test_two_shape_assembly_is_bitwise_the_per_element_oracle_on_dyadic_grids(n):
+    # on dyadic grids every corner coordinate, area and gradient is exact,
+    # so one table per half is every element's geometry bit for bit, and the
+    # stencil sum adds each entry's terms in the oracle's order
+    for name, got, want in _two_shape_outputs(n):
+        if sp.issparse(want):
+            assert got.shape == want.shape and _same_csr(got, want), name
+        assert np.array_equal(_values(got), _values(want)), name
+    if n == 1:  # one interior vertex short of a free dof
+        space = make_space(unit_square_mesh(1))
+        assert assemble_stiffness(space).shape == assemble_mass(space).shape == (0, 0)
+        assert full_stiffness(space).nnz == full_mass(space).nnz == 14  # 7-point stencil
+
+
+# largest relative deviation from the per-element oracle on the grids below:
+# measured 4.9e-15 (the weighted mass at n = 40), 3.6e-15 for M at n = 48,
+# 2.1e-15 for the drift and 1.3e-15 for K
+_TWO_SHAPE_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 40, 48], ids=lambda n: f"n{n}")
+def test_two_shape_assembly_is_within_rounding_of_the_per_element_oracle(n):
+    # elsewhere the oracle's geometry differs from the table in the last
+    # bits of the corner coordinates; the random element arrays, which
+    # carry no geometry, still sum bit for bit
+    for name, got, want in _two_shape_outputs(n):
+        got, want = _values(got), _values(want)
+        if name.startswith("local"):
+            assert np.array_equal(got, want), name
+        assert np.abs(got - want).max() <= _TWO_SHAPE_RTOL * np.abs(want).max(), name
 
 
 def test_vector_scatter_matches_masked_add_at_bitwise():
@@ -566,6 +676,24 @@ def test_solve_caches_no_rule_coordinates():
         assert getattr(value, "shape", None) != (6, space.mesh.n_triangles, 2)
 
 
+def test_newton_solve_caches_no_k_or_m_and_stays_under_its_memory_bound():
+    # K and M are summed from the two element shapes on each use: the solve
+    # caches only the pattern, the hierarchy and the dual norm. Its traced
+    # peak, mesh included, measured 623 bytes per free dof at n = 128 (921
+    # with per-element geometry, a slot table and cached K and M)
+    model = builtin_model("eikonal")
+    tracemalloc.start()
+    try:
+        space = make_space(unit_square_mesh(128))
+        prob = hj_solver.HjProblem(space, model, 1.0, manufactured.hj_source(model, 1.0))
+        assert hj_solver.solve_newton(prob, tol=1e-10).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(space._cache) == ["pattern", "prolongations", "residual_norm"]
+    assert peak <= 690 * space.n_free
+
+
 # ----------------------------------------------- kernels against their old forms
 
 
@@ -607,16 +735,19 @@ def test_drift_matrix_is_bitwise_its_einsum_form(n):
     nt = space.mesh.n_triangles
     field = rng.standard_normal((nt, 2)) * 10.0 ** rng.uniform(-6, 6, (nt, 2))
     field[:3] = [[0.0, 0.0], [-0.0, 1.0], [5e-324, -2.0]]
-    drift = np.einsum("td,tjd->tj", field, space.elem_grads)
-    drift *= space.elem_areas[:, None] / 3.0
+    # the space's own table per element, so the forms agree at any n
+    areas, grads = oracles.table_geometry(space)
+    drift = np.einsum("td,tjd->tj", field, grads)
+    drift *= areas[:, None] / 3.0
     local = np.repeat(drift[:, None, :], 3, axis=1)
-    assert _same_csr(fem.drift_matrix(space, field), fem._assemble(space, local, space.elem_dofs))
+    assert _same_csr(fem.drift_matrix(space, field), oracles.scatter(space, local, space.elem_dofs))
 
 
 def _einsum_norm(space, u, kind, r, u_exact=None, grad_exact=None):
     """One norm by the one-pass sum of fem._norms with its squared gradient
     terms by einsum: the oracle of their product form."""
     p = 2.0 if kind in ("L2", "H1") else float(r)
+    areas = oracles.table_geometry(space)[0]
     corners = fem._corner_values(space, u)
     grads = element_gradients(space, u)
     grad_sq = np.einsum("td,td->t", grads, grads)
@@ -631,7 +762,7 @@ def _einsum_norm(space, u, kind, r, u_exact=None, grad_exact=None):
         density = np.abs(vals) ** p
         if kind in ("H1", "W1r"):
             density += grad_sq ** (p / 2.0)
-        total += float(w * (space.elem_areas @ density))
+        total += float(w * (areas @ density))
     return total ** (1.0 / p)
 
 
@@ -649,11 +780,13 @@ def test_gradient_norms_are_bitwise_their_einsum_form(kind, r):
 
 
 def _brute_force_locate(space, pts):
-    """Every point against every element, one point at a time."""
+    """Every point against every element, one point at a time, with every
+    element's gradients from its corner coordinates."""
     p0 = space.mesh.vertices[space.mesh.triangles[:, 0]]
+    grads = oracles.element_geometry(space.mesh)[1]
     elems, lams = [], []
     for x in pts:
-        lam12 = np.einsum("tkd,td->tk", space.elem_grads[:, 1:, :], x - p0)
+        lam12 = np.einsum("tkd,td->tk", grads[:, 1:, :], x - p0)
         lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
         inside = np.flatnonzero((lam >= -1e-12).all(axis=1))
         assert len(inside) > 0
@@ -679,7 +812,9 @@ def test_locate_matches_brute_force(n):
     elems, lams = fem._locate(space, pts)
     ref_elems, ref_lams = _brute_force_locate(space, pts)
     assert np.array_equal(elems, ref_elems)
-    assert np.array_equal(lams, ref_lams)
+    # the barycentrics from the two-shape table: bitwise on dyadic grids,
+    # else within 2e-15 (measured up to 1.3e-15 at n = 6, 7 and 12)
+    assert np.array_equal(lams, ref_lams) or (n & (n - 1) and np.abs(lams - ref_lams).max() <= 2e-15)
 
 
 def test_locate_outside_point_raises():
@@ -828,7 +963,7 @@ def _full_array_error(space, u, kind, r):
     e = u_star(flat).reshape(X.shape[:2]) - bary @ fem._corner_values(space, u)
     diff = grad_u_star(flat).reshape(X.shape) - element_gradients(space, u)
     p = 2.0 if kind in ("L2", "H1") else r
-    w = weights[:, None] * space.elem_areas
+    w = weights[:, None] * oracles.element_geometry(space.mesh)[0]
     total = (w * np.abs(e) ** p).sum()
     if kind in ("H1", "W1r"):
         total += (w * (diff * diff).sum(axis=2) ** (p / 2)).sum()

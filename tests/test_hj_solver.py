@@ -355,9 +355,7 @@ def undamped_picard(problem, tol, max_iter, theta_p):
     """Reference: the undamped defect-form Picard loop from zero,
     u <- u - theta_p W^{-1} r(u) with every step taken in full."""
     space = problem.space
-    W = fem.free_sum(
-        space, (1.0, fem.assemble_stiffness(space)), (problem.lam, fem.assemble_mass(space))
-    )
+    W = fem.operator(space, problem.lam)
     hierarchy = fem.prolongations(space)
     rn = fem.residual_norm(space)
     u = np.zeros(space.n_free)

@@ -18,6 +18,8 @@ from nonsmooth_fem import mesh, mfg_solver as mfg
 from nonsmooth_fem.diagnostics import fit_rate
 from nonsmooth_fem.fem import NonconvergenceError
 
+import oracles
+
 
 def space_of(n):
     return fem.make_space(mesh.unit_square_mesh(n))
@@ -196,7 +198,8 @@ def _elementwise_density_residual(problem, state):
     m = state.m
     mbar = fem.extend_to_vertices(space, m)[space.mesh.triangles].mean(axis=1)
     momentum = mbar[:, None] * hm.hp_many(problem.model, fem.element_gradients(space, state.u))
-    adv_local = np.einsum("td,tkd->tk", momentum, space.elem_grads) * space.elem_areas[:, None]
+    areas, grads = oracles.element_geometry(space.mesh)
+    adv_local = np.einsum("td,tkd->tk", momentum, grads) * areas[:, None]
     dofs = space.elem_dofs.ravel()
     r_adv = np.zeros(space.n_free)
     np.add.at(r_adv, dofs[dofs >= 0], adv_local.ravel()[dofs >= 0])
@@ -268,18 +271,18 @@ def test_smoothing_operator_is_symmetric_and_preserves_constants(space8):
 
 
 def test_smoother_reads_the_cached_geometry_on_the_vertex_pattern(monkeypatch):
-    # K and the lumped mass of the mollifier come from the space's element
-    # geometry, scattered into its one read-only all-vertex pattern
+    # K and the lumped mass of the mollifier come from the space's two
+    # element shapes, summed onto its one read-only all-vertex pattern
     space = space_of(8)
     problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(), 1.0, man.bump)
 
-    def no_geometry(mesh):
-        raise AssertionError("element geometry recomputed")
+    def no_geometry(*args):
+        raise AssertionError("element geometry gathered from the corners")
 
-    monkeypatch.setattr(fem, "_geometry", no_geometry)
+    monkeypatch.setattr(mesh, "corner_coordinates", no_geometry)
     smoother = mfg._smoother(problem)
     assert space._cache["smoother"] is smoother and mfg._smoother(problem) is smoother
-    _, indices, indptr = fem._pattern(space, space.mesh.triangles)
+    indices, indptr = fem._pattern(space, space.mesh.triangles)
     n_v = space.mesh.n_vertices
     for A in (fem.full_stiffness(space), fem.full_mass(space)):
         assert A.shape == (n_v, n_v) and A.has_canonical_format
@@ -551,7 +554,7 @@ def undamped_picard(problem, tol, max_iter, theta_p):
     def norm(r):  # the stacked dual norm: hypot of the block norms
         return rn(r.reshape(2, -1).T)
 
-    K, M = fem.assemble_stiffness(space), fem.assemble_mass(space)
+    M, W = fem.assemble_mass(space), fem.operator(space, problem.lam)
     rhs = problem.lam * (M @ problem.m0) + b_fp
     hierarchy = fem.prolongations(space)
     state = mfg.MfgState(u=np.zeros(space.n_free), m=np.array(problem.m0, dtype=float))
@@ -563,7 +566,8 @@ def undamped_picard(problem, tol, max_iter, theta_p):
         inner = hj_solver.solve_newton(hj_prob, state.u, tol=max(tol / 10.0, 1e-13), max_iter=60)
         u = inner.final_u
         B = fem.drift_matrix(space, hm.hp_many(problem.model, fem.element_gradients(space, u)))
-        T = fem.free_sum(space, (1.0, K), (problem.lam, M), (1.0, B.T.tocsr()))
+        # K + lam M + B^T on the free-dof pattern, summed in that order
+        T = sp.csr_matrix((W.data + B.T.tocsr().data, W.indices, W.indptr), shape=W.shape)
         dm = fem.krylov_solve(T, T @ state.m - rhs, hierarchy)[0]
         state = mfg.MfgState(u=u, m=state.m - theta_p * dm)
         history.append(norm(mfg.mfg_residual(problem, state)))
@@ -825,10 +829,12 @@ def test_hj_source_is_bitwise_the_per_field_form(name):
 def _einsum_advection(problem, state, xi):
     space = problem.space
     nodal = np.take(fem.extend_to_vertices(space, state.m), space.mesh.triangles)
-    xig = np.einsum("tde,tje->tjd", xi, space.elem_grads)
-    local = np.einsum("tjd,tid->tij", xig, space.elem_grads)
-    local *= (space.elem_areas * nodal.mean(axis=1))[:, None, None]
-    return fem.assemble_from_local(space, local, space.elem_dofs)
+    # the space's own table per element, so the forms agree at any n
+    areas, grads = oracles.table_geometry(space)
+    xig = np.einsum("tde,tje->tjd", xi, grads)
+    local = np.einsum("tjd,tid->tij", xig, grads)
+    local *= (areas * nodal.mean(axis=1))[:, None, None]
+    return oracles.scatter(space, local, space.elem_dofs)
 
 
 @pytest.mark.parametrize("n", [3, 32])
