@@ -7,13 +7,15 @@ stencil onto a CSR pattern cached per space (whose read-only index arrays
 every matrix on it shares), the assembler of every solver matrix,
 operator = K + lam M (+ drift_matrix), load vectors, nodal interpolation,
 discrete norms, the P1 prolongations of the grid hierarchy with their
-restrictions, built once per space, the geometric V-cycle on it, and the
-one linear-solve routine, krylov_solve: GMRES preconditioned by one
-V-cycle per iteration. Every Newton step and Picard update goes through
-krylov_solve, and the V-cycle also preconditions the conjugate gradients
-of the dual norm (ResidualNorm), so no matrix is factored above the
-coarsest grid. The geometry, hierarchy, point location and patterns come
-from grid arithmetic on mesh.n.
+restrictions, built once per space, the geometric V-cycle on it, the
+sine-transform solve of K + lam M (sine_solver), and the one linear-solve
+routine, krylov_solve: GMRES with a given preconditioner per iteration.
+The operator picks it: a V-cycle for the matrices that carry a drift
+(Newton steps, MFG Picard's transport), the sine solve for the constant
+matrix K + lam M (HJ Picard's chord step, and the conjugate gradients of
+the dual norm, ResidualNorm). No matrix is factored above the coarsest
+grid. The geometry, hierarchy, point location and patterns come from grid
+arithmetic on mesh.n.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -71,8 +73,9 @@ _JACOBI_SWEEPS = 2
 _JACOBI_OMEGA = 0.7
 
 # krylov_solve: GMRES(20) to a fixed relative residual, tight enough that
-# Newton's iterates are those of an exact solve. Every Newton and Picard
-# solve of the HJ and MFG workloads takes 9-14 iterations, inside one
+# Newton's iterates are those of an exact solve. Every V-cycle-preconditioned
+# solve of the HJ and MFG workloads (Newton steps, MFG transport) takes 9-14
+# iterations, HJ Picard's sine-preconditioned one 1-3, inside one
 # cycle, and scipy holds restart + 1 Krylov vectors (at n=256, 10 MiB for
 # GMRES(20) against 25 MiB for GMRES(50)). At most 10 cycles: a budget of
 # 200 iterations
@@ -493,6 +496,40 @@ def evaluate(space: FeSpace, u: np.ndarray, pts) -> np.ndarray:
     return np.einsum("nk,nk->n", nodal, lams)
 
 
+# ---------------------------------------------------------- sine transforms
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    """The orthonormal 2-D DST-I of an (m, m) array, its own inverse. Per
+    axis, the imaginary part of the rfft of each row zero-padded to length
+    2 (m + 1) is -sum_j x_j sin(pi j k / (m + 1)), j, k = 1..m; each pass
+    reads its input transposed, so the second restores the orientation."""
+    n = len(x) + 1
+    padded, spectrum = np.zeros((n - 1, 2 * n)), np.empty((n - 1, n + 1), dtype=complex)
+    for _ in range(2):
+        padded[:, 1:n] = x.T
+        x = np.fft.rfft(padded, axis=1, out=spectrum)[:, 1:n].imag
+    return x * (2.0 / n)
+
+
+def sine_solver(space: FeSpace, lam: float):
+    """b -> B b for free-dof vectors b, B = S diag(1 / mu) S with S the 2-D
+    DST-I of the free lattice (_dst2) and, for c_k = cos(k pi / n),
+    mu_kl = (4 - 2 c_k - 2 c_l) + lam (area / 6) (4 + 2 (1 + c_k)(1 + c_l)).
+    K is the 5-point Laplacian, which S diagonalizes; M differs from the
+    matrix of the second term only by the half of its diagonal couplings
+    that is antisymmetric in x, (area / 12) (shift(1, 1) + shift(-1, -1) -
+    shift(1, -1) - shift(-1, 1)), so B inverts K + lam M to O(h^2): the
+    spectrum of B (K + M) lies in [1 - d, 1 + d], d = 1.6e-3 at n = 4,
+    7.4e-5 at n = 32 and 3.4e-5 at n = 48 (B is exact at n = 2). B is
+    symmetric positive definite for lam >= 0."""
+    m = space.mesh.n - 1
+    c = np.cos(np.arange(1, m + 1) * np.pi / space.mesh.n)
+    mass = 4.0 + 2.0 * np.outer(1.0 + c, 1.0 + c)
+    inverse = 1.0 / ((4.0 - 2.0 * c[:, None] - 2.0 * c) + lam * space.area / 6.0 * mass)
+    return lambda b: _dst2(_dst2(b.reshape(m, m)) * inverse).ravel()
+
+
 # ------------------------------------------------------------------ dual norm
 
 
@@ -502,36 +539,37 @@ class ResidualNorm:
     The weight is lambda-independent and SPD; used as the mesh-robust
     surrogate for the continuous dual norm when reporting residuals. W^{-1} r
     is approximated by conjugate gradients from zero, preconditioned with
-    one V-cycle B of W per iteration (_VCycle on prolongations(space)); no
-    factorization of W happens at the fine grid. CG stops at the first
-    iterate x_k with rho_k = s_k^T B s_k <= eps^2 r^T x_k, where
-    s_k = r - W x_k and eps = _NORM_EPS = 1e-5. CG gives r^T x_k = ||x_k||_W^2
-    and r^T W^{-1} r - r^T x_k = s_k^T W^{-1} s_k <= rho_k / lambda_min(BW),
-    so r^T x_k underestimates ||r||^2 by a relative error of at most
-    eps^2 / lambda_min(BW). Measured lambda(BW) lies in [0.70, 1.00] at
-    n = 16, 32 and 48, which bounds that error by 1.4e-10; CG takes 4-5
-    iterations at every n from 16 to 512. Without a hierarchy (odd n,
-    n <= 8) B is the LU of W and one iteration is exact.
+    the sine solve B of W (sine_solver at lam = 1); no matrix is factored.
+    CG stops at the first iterate x_k with rho_k = s_k^T B s_k <=
+    eps^2 r^T x_k, where s_k = r - W x_k and eps = _NORM_EPS = 1e-5. CG
+    gives r^T x_k = ||x_k||_W^2 and r^T W^{-1} r - r^T x_k = s_k^T W^{-1} s_k
+    <= rho_k / lambda_min(BW), so r^T x_k underestimates ||r||^2 by a
+    relative error of at most eps^2 / lambda_min(BW). lambda(BW) lies in
+    [1 - 1.6e-3, 1 + 1.6e-3] (sine_solver: measured at n = 2 to 48, and
+    shrinking as h^2), which bounds that error by 1.0e-10; CG takes 2
+    iterations for n <= 48 and 1 from n = 96 up, at odd n and even.
 
     Called with an (n_free,) vector it returns ||r||; with an (n_free, k)
     array, the hypot of the k column norms, one CG per column. A zero
-    vector has norm 0. CG not stopping within _NORM_MAX_ITER iterations
-    raises NonconvergenceError.
+    vector, and one with no entries (n = 1), has norm 0. CG not stopping
+    within _NORM_MAX_ITER iterations raises NonconvergenceError.
     """
 
     def __init__(self, space: FeSpace):
         self._W = operator(space, 1.0)
-        self._cycle = _VCycle(self._W, prolongations(space))
+        self._solve = sine_solver(space, 1.0)
 
     def __call__(self, r: np.ndarray) -> float:
         r = np.asarray(r, dtype=float)
+        if not r.size:
+            return 0.0
         columns = (np.ascontiguousarray(c) for c in r.reshape(len(r), -1).T)
         return float(np.sqrt(sum(c @ self._riesz(c)[0] for c in columns)))
 
     def _riesz(self, r: np.ndarray) -> tuple:
         """(x, iterations): x ~ W^{-1} r by the PCG of the class docstring."""
         x, s = np.zeros_like(r), r.copy()
-        p = self._cycle(s)
+        p = self._solve(s)
         rho = s @ p
         for iterations in range(_NORM_MAX_ITER + 1):
             if rho <= _NORM_EPS**2 * (r @ x):  # at once for r = 0
@@ -542,7 +580,7 @@ class ResidualNorm:
             alpha = rho / (p @ q)
             x += alpha * p
             s -= alpha * q
-            z = self._cycle(s)
+            z = self._solve(s)
             rho, rho_old = s @ z, rho
             p = z + (rho / rho_old) * p
         raise NonconvergenceError(
@@ -609,17 +647,16 @@ class _VCycle:
         return x
 
 
-def krylov_solve(A, b: np.ndarray, hierarchy=()) -> tuple:
-    """Solve A y = b by restarted GMRES preconditioned with one V-cycle
-    (_VCycle) per iteration, to relative residual _KRYLOV_RTOL; returns
-    (y, GMRES iterations). hierarchy holds the (P, R) pairs of A's
-    unknowns, finest first (prolongations(space) for one field). A singular
-    coarsest factor, or GMRES stopping above its tolerance, raises
-    FemError."""
+def krylov_solve(A, b: np.ndarray, precondition) -> tuple:
+    """Solve A y = b by restarted GMRES preconditioned with one application
+    of the callable precondition per iteration, to relative residual
+    _KRYLOV_RTOL; returns (y, GMRES iterations). precondition maps a vector
+    to an approximation of A^{-1} times it: _VCycle(A, hierarchy) for a
+    matrix with a drift, sine_solver for K + lam M. GMRES stopping above
+    its tolerance raises FemError."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    cycle = _VCycle(A, hierarchy)
     n = A.shape[0]
     iterations = 0
 
@@ -629,7 +666,7 @@ def krylov_solve(A, b: np.ndarray, hierarchy=()) -> tuple:
 
     y, _ = spla.gmres(
         A, b, rtol=_KRYLOV_RTOL, atol=0.0, restart=_GMRES_RESTART,
-        maxiter=_GMRES_MAX_CYCLES, M=spla.LinearOperator((n, n), cycle),
+        maxiter=_GMRES_MAX_CYCLES, M=spla.LinearOperator((n, n), precondition),
         callback=count, callback_type="pr_norm",
     )
     rel = float(np.linalg.norm(b - A @ y) / bnorm)

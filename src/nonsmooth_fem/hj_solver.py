@@ -20,20 +20,23 @@ P^T J P, damped Jacobi smoothing, and a sparse LU only at the coarsest
 grid. The paper's h-uniform bound on the inverse linearization shows up as
 a mesh-independent GMRES iteration count (10-14 from n = 32 to 1024, so
 one restart cycle of 20 suffices and the basis holds 21 vectors). The
-dual norm is evaluated by conjugate gradients with a V-cycle of K + M
-(fem.ResidualNorm: 4-5 iterations at every n, relative error of ||r||^2 at
-most 1.4e-10), so an HJ Newton solve factors no fine-grid matrix. On a
-mesh with no hierarchy (odd n, or n <= 8) each V-cycle is the LU of its
-matrix and both Krylov solves stop after one iteration.
+dual norm is evaluated by conjugate gradients preconditioned with the
+sine-transform solve of K + M (fem.ResidualNorm: 2 iterations for
+n <= 48 and 1 from n = 96 up, relative error of ||r||^2 at most 1.0e-10),
+so an HJ Newton solve factors no fine-grid matrix. On a mesh with no
+hierarchy (odd n, or n <= 8) each V-cycle is the LU of its matrix and
+GMRES stops after one iteration.
 
 Picard iterates the linear solution operator T = (K + lam M)^{-1} on the
 lagged nonlinearity, u <- (1-theta) u + theta T(b - H-load(u)); it is
 slower but derivative-free, and serves as an independent cross-check of
 Newton limits. It runs in the algebraically identical defect form
-u <- u - theta W^{-1} r(u), W = K + lam M, with each solve by the same
-V-cycle-preconditioned GMRES as the Newton steps (fem.krylov_solve). The
-solve's error then scales with the residual r(u), not with the full load,
-so GMRES's relative residual 1e-10 is all the accuracy Picard needs (it
+u <- u - theta W^{-1} r(u), W = K + lam M, with each solve by GMRES
+(fem.krylov_solve) preconditioned with the sine-transform solve of W
+(fem.sine_solver), which inverts W up to O(h^2): 1-3 iterations (1 at
+lam = 0, where it is exact), no V-cycle and no factorization. The solve's
+error then scales with the residual r(u), not with the full load, so
+GMRES's relative residual 1e-10 is all the accuracy Picard needs (it
 converges at n = 512 in 10 steps for theta = 1), and each iteration
 evaluates the nonlinear load once. The step theta W^{-1} r is a chord step
 (Newton's with the frozen matrix W), damped by the same halving as Newton:
@@ -117,8 +120,9 @@ def newton_matrix(problem: HjProblem, u: np.ndarray):
 
 
 def _newton_step(J, r: np.ndarray, hierarchy) -> np.ndarray:
-    """The Newton step dx of J dx = r, solved by fem.krylov_solve on J's
-    grid hierarchy of (P, R) pairs (empty: the V-cycle is one sparse LU).
+    """The Newton step dx of J dx = r, solved by fem.krylov_solve with a
+    V-cycle of J on its grid hierarchy of (P, R) pairs (empty: the V-cycle
+    is one sparse LU).
 
     J may carry trailing auxiliary unknowns: a square matrix of size
     N >= len(r) whose leading len(r) unknowns are the iterate's and whose
@@ -127,7 +131,8 @@ def _newton_step(J, r: np.ndarray, hierarchy) -> np.ndarray:
     with r padded by zeros; with N == len(r) it is the plain Newton step.
     J and its coarse operators are freed on return, so they do not stay
     alive through the line search and raise the peak memory."""
-    return fem.krylov_solve(J, np.pad(r, (0, J.shape[0] - len(r))), hierarchy)[0][: len(r)]
+    b = np.pad(r, (0, J.shape[0] - len(r)))
+    return fem.krylov_solve(J, b, fem._VCycle(J, hierarchy))[0][: len(r)]
 
 
 def damped_iteration(residual, step, norm, x0, tol, max_iter) -> SolveReport:
@@ -202,11 +207,10 @@ def solve_picard(
     space = problem.space
     u = np.zeros(space.n_free) if u0 is None else np.array(u0, dtype=float)
     b = load_vector(problem)
-    W = fem.operator(space, problem.lam)
-    hierarchy = fem.prolongations(space)
+    W, solve = fem.operator(space, problem.lam), fem.sine_solver(space, problem.lam)
     return damped_iteration(
         lambda v: _residual(problem, v, b),
-        lambda v, r: theta_p * fem.krylov_solve(W, r, hierarchy)[0],
+        lambda v, r: theta_p * fem.krylov_solve(W, r, solve)[0],
         fem.residual_norm(space), u, tol, max_iter,
     )
 

@@ -8,8 +8,9 @@ can be given to it. fem reads mesh.n for the grid hierarchy, point location
 and the CSR pattern. unit_square_mesh(2n) halves the mesh size of
 unit_square_mesh(n) exactly on dyadic grids.
 
-The mesh size and the signed areas come from one gather of the corner
-coordinates (corner_coordinates): two (nt, 3) arrays, x and y.
+The mesh size is closed form, the diagonal of the widest grid cell; the
+signed areas come from one gather of the corner coordinates
+(corner_coordinates): two (nt, 3) arrays, x and y.
 
 Meshes are immutable value objects: the coordinate and index arrays are
 frozen after construction and safe to share across threads.
@@ -56,7 +57,11 @@ class TriMesh:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mesh_size_h", _max_edge_length(vertices, triangles))
+        # the longest edge is a cell diagonal: with d the widest spacing of
+        # the grid coordinates, sqrt(d^2 + d^2) rounds as the largest
+        # dx^2 + dy^2 over all edges does
+        d = float(np.diff(np.arange(n + 1) / n).max())
+        object.__setattr__(self, "mesh_size_h", float(np.sqrt(d * d + d * d)))
 
     @property
     def n_vertices(self) -> int:
@@ -83,21 +88,6 @@ def corner_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def signed_areas(mesh: TriMesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
     return corner_areas(*corner_coordinates(mesh.vertices, mesh.triangles))
-
-
-def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    """Longest edge: the largest dx^2 + dy^2 over the three edges of every
-    element, then one sqrt (sqrt is monotone, so this is the max of the
-    lengths)."""
-    x, y = corner_coordinates(vertices, triangles)
-    longest = 0.0
-    for i, j in ((1, 0), (2, 1), (0, 2)):
-        dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        longest = max(longest, float(dx.max()))
-    return float(np.sqrt(longest))
 
 
 def unit_square_arrays(n: int) -> tuple:

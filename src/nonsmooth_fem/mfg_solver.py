@@ -460,7 +460,7 @@ def mfg_picard(
             )
         u_new = inner.final_u
         T = _value_linearization(problem, fem.element_gradients(space, u_new)).T.tocsr()
-        dm = fem.krylov_solve(T, T @ m - rhs, hierarchy)[0]
+        dm = fem.krylov_solve(T, T @ m - rhs, fem._VCycle(T, hierarchy))[0]
         return np.concatenate([u - u_new, theta_p * dm])
 
     return _damped_iteration(problem, state0, loads, step, tol, max_iter)

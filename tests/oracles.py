@@ -2,10 +2,10 @@
 
 fem stores the geometry of unit_square_mesh(n) as its two element shapes
 and sums element arrays into a stencil array. These are the formulas it
-replaced: the areas and basis gradients of every element from a gather of
-its corner coordinates, and the scatter of element arrays by one np.add.at
-into the CSR pattern, which sums each entry's terms in ascending element
-index.
+replaced: the areas and basis gradients of every element, and the
+longest edge, from a gather of its corner coordinates, and the scatter of
+element arrays by one np.add.at into the CSR pattern, which sums each
+entry's terms in ascending element index.
 """
 
 import numpy as np
@@ -29,6 +29,21 @@ def element_geometry(mesh):
         np.subtract(x[:, b], x[:, a], out=grads[:, i, 1])
     grads /= (2.0 * areas)[:, None, None]
     return areas, grads
+
+
+def max_edge_length(vertices, triangles):
+    """Longest edge: the largest dx^2 + dy^2 over the three edges of every
+    element, then one sqrt (sqrt is monotone, so this is the max of the
+    lengths)."""
+    x, y = corner_coordinates(vertices, triangles)
+    longest = 0.0
+    for i, j in ((1, 0), (2, 1), (0, 2)):
+        dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        longest = max(longest, float(dx.max()))
+    return float(np.sqrt(longest))
 
 
 def table_geometry(space):

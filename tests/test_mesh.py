@@ -13,6 +13,8 @@ import pytest
 from nonsmooth_fem import mesh
 from nonsmooth_fem.mesh import MeshError, TriMesh, signed_areas, unit_square_mesh
 
+import oracles
+
 
 def test_unit_square_smallest():
     m = unit_square_mesh(1)
@@ -40,6 +42,15 @@ def test_unit_square_area_partition():
 def test_unit_square_h(n):
     m = unit_square_mesh(n)
     assert m.mesh_size_h == pytest.approx(math.sqrt(2.0) / n, rel=1e-15)
+
+
+def test_closed_form_h_is_bitwise_the_longest_gathered_edge():
+    # the diagonal of the widest cell against the largest dx^2 + dy^2 over
+    # every edge of the gathered corners (also checked for every n up to
+    # 599 and at 1000, 1023, 1024, 2047 and 2048)
+    for n in [*range(1, 100), 255, 256, 1000]:
+        gathered = oracles.max_edge_length(*mesh.unit_square_arrays(n))
+        assert unit_square_mesh(n).mesh_size_h == gathered, n
 
 
 def test_vertex_count_beyond_int32_is_rejected(monkeypatch):
