@@ -15,7 +15,9 @@ The operator picks it: a V-cycle for the matrices that carry a drift
 matrix K + lam M (HJ Picard's chord step, and the conjugate gradients of
 the dual norm, ResidualNorm). No matrix is factored above the coarsest
 grid. The geometry, hierarchy, point location and patterns come from grid
-arithmetic on mesh.n.
+arithmetic on mesh.n, and every element's corner values from six slices
+of the (n + 1, n + 1) vertex grid (_grid_corners): no index array is
+gathered through mesh.triangles outside elem_dofs and point location.
 
 Conventions:
     - A coefficient vector is a plain numpy array with one scalar per free
@@ -32,8 +34,9 @@ the symmetric positive 6-point rule of Dunavant (1985), exact through
 total degree 4, hence exact for the L2 and H1 norms of a P1 function. Its
 weights and barycentrics stay in this module, applied by one matmul with
 a fixed reference tensor; the element coordinates of its points are never
-cached: quad_points builds them one rule point at a time where a field
-callable is evaluated (loads, errors against exact solutions). The norms
+cached: quad_points builds them one rule point at a time, from the grid's
+coordinate lines, where a field callable is evaluated (loads, errors
+against exact solutions). The norms
 L2, H1, Lr and W1r (2 <= r <= 6) of a field, or of its error against an
 exact solution, come from one pass over the rule points (_norms) that adds
 each point's value and gradient errors into every requested norm.
@@ -53,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TriMesh, grid_boundary
+from .mesh import TriMesh
 
 
 class FemError(RuntimeError):
@@ -362,17 +365,26 @@ def _eval_field(f, pts: np.ndarray, shape: tuple) -> np.ndarray:
 def quad_points(space: FeSpace):
     """The rule on the space's elements: (bary, weights, points), bary (nq, 3)
     and weights (nq,) read-only, points a generator of the (nt, 2) element
-    coordinates of one rule point at a time, in the order of bary, each
-    summed from one gather of every corner. Nothing is cached, and neither
-    the (nq, nt, 2) array of all the coordinates nor the (3, nt, 2) array
-    of the corners ever exists."""
-    vertices, triangles = space.mesh.vertices, space.mesh.triangles
+    coordinates of one rule point at a time, in the order of bary. A rule
+    point's x depends only on its element's cell column and half, and its
+    y only on the cell row and half: each is summed as b_0 c_0 + b_1 c_1 +
+    b_2 c_2 from three slices of the grid's x (bottom vertex row) or y
+    (left vertex column), n values, then broadcast over the other axis.
+    Nothing is cached, and neither the (nq, nt, 2) array of all the
+    coordinates nor any array of the corners ever exists."""
+    n = space.mesh.n
+    grid = space.mesh.vertices.reshape(n + 1, n + 1, 2)
+    lines = (grid[0, :, 0], grid[:, 0, 1])
 
     def point(b):
-        X = np.take(vertices, triangles[:, 0], axis=0) * b[0]
-        for k in (1, 2):
-            X += np.take(vertices, triangles[:, k], axis=0) * b[k]
-        return X
+        X = np.empty((n, n, 2, 2))  # cell row, cell column, half, coordinate
+        for p, offsets in enumerate(_CORNER_OFFSET):
+            for d, line in enumerate(lines):
+                c = line[offsets[0][d]:][:n] * b[0]
+                for k in (1, 2):
+                    c += line[offsets[k][d]:][:n] * b[k]
+                X[:, :, p, d] = c if d == 0 else c[:, None]
+        return X.reshape(-1, 2)
 
     return _QUAD_BARY, _QUAD_WEIGHTS, (point(b) for b in _QUAD_BARY)
 
@@ -431,9 +443,7 @@ def extend_to_vertices(space: FeSpace, u: np.ndarray) -> np.ndarray:
 def rule_values(space: FeSpace, nodal: np.ndarray) -> np.ndarray:
     """The P1 function with all-vertex values `nodal` at the rule's points:
     (nq, nt)."""
-    # the fancy index, not np.take: the gather alone is faster by np.take,
-    # but the call measured 4.8 ms against 1.8 ms at n=256
-    return _QUAD_BARY @ nodal[space.mesh.triangles.T]
+    return _QUAD_BARY @ _corner_values(space, nodal)
 
 
 def weighted_local_mass(space: FeSpace, weight: np.ndarray) -> np.ndarray:
@@ -444,12 +454,24 @@ def weighted_local_mass(space: FeSpace, weight: np.ndarray) -> np.ndarray:
     return local
 
 
+def _grid_corners(space: FeSpace, nodal: np.ndarray) -> np.ndarray:
+    """(2, 3, n, n): entry [p, k, j, i] is the all-vertex field nodal at
+    corner k of half p of the cell in row j, column i, which is element
+    2 (j n + i) + p. Six slices of nodal's (n + 1, n + 1) grid, each copied
+    into one contiguous plane; no index array is read."""
+    n = space.mesh.n
+    grid = np.reshape(nodal, (n + 1, n + 1))
+    planes = [grid[dy:dy + n, dx:dx + n] for half in _CORNER_OFFSET for dx, dy in half]
+    return np.stack(planes).reshape(2, 3, n, n)
+
+
 def element_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     """Elementwise-constant gradient of u_h: (nt, 2)."""
-    nodal = np.take(extend_to_vertices(space, u), space.mesh.triangles).reshape(-1, 2, 3)
-    Du = np.empty((len(nodal), 2, 2))  # cell, half, component
-    for p in (0, 1):  # one matmul per half: einsum's broadcast was 3 times slower
-        np.matmul(nodal[:, p], space.grads[p], out=Du[:, p])
+    corners = _grid_corners(space, extend_to_vertices(space, u)).reshape(2, 3, -1)
+    Du = np.empty((corners.shape[2], 2, 2))  # cell, half, component
+    for p in (0, 1):  # one BLAS matmul per half, which sums the three
+        # corner terms as it did on the (nt, 3) gather: the same bits
+        np.matmul(corners[p].T, space.grads[p], out=Du[:, p])
     return Du.reshape(-1, 2)
 
 
@@ -721,12 +743,37 @@ def prolongations(space: FeSpace) -> tuple:
     if "prolongations" not in space._cache:
         levels = []
         for n in _grid_levels(space):
-            # rows and columns of the free dofs of levels n and n // 2
-            fine, coarse = (np.flatnonzero(~grid_boundary(k)) for k in (n, n // 2))
-            P = _grid_prolongation(n)[fine][:, coarse]
+            P = _free_prolongation(n)
             levels.append((P, P.T.tocsr()))
         space._cache["prolongations"] = tuple(levels)
     return space._cache["prolongations"]
+
+
+def _free_prolongation(n: int) -> sp.csr_matrix:
+    """_grid_prolongation(n) on the free dofs of levels n and n // 2, in CSR
+    by grid arithmetic on the free lattices. Fine dof (i, j), 1 <= i, j <=
+    n - 1, takes 1/2 of each interior coarse end (floor(i/2), floor(j/2))
+    and (ceil(i/2), ceil(j/2)), in that (ascending) order: the first lies
+    on the coarse boundary when i or j is 1, the second when i or j is
+    n - 1. Where i and j are both even the ends coincide: one entry 1.
+    Each (m, m) array is written in place by an outer ufunc of the two
+    axes' n - 1 values."""
+    m, mc = n - 1, n // 2 - 1  # sides of the fine and coarse free lattices
+    k = np.arange(1, n, dtype=np.int32)  # fine lattice coordinates
+    # per axis, the coarse free coordinate of each end: -1 or mc off it
+    lo, hi, even = k // 2 - 1, (k + 1) // 2 - 1, k % 2 == 0
+    ends, keep = np.empty((m, m, 2), dtype=np.int32), np.empty((m, m, 2), dtype=bool)
+    data = np.full((m, m, 2), 0.5)
+    for e, (end, inside) in enumerate(((lo, lo >= 0), (hi, hi < mc))):
+        np.add.outer(end * mc, end, out=ends[:, :, e])
+        np.logical_and.outer(inside, inside, out=keep[:, :, e])
+    inject = np.logical_and.outer(even, even)
+    keep[:, :, 1] &= ~inject
+    data[:, :, 0][inject] = 1.0
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.add(keep[:, :, 0], keep[:, :, 1], out=indptr[1:].reshape(m, m), dtype=np.int32)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((data[keep], ends[keep], indptr), shape=(m * m, mc * mc))
 
 
 def vertex_prolongations(space: FeSpace) -> list:
@@ -763,7 +810,7 @@ def _norms(space: FeSpace, u_h: np.ndarray, kinds, r, u_exact=None, grad_exact=N
     for kind in kinds:
         _check_norm_args(kind, r)
     exponents = [2.0 if kind in ("L2", "H1") else float(r) for kind in kinds]
-    corners = _corner_values(space, u_h)
+    corners = _corner_values(space, extend_to_vertices(space, u_h))
     grads_h = grad_sq = None
     if {"H1", "W1r"} & set(kinds):
         grads_h = element_gradients(space, u_h)
@@ -788,11 +835,13 @@ def _norms(space: FeSpace, u_h: np.ndarray, kinds, r, u_exact=None, grad_exact=N
     return [total ** (1.0 / p) for total, p in zip(totals, exponents)]
 
 
-def _corner_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
-    """(3, nt) values of u_h at each element's corners."""
-    # the (nt, 3) gather's transpose: the F-ordered layout of the fancy
-    # index full[triangles.T], so the matmuls on it sum in the same order
-    return np.take(extend_to_vertices(space, u), space.mesh.triangles).T
+def _corner_values(space: FeSpace, nodal: np.ndarray) -> np.ndarray:
+    """(3, nt) values of the all-vertex field nodal at each element's
+    corners, from _grid_corners."""
+    # in the layout of the gather nodal[triangles.T], the transpose of a
+    # C-ordered (nt, 3) array, so the matmuls on it (rule_values, _norms)
+    # sum in the gather's order
+    return _grid_corners(space, nodal).transpose(2, 3, 0, 1).reshape(-1, 3).T
 
 
 def norm(space: FeSpace, u: np.ndarray, kind: str, r: float | None = None) -> float:

@@ -4,13 +4,14 @@ Every mesh is the structured triangulation of (0,1)^2 with n subdivisions
 per side and a fixed diagonal convention (lower-left to upper-right), so
 runs are bit-reproducible. A TriMesh is its subdivision count: its arrays
 are built from n by index arithmetic on whole arrays, and no other array
-can be given to it. fem reads mesh.n for the grid hierarchy, point location
-and the CSR pattern. unit_square_mesh(2n) halves the mesh size of
-unit_square_mesh(n) exactly on dyadic grids.
+can be given to it. fem reads mesh.n for the grid hierarchy, point location,
+the CSR pattern and the element corners, which are slices of the vertex
+grid. unit_square_mesh(2n) halves the mesh size of unit_square_mesh(n)
+exactly on dyadic grids.
 
 The mesh size is closed form, the diagonal of the widest grid cell; the
-signed areas come from one gather of the corner coordinates
-(corner_coordinates): two (nt, 3) arrays, x and y.
+element areas and gradients are the two shapes of a grid cell's halves
+(fem), so no per-element geometry is built here.
 
 Meshes are immutable value objects: the coordinate and index arrays are
 frozen after construction and safe to share across threads.
@@ -70,24 +71,6 @@ class TriMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-
-def corner_coordinates(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
-    """(x, y): the coordinates of every element's corners, two (nt, 3)
-    arrays, x[t, k] and y[t, k] those of corner k of triangle t."""
-    # np.take on a contiguous coordinate column: about half the time of the
-    # fancy index column[triangles], which first casts the int32 index
-    return tuple(np.take(np.ascontiguousarray(vertices[:, d]), triangles) for d in (0, 1))
-
-
-def corner_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Signed areas from corner_coordinates' (x, y)."""
-    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-
-
-def signed_areas(mesh: TriMesh) -> np.ndarray:
-    """Signed area of every triangle (positive for counterclockwise)."""
-    return corner_areas(*corner_coordinates(mesh.vertices, mesh.triangles))
 
 
 def unit_square_arrays(n: int) -> tuple:

@@ -312,9 +312,8 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) 
     selection of H_p per element, (nt, 2, 2) (hm.hp_selection_many); the
     element integral of the P1 density is exact via its nodal mean."""
     space = problem.space
-    nodal = np.take(fem.extend_to_vertices(space, state.m), space.mesh.triangles)
-    mbar = nodal.mean(axis=1)
     # planes (half, ..., cell), so every product runs along the cells
+    mbar = fem._grid_corners(space, fem.extend_to_vertices(space, state.m)).mean(axis=1)
     gx, gy = space.grads[:, :, 0, None], space.grads[:, :, 1, None]  # (half, j, 1)
     xi = xi.reshape(-1, 2, 2, 2).T  # (e, d, half, cell)
     # the two components of xi Dphi_j, (half, j, cell) each
@@ -322,7 +321,7 @@ def advection_sensitivity(problem: MfgProblem, state: MfgState, xi: np.ndarray) 
     local = gx[:, :, None] * ax[:, None]  # (xi Dphi_j) . Dpsi_i: (half, i, j, cell)
     local += gy[:, :, None] * ay[:, None]
     del ax, ay  # 48 bytes per element, not held through the stencil sum
-    local *= (space.area * mbar).reshape(-1, 2).T[:, None, None]
+    local *= (space.area * mbar).reshape(2, 1, 1, -1)
     n = space.mesh.n  # read as (cell row, cell column, half, i, j)
     return fem.assemble_from_local(space, local.reshape(2, 3, 3, n, n).transpose(3, 4, 0, 1, 2), space.elem_dofs)
 

@@ -1,18 +1,80 @@
-"""Per-element oracles of the two-shape geometry and the stencil sum.
+"""Per-element oracles of the grid readers, the two-shape geometry and the
+stencil sum.
 
-fem stores the geometry of unit_square_mesh(n) as its two element shapes
-and sums element arrays into a stencil array. These are the formulas it
-replaced: the areas and basis gradients of every element, and the
-longest edge, from a gather of its corner coordinates, and the scatter of
-element arrays by one np.add.at into the CSR pattern, which sums each
-entry's terms in ascending element index.
+fem reads element corners as slices of the vertex grid, stores the
+geometry of unit_square_mesh(n) as its two element shapes and sums element
+arrays into a stencil array. These are the formulas it replaced: the
+corner values, rule-point coordinates and gradients of every element
+from a gather through mesh.triangles; the areas and basis gradients of
+every element, and the longest edge, from a gather of its corner
+coordinates; the scatter of element arrays by one np.add.at into the CSR
+pattern, which sums each entry's terms in ascending element index; and
+the free-dof prolongations sliced out of the all-vertex ones.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from nonsmooth_fem import fem
-from nonsmooth_fem.mesh import corner_areas, corner_coordinates
+from nonsmooth_fem.mesh import grid_boundary
+
+
+def corner_coordinates(vertices, triangles):
+    """(x, y): the coordinates of every element's corners, two (nt, 3)
+    arrays, x[t, k] and y[t, k] those of corner k of triangle t."""
+    return tuple(np.take(np.ascontiguousarray(vertices[:, d]), triangles) for d in (0, 1))
+
+
+def corner_areas(x, y):
+    """Signed areas from corner_coordinates' (x, y)."""
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+
+
+def signed_areas(mesh):
+    """Signed area of every triangle (positive for counterclockwise)."""
+    return corner_areas(*corner_coordinates(mesh.vertices, mesh.triangles))
+
+
+def quad_points(space):
+    """fem.quad_points' rule points, each summed from one gather of every
+    corner: a list of the (nt, 2) coordinates, in the order of the rule."""
+    vertices, triangles = space.mesh.vertices, space.mesh.triangles
+    points = []
+    for b in fem._QUAD_BARY:
+        X = np.take(vertices, triangles[:, 0], axis=0) * b[0]
+        for k in (1, 2):
+            X += np.take(vertices, triangles[:, k], axis=0) * b[k]
+        points.append(X)
+    return points
+
+
+def corner_values(space, nodal):
+    """(3, nt) values of the all-vertex field nodal at each element's
+    corners: the transpose of the (nt, 3) gather."""
+    return np.take(nodal, space.mesh.triangles).T
+
+
+def rule_values(space, nodal):
+    """The P1 function with all-vertex values nodal at the rule's points,
+    (nq, nt), from the fancy-index gather nodal[triangles.T]."""
+    return fem._QUAD_BARY @ nodal[space.mesh.triangles.T]
+
+
+def element_gradients(space, u):
+    """(nt, 2) gradients of u_h: one matmul per half on the (nt, 3) gather
+    of the corner values."""
+    nodal = np.take(fem.extend_to_vertices(space, u), space.mesh.triangles).reshape(-1, 2, 3)
+    Du = np.empty((len(nodal), 2, 2))
+    for p in (0, 1):
+        np.matmul(nodal[:, p], space.grads[p], out=Du[:, p])
+    return Du.reshape(-1, 2)
+
+
+def free_prolongation(n):
+    """The P1 prolongation between the free dofs of levels n and n // 2:
+    the all-vertex one with its boundary rows, then columns, sliced off."""
+    fine, coarse = (np.flatnonzero(~grid_boundary(k)) for k in (n, n // 2))
+    return fem._grid_prolongation(n)[fine][:, coarse]
 
 
 def element_geometry(mesh):

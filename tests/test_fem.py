@@ -19,7 +19,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nonsmooth_fem import fem, hj_solver, manufactured
-from nonsmooth_fem import mesh as mesh_module
 from nonsmooth_fem.fem import (
     FemError,
     NonconvergenceError,
@@ -266,6 +265,21 @@ def test_prolongation_is_p1_interpolation(n):
     assert np.allclose(
         P_v @ linear(coarse.mesh.vertices), linear(fine.mesh.vertices), atol=1e-14, rtol=0
     )
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 512], ids=lambda n: f"n{n}")
+def test_free_prolongations_are_the_sliced_vertex_prolongations(n):
+    # built on the free lattices by grid arithmetic: the same CSR arrays as
+    # the all-vertex prolongation with its boundary rows and columns cut
+    P, want = fem._free_prolongation(n), oracles.free_prolongation(n)
+    assert P.shape == want.shape and P.has_canonical_format
+    for key in ("data", "indices", "indptr"):
+        got, expect = getattr(P, key), getattr(want, key)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), key
+    if n == 64:  # the cached hierarchy is made of them
+        levels = fem.prolongations(make_space(unit_square_mesh(n)))
+        for (P, _), k in zip(levels, (64, 32, 16), strict=True):
+            assert _same_csr(P, oracles.free_prolongation(k))
 
 
 @pytest.mark.parametrize(
@@ -548,7 +562,7 @@ def _same_csr(A, B):
 def test_geometry_and_stiffness_are_bitwise_the_point_gather_formulas(mesh):
     areas, h, grads = _reference_geometry(mesh)
     space = make_space(mesh)
-    assert np.array_equal(mesh_module.signed_areas(mesh), areas)
+    assert np.array_equal(oracles.signed_areas(mesh), areas)
     assert mesh.mesh_size_h == h
     oracle_areas, oracle_grads = oracles.element_geometry(mesh)
     assert np.array_equal(oracle_areas, areas) and np.array_equal(oracle_grads, grads)
@@ -680,6 +694,26 @@ def test_vector_scatter_matches_masked_add_at_bitwise():
     assert np.array_equal(fem._assemble_p1_vector(space, local), reference)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40, 64, 256], ids=lambda n: f"n{n}")
+def test_grid_readers_are_bitwise_the_triangle_gathers(n):
+    # corner values, rule values, gradients and rule-point coordinates read
+    # from slices of the vertex grid: the gathers' values in the gathers'
+    # memory layout, so that the matmuls on them sum in the same order
+    space = make_space(unit_square_mesh(n))
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(space.n_free)
+    nodal = rng.standard_normal(space.mesh.n_vertices)  # boundary values too
+    pairs = [
+        (fem._corner_values(space, nodal), oracles.corner_values(space, nodal)),
+        (fem.rule_values(space, nodal), oracles.rule_values(space, nodal)),
+        (element_gradients(space, u), oracles.element_gradients(space, u)),
+        *zip(fem.quad_points(space)[2], oracles.quad_points(space), strict=True),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
 def test_rule_points_are_the_barycentric_combinations():
     space = make_space(unit_square_mesh(12))
     bary, _, points = fem.quad_points(space)
@@ -785,7 +819,7 @@ def _einsum_norm(space, u, kind, r, u_exact=None, grad_exact=None):
     terms by einsum: the oracle of their product form."""
     p = 2.0 if kind in ("L2", "H1") else float(r)
     areas = oracles.table_geometry(space)[0]
-    corners = fem._corner_values(space, u)
+    corners = fem._corner_values(space, fem.extend_to_vertices(space, u))
     grads = element_gradients(space, u)
     grad_sq = np.einsum("td,td->t", grads, grads)
     points = fem.quad_points(space)[2] if u_exact is not None else [None] * len(fem._QUAD_BARY)
@@ -997,7 +1031,8 @@ def _full_array_error(space, u, kind, r):
     bary, weights, points = fem.quad_points(space)
     X = np.stack(list(points))  # (nq, nt, 2)
     flat = X.reshape(-1, 2)
-    e = u_star(flat).reshape(X.shape[:2]) - bary @ fem._corner_values(space, u)
+    corners = fem._corner_values(space, fem.extend_to_vertices(space, u))
+    e = u_star(flat).reshape(X.shape[:2]) - bary @ corners
     diff = grad_u_star(flat).reshape(X.shape) - element_gradients(space, u)
     p = 2.0 if kind in ("L2", "H1") else r
     w = weights[:, None] * oracles.element_geometry(space.mesh)[0]

@@ -276,10 +276,10 @@ def test_smoother_reads_the_cached_geometry_on_the_vertex_pattern(monkeypatch):
     space = space_of(8)
     problem = mfg.make_mfg_problem(space, huber(), mfg.nonlocal_linear(), 1.0, man.bump)
 
-    def no_geometry(*args):
-        raise AssertionError("element geometry gathered from the corners")
+    def no_corners(*args):
+        raise AssertionError("element corners read from the grid")
 
-    monkeypatch.setattr(mesh, "corner_coordinates", no_geometry)
+    monkeypatch.setattr(fem, "_grid_corners", no_corners)
     smoother = mfg._smoother(problem)
     assert space._cache["smoother"] is smoother and mfg._smoother(problem) is smoother
     indices, indptr = fem._pattern(space, space.mesh.triangles)
@@ -290,6 +290,7 @@ def test_smoother_reads_the_cached_geometry_on_the_vertex_pattern(monkeypatch):
         for a in (A.indices, A.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
+    monkeypatch.undo()  # the coupling mass reads the density at the corners
     # the nonlocal coupling mass is the free rows of a matrix on that
     # pattern, where every free vertex has its whole 7-point stencil
     Q = mfg.coupling_weighted_mass(problem, problem.m0)
@@ -765,15 +766,20 @@ def test_mfg_sources_reproduce_strong_form():
     assert np.max(np.abs(g_fp(X) - expect_fp)) <= 1e-12
 
 
+def _sin_cos_columns(X):
+    """(sx, cx, sy, cy): sin and cos of pi x and pi y by the module's helper,
+    each column on its own."""
+    (sx, cx), (sy, cy) = (man._sin_cos(np.ascontiguousarray(X[:, d])) for d in (0, 1))
+    return sx, cx, sy, cy
+
+
 def _old_grad_u_star(X):
-    sx, cx = np.sin(np.pi * X[:, 0]), np.cos(np.pi * X[:, 0])
-    sy, cy = np.sin(np.pi * X[:, 1]), np.cos(np.pi * X[:, 1])
+    sx, cx, sy, cy = _sin_cos_columns(X)
     return np.pi * np.column_stack([cx * sy, sx * cy])
 
 
 def _old_hess_u_star(X):
-    sx, cx = np.sin(np.pi * X[:, 0]), np.cos(np.pi * X[:, 0])
-    sy, cy = np.sin(np.pi * X[:, 1]), np.cos(np.pi * X[:, 1])
+    sx, cx, sy, cy = _sin_cos_columns(X)
     H = np.empty((len(X), 2, 2))
     H[:, 0, 0] = -np.pi**2 * sx * sy
     H[:, 1, 1] = -np.pi**2 * sx * sy
@@ -837,11 +843,15 @@ def _einsum_advection(problem, state, xi):
     return oracles.scatter(space, local, space.elem_dofs)
 
 
-@pytest.mark.parametrize("n", [3, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 32, 40, 64, 256])
 def test_advection_sensitivity_is_bitwise_its_einsum_form(n):
+    # the einsum form takes the density's corner mean from the (nt, 3)
+    # gather, the sensitivity from slices of the vertex grid
     space = space_of(n)
     rng = np.random.default_rng(n)
-    problem = mfg.make_mfg_problem(space, huber(), mfg.local_linear(1.0), 1.0, man.bump)
+    coupling = mfg.local_linear(1.0)  # the sources admit n = 1, no free dof
+    sources = man.mfg_sources(huber(), coupling, 1.0)
+    problem = mfg.make_mfg_problem(space, huber(), coupling, 1.0, man.bump, *sources)
     state = mfg.MfgState(u=rng.standard_normal(space.n_free), m=rng.standard_normal(space.n_free))
     nt = space.mesh.n_triangles
     for xi in (rng.standard_normal((nt, 2, 2)) * 10.0 ** rng.uniform(-5, 5, (nt, 1, 1)),
@@ -850,6 +860,14 @@ def test_advection_sensitivity_is_bitwise_its_einsum_form(n):
         want = _einsum_advection(problem, state, xi)
         for key in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
+def test_sin_cos_from_one_tangent_is_within_rounding_of_numpy():
+    X = np.random.default_rng(23).uniform(-0.5, 1.5, 100_000)
+    X = np.concatenate([X, [0.0, 0.5, 1.0]])
+    s, c = man._sin_cos(X)
+    assert np.abs(s - np.sin(np.pi * X)).max() <= 4.5e-16
+    assert np.abs(c - np.cos(np.pi * X)).max() <= 4.5e-16
 
 
 def test_mfg_sources_require_gradient_data():
