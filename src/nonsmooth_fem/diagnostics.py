@@ -1,12 +1,11 @@
-"""Stability diagnostics: weighted smallest singular values, perturbation
-slack, selection-sampling scans of the coupled linearization, and rate fits.
+"""Stability diagnostics: smallest singular values, perturbation slack,
+selection-sampling scans of the coupled linearization, and rate fits.
 
-The quantity of interest is the Banach constant of a linear map between
-Gram-weighted spaces: the largest kappa such that the image of the unit
-ball contains the kappa-ball, equal to the smallest singular value in the
-weighted geometry and to 1/||A^{-1}|| for isomorphisms. A uniform-in-h
-lower bound on this constant for the linearized coupled system is the
-checkable shadow of the stability assumptions behind the error estimates.
+The scan measures in one geometry, H1 x L2 on the stacked (u, m) free
+dofs with Gram matrix G = blockdiag(K + M, M): the stability constant of a
+linearization J is the smallest singular value of G^{-1} J there, equal to
+1/||J^{-1}|| for isomorphisms. A uniform-in-h lower bound on it is the
+checkable shadow of the metric regularity behind the error estimates.
 """
 
 from __future__ import annotations
@@ -130,45 +129,10 @@ def refinement_study(solve_level, level_errors, levels, meta) -> ConvergenceRepo
     )
 
 
-@dataclass(frozen=True)
-class GramPair:
-    """SPD weights fixing the norms on domain (X) and range (Y) spaces.
-
-    Both weights are checked on construction, dense or sparse alike, and
-    never densified; one object passed as both is checked once. Symmetry:
-    max |G - G^T| <= 1e-12 (1 + max |G|).
-    Definiteness, by Sylvester's criterion: one sparse LU in symmetric mode
-    with no pivoting (a symmetric fill-reducing permutation, P G P^T = L U)
-    must keep perm_r equal to perm_c and every pivot on U's diagonal
-    positive, since those pivots are the D of P G P^T = L D L^T.
-    """
-
-    gram_X: object
-    gram_Y: object
-
-    def __post_init__(self):
-        weights = [("gram_X", self.gram_X)]
-        if self.gram_Y is not self.gram_X:
-            weights.append(("gram_Y", self.gram_Y))
-        for name, G in weights:
-            G = sp.csc_matrix(G, dtype=float)
-            if abs(G - G.T).max() > 1e-12 * (1 + abs(G).max()):
-                raise ValueError(f"{name} must be symmetric")
-            try:
-                lu = spla.splu(
-                    G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as exc:  # an exactly zero pivot
-                raise ValueError(f"{name} must be positive definite") from exc
-            if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
-                raise ValueError(f"{name} must be positive definite")
-
-
 @dataclass
 class StabilityScanReport:
-    """Smallest weighted singular values of the coupled linearization,
-    per mesh level and per sampled kink-selection."""
+    """Stability constants of the coupled linearization, per mesh level and
+    per sampled kink-selection."""
 
     hs: list
     smin: list  # list (per level) of lists (per selection sample)
@@ -183,6 +147,8 @@ def _dense(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
+# up to this size the dense path beats ARPACK: sending stability-kinked's
+# 450-unknown level to the sparse path cost +0.45-0.5 s (+16-18% of solve_s)
 _DENSE_CUTOFF = 800
 _EIG_TOL = 1e-10
 _WARM_MIX = 1e-2
@@ -194,43 +160,26 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _whitened(A, grams: GramPair | None) -> np.ndarray:
-    """Ly^T A Lx^{-T} with G = L L^T the Cholesky factors of the weights:
-    its ordinary singular values are the weighted ones of A. Without grams,
-    A itself."""
-    Ad = _dense(A)
-    if grams is None:
-        return Ad
-    if Ad.shape != (grams.gram_Y.shape[0], grams.gram_X.shape[0]):
-        raise ValueError("gram shapes do not match the operator")
-    Lx = scipy.linalg.cholesky(_dense(grams.gram_X), lower=True)
-    Ly = scipy.linalg.cholesky(_dense(grams.gram_Y), lower=True)
-    return Ly.T @ scipy.linalg.solve_triangular(Lx, Ad.T, lower=True).T
+def banach_constant(A) -> float:
+    """Smallest singular value of the dense matrix A, accurate to roundoff.
+    Large sparse Jacobians go through preconditioned_constant instead."""
+    return float(scipy.linalg.svdvals(_dense(A))[-1])
 
 
-def banach_constant(A, grams: GramPair | None = None) -> float:
-    """Smallest singular value of A measured between the Gram-weighted
-    spaces: min ||A x||_{gram_Y} over ||x||_{gram_X} = 1; without grams the
-    plain smallest singular value. Dense: whiten both sides by Cholesky
-    factors and take the smallest SVD value, accurate to roundoff. Large
-    sparse Jacobians go through preconditioned_constant instead."""
-    return float(scipy.linalg.svdvals(_whitened(A, grams))[-1])
+def operator_norm(S) -> float:
+    """Largest singular value of the dense matrix S."""
+    return float(scipy.linalg.svdvals(_dense(S))[0])
 
 
-def operator_norm(S, grams: GramPair | None = None) -> float:
-    """Largest weighted singular value (dense computation)."""
-    return float(scipy.linalg.svdvals(_whitened(S, grams))[0])
-
-
-def perturbation_check(T, S, grams: GramPair | None = None):
+def perturbation_check(T, S):
     """Verify the stability of the Banach constant under perturbation:
     constant(T + S) >= constant(T) - ||S||, within 1e-12 slack.
 
     Returns (holds, slack) with slack = constant(T+S) - constant(T) + ||S||.
     """
-    c1 = banach_constant(T, grams)
-    c2 = banach_constant(_dense(T) + _dense(S), grams)
-    norm_s = operator_norm(S, grams)
+    c1 = banach_constant(T)
+    c2 = banach_constant(_dense(T) + _dense(S))
+    norm_s = operator_norm(S)
     slack = c2 - (c1 - norm_s)
     return bool(slack >= -1e-12), float(slack)
 
@@ -269,10 +218,11 @@ def _selection_samples(problem, state, n_samples: int):
     return samples, int(len(kink))
 
 
-def state_space_grams(space) -> GramPair:
-    """H1 x L2 geometry for the stacked (u, m) linearization."""
-    G = sp.block_diag([fem.operator(space, 1.0), fem.assemble_mass(space)]).tocsc()
-    return GramPair(gram_X=G, gram_Y=G)
+def state_space_grams(space):
+    """G = blockdiag(K + M, M) as a CSC matrix: the Gram matrix of H1 x L2 on
+    the stacked (u, m) free dofs, symmetric positive definite by
+    construction."""
+    return sp.block_diag([fem.operator(space, 1.0), fem.assemble_mass(space)]).tocsc()
 
 
 def preconditioned_constant(J, G, start=None) -> float:
@@ -299,25 +249,22 @@ def preconditioned_constant(J, G, start=None) -> float:
     solves with J and J^T on right sides padded by zeros, truncated to the
     leading n unknowns: the leading block of J^{-1} is J_red^{-1}.
 
-    The Lanczos solve stops at ARPACK's relative tolerance _EIG_TOL = 1e-10.
-    The smallest value sits at the bottom of a cluster at 1, so tol=0
-    (machine precision) costs thousands of LU solves per level. On the
-    kinked manufactured state (huber:1, sinsin) at n = 24, whose two lowest
-    modes are only 6.2e-9 apart, over start seeds 0-4: tol=1e-8 stopped up
-    to 6e-9 from the dense value, 1e-9 up to 4e-10, and 3e-10 and 1e-10
-    within 1.2e-12 (as at n = 32).
+    The Lanczos solve stops at ARPACK's relative tolerance _EIG_TOL = 1e-10:
+    the smallest value sits at the bottom of a cluster at 1, where tol=0
+    costs thousands of LU solves a level, and the kinked manufactured state
+    at n = 24 has its two lowest modes 6.2e-9 apart, which tol=1e-8 does
+    not separate.
 
     start (sparse path only) warm-starts the solve of a nearby operator:
     the solve starts from start plus a _WARM_MIX = 1e-2 share of the
     seeded vector (both G-normalized) and overwrites start with the
     converged eigenvector. The seeded share keeps every mode in the Krylov
-    space: started from the bare previous eigenvector, the lambda grid of
-    the scan converged to a wrong mode (1.8e-4 off at n = 32). Without
-    start the solve starts from the seeded vector alone; the uniform vector
-    is invariant under every symmetry of the mesh and of the state, so
-    Lanczos would see only the symmetric modes and could miss the smallest.
-    The LU of J uses the MMD_AT_PLUS_A ordering: on the kinked state at
-    n = 48 its fill is 28% below COLAMD's, with the same solve count.
+    space, so the solve can still reach a smallest mode that is not the one
+    start holds. Without start the solve starts from the seeded vector
+    alone; the uniform vector is invariant under every symmetry of the mesh
+    and of the state, so Lanczos would see only the symmetric modes and
+    could miss the smallest. The LU of J uses the MMD_AT_PLUS_A ordering,
+    which fills less than COLAMD on the kinked states.
     """
     N, n = J.shape[0], G.shape[0]
     if J.shape != (N, N) or G.shape != (n, n) or N < n:
@@ -366,58 +313,37 @@ def preconditioned_constant(J, G, start=None) -> float:
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
-def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> StabilityScanReport:
-    """Smallest weighted singular value of the coupled block linearization,
-    sampled over generalized-Jacobian selections at kink elements.
+def stability_scan(cases, n_selection_samples: int = 10) -> StabilityScanReport:
+    """preconditioned_constant of the coupled linearization per mesh level,
+    at each kink selection that _selection_samples draws.
 
-    cases: a (problem, converged-state) pair, told by its first element
-    being an MfgProblem, or a non-empty list or tuple of them (one per mesh
-    level); no case at all raises ValueError.
-    With a lambda grid, each case is re-assembled at every grid value
-    using its first selection sample; the per-level minima land in
-    meta["lambda_scan"]. A lambda that is not finite and positive raises
-    ValueError before any level is assembled. A singular level (constant
-    0.0) gives ratio_max_min = inf; an eigensolve that does not converge
-    raises fem.NonconvergenceError naming the level (h, dofs) and the
-    selection sample or lambda.
+    cases is a non-empty sequence of (MfgProblem, converged MfgState) pairs,
+    one per level. Returns the per-level values, their minima and max/min
+    spread (inf when a level is singular, constant 0.0); meta holds the
+    sample count and the per-level kink element counts. Raises ValueError
+    for no case (checked first) or fewer than one sample, and
+    fem.NonconvergenceError naming the level (h, dofs) and the selection
+    sample when an eigensolve does not converge.
 
-    The Gram pair is built and checked (sparse, see GramPair) once per
-    level. Within a level every eigensolve of preconditioned_constant after
-    the first is warm-started from the eigenvector of the previous one,
-    first across the selection samples, then along the lambda grid. Across
-    levels, in the given order, the first solve of a level starts from the
-    last eigenvector of the previous level, its u and m blocks each
-    interpolated onto the new free dofs by fem.evaluate (coarser or finer,
-    nested or not). On the kinked manufactured state this cut the first
-    solve at n = 48 from 912 to 322 applications of the inverse operator,
-    and at n = 64 (after n = 32) from 1,182 to 492. A previous level on
-    the dense path has no eigenvector, so its successor starts from the
-    seeded vector: transferring n = 16's dense singular vector to n = 32
-    took 432 applications against 382 from the seeded vector.
+    Each sparse-path solve starts from the previous eigenvector, across
+    levels with its u and m blocks interpolated onto the new free dofs by
+    fem.evaluate; a level after a dense-path one starts from the seeded
+    vector.
     """
-    import dataclasses
-
     from . import mfg_solver
 
     cases = list(cases)
     if not cases:
         raise ValueError("stability_scan needs at least one (problem, state) case, got none")
-    if isinstance(cases[0], mfg_solver.MfgProblem):
-        cases = [cases]
     if n_selection_samples < 1:
         raise ValueError("need at least one selection sample")
-    if lambdas is not None:
-        lambdas = [float(lam) for lam in lambdas]
-        if not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
-            raise ValueError(f"lambdas must be finite and positive, got {lambdas}")
     hs = []
     smin = []
     kinks = []
-    lambda_scan = []
     previous = None  # (space, eigenvector) of the last sparse-path level
     for problem, state in cases:
         space = problem.space
-        G = state_space_grams(space).gram_X
+        G = state_space_grams(space)
         samples, n_kink = _selection_samples(problem, state, n_selection_samples)
         if previous is None:
             start = _start_vector(G.shape[0])
@@ -428,47 +354,32 @@ def stability_scan(cases, n_selection_samples: int = 10, lambdas=None) -> Stabil
                 fem.evaluate(prev_space, block, pts)
                 for block in np.split(prev_start, 2)
             ])
-
-        def constant(J, where):
-            try:
-                return preconditioned_constant(J, G, start)
-            except fem.NonconvergenceError as exc:
-                raise fem.NonconvergenceError(
-                    f"stability scan at h={space.mesh.mesh_size_h:.6g} "
-                    f"({G.shape[0]} dofs), {where}: {exc}"
-                ) from exc
-
         vals = []
         seen = {}
         for idx, xi in enumerate(samples):
             key = xi.tobytes()
             if key not in seen:
                 J = mfg_solver.mfg_jacobian(problem, state, xi=xi)
-                seen[key] = constant(J, f"selection sample {idx}")
+                try:
+                    seen[key] = preconditioned_constant(J, G, start)
+                except fem.NonconvergenceError as exc:
+                    raise fem.NonconvergenceError(
+                        f"stability scan at h={space.mesh.mesh_size_h:.6g} "
+                        f"({G.shape[0]} dofs), selection sample {idx}: {exc}"
+                    ) from exc
             vals.append(seen[key])
         hs.append(space.mesh.mesh_size_h)
         smin.append(vals)
         kinks.append(n_kink)
-        if lambdas is not None:
-            row = []
-            for lam in lambdas:
-                shifted = dataclasses.replace(problem, lam=lam)
-                J = mfg_solver.mfg_jacobian(shifted, state, xi=samples[0])
-                row.append(constant(J, f"lambda={lam:g}"))
-            lambda_scan.append(row)
         previous = (space, start) if G.shape[0] > _DENSE_CUTOFF else None
     min_per_level = [min(vals) for vals in smin]
     # a singular level (constant 0.0) makes the spread infinite
     lo = min(min_per_level)
     ratio = max(min_per_level) / lo if lo > 0 else float("inf")
-    meta = {"n_selection_samples": n_selection_samples, "kink_elements": kinks}
-    if lambdas is not None:
-        meta["lambdas"] = lambdas
-        meta["lambda_scan"] = lambda_scan
     return StabilityScanReport(
         hs=hs,
         smin=smin,
         min_per_level=min_per_level,
         ratio_max_min=float(ratio),
-        meta=meta,
+        meta={"n_selection_samples": n_selection_samples, "kink_elements": kinks},
     )

@@ -1,5 +1,5 @@
-"""Diagnostics tests: rate fits, weighted singular values, the perturbation
-inequality, and selection-sampling stability scans.
+"""Diagnostics tests: rate fits, singular values, the state-space Gram
+matrix, the perturbation inequality, and selection-sampling stability scans.
 
 Oracles: dense SVD for singular values, closed-form equality cases, and
 structural identities (orthogonal invariance, exact decoupled constants).
@@ -95,54 +95,20 @@ def test_banach_orthogonal_conjugation_invariance():
         assert abs(dg.banach_constant(Q1 @ A @ Q2) - dg.banach_constant(A)) <= 1e-10
 
 
-def test_banach_weighted_matches_generalized_eig():
-    rng = np.random.default_rng(5)
-    n = 7
-    A = rng.normal(size=(n, n))
-    X = rng.normal(size=(n, n))
-    Y = rng.normal(size=(n, n))
-    gx = X @ X.T + n * np.eye(n)
-    gy = Y @ Y.T + n * np.eye(n)
-    got = dg.banach_constant(A, dg.GramPair(gram_X=gx, gram_Y=gy))
-    vals = scipy.linalg.eigh(A.T @ gy @ A, gx, eigvals_only=True)
-    assert abs(got - np.sqrt(max(vals[0], 0.0))) <= 1e-12
+# ----------------------------------------------------------- state_space_grams
 
 
-def test_banach_shape_validation():
-    with pytest.raises(ValueError):
-        dg.banach_constant(np.eye(4), dg.GramPair(np.eye(5), np.eye(5)))
-
-
-def test_gram_pair_validation():
-    bad_sym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    indefinite = np.diag([1.0, -1.0])
-    # symmetric with a zero diagonal: needs an off-diagonal pivot
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    singular = np.diag([1.0, 0.0, 2.0])
-    spd = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    for form in (np.asarray, sp.csc_matrix, sp.csr_matrix):
-        with pytest.raises(ValueError, match="symmetric"):
-            dg.GramPair(gram_X=form(bad_sym), gram_Y=np.eye(2))
-        with pytest.raises(ValueError, match="positive definite"):
-            dg.GramPair(gram_X=np.eye(2), gram_Y=form(indefinite))
-        with pytest.raises(ValueError, match="positive definite"):
-            dg.GramPair(gram_X=form(swap), gram_Y=np.eye(2))
-        with pytest.raises(ValueError, match="positive definite"):
-            dg.GramPair(gram_X=form(singular), gram_Y=np.eye(3))
-        dg.GramPair(gram_X=form(spd), gram_Y=form(spd))
-
-
-def test_gram_pair_checks_a_shared_weight_once(monkeypatch):
-    calls = []
-    splu = dg.spla.splu
-    monkeypatch.setattr(dg.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
-    G = dg.state_space_grams(space_of(8)).gram_X  # one weight for X and Y
-    assert len(calls) == 1
-    dg.GramPair(gram_X=G, gram_Y=G.copy())
-    assert len(calls) == 3
-    bad = sp.csc_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="gram_X must be positive definite"):
-        dg.GramPair(gram_X=bad, gram_Y=bad)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_state_space_grams_is_the_spd_h1_l2_block(n):
+    # the scan relies on G being SPD by construction and checks it nowhere
+    space = space_of(n)
+    G = dg.state_space_grams(space)
+    assert G.format == "csc"
+    ref = sp.block_diag([fem.operator(space, 1.0), fem.assemble_mass(space)]).toarray()
+    Gd = G.toarray()
+    assert np.array_equal(Gd, ref)
+    assert np.array_equal(Gd, Gd.T)
+    scipy.linalg.cholesky(Gd, lower=True)  # raises LinAlgError unless SPD
 
 
 def test_sparse_grams_and_constants_never_densify(monkeypatch):
@@ -153,7 +119,7 @@ def test_sparse_grams_and_constants_never_densify(monkeypatch):
                 sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array):
         monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(cls, "todense", refuse)
-    G = dg.state_space_grams(space_of(64)).gram_X
+    G = dg.state_space_grams(space_of(64))
     assert G.shape[0] > dg._DENSE_CUTOFF
     assert abs(dg.preconditioned_constant(G, G) - 1.0) <= 1e-10
 
@@ -188,24 +154,12 @@ def test_perturbation_random_pairs_all_hold():
         assert holds
 
 
-def test_perturbation_weighted_grams_hold():
-    rng = np.random.default_rng(10)
-    n = 6
-    W = rng.normal(size=(n, n))
-    grams = dg.GramPair(gram_X=W @ W.T + n * np.eye(n), gram_Y=np.eye(n))
-    for _ in range(100):
-        holds, _ = dg.perturbation_check(
-            rng.normal(size=(n, n)), rng.normal(size=(n, n)), grams
-        )
-        assert holds
-
-
 # ---------------------------------------------------- preconditioned constant
 
 
 def test_preconditioned_constant_is_one_for_gram_itself():
     space = space_of(8)
-    G = dg.state_space_grams(space).gram_X
+    G = dg.state_space_grams(space)
     assert abs(dg.preconditioned_constant(G, G) - 1.0) <= 1e-10
 
 
@@ -215,7 +169,7 @@ def test_preconditioned_dense_and_sparse_paths_agree():
     problem = mfg.make_mfg_problem(space, model, mfg.local_linear(1.0), 1.0, man.bump)
     state = mfg.mfg_newton(problem, tol=1e-9).final_state
     J = mfg.mfg_jacobian(problem, state)
-    G = dg.state_space_grams(space).gram_X
+    G = dg.state_space_grams(space)
     dense_val = dg.preconditioned_constant(J, G)
     saved = dg._DENSE_CUTOFF
     try:
@@ -228,7 +182,7 @@ def test_preconditioned_dense_and_sparse_paths_agree():
 
 def test_preconditioned_singular_returns_zero():
     space = space_of(4)
-    G = dg.state_space_grams(space).gram_X
+    G = dg.state_space_grams(space)
     n = G.shape[0]
     J = sp.csr_matrix((n, n))
     assert dg.preconditioned_constant(J, G) <= 1e-12
@@ -255,13 +209,13 @@ def test_sparse_path_and_scan_match_dense_on_kinked_state(kinked_24):
     # that shares the symmetry of the mesh and the state sees only one, and
     # a loose Lanczos tolerance stops between them
     problem, state = kinked_24
-    G = dg.state_space_grams(problem.space).gram_X
+    G = dg.state_space_grams(problem.space)
     assert G.shape[0] > dg._DENSE_CUTOFF
     samples, _ = dg._selection_samples(problem, state, 3)
     Js = [mfg.mfg_jacobian(problem, state)]
     Js += [mfg.mfg_jacobian(problem, state, xi=xi) for xi in samples]
     sparse_vals = [dg.preconditioned_constant(J, G) for J in Js]
-    scan = dg.stability_scan((problem, state), n_selection_samples=3)
+    scan = dg.stability_scan([(problem, state)], n_selection_samples=3)
     saved = dg._DENSE_CUTOFF
     try:
         dg._DENSE_CUTOFF = G.shape[0]
@@ -274,21 +228,14 @@ def test_sparse_path_and_scan_match_dense_on_kinked_state(kinked_24):
 
 def test_warm_started_scan_matches_cold_solves(kinked_24):
     problem, state = kinked_24
-    lambdas = [0.25, 1.0, 4.0]
-    report = dg.stability_scan((problem, state), n_selection_samples=3, lambdas=lambdas)
-    G = dg.state_space_grams(problem.space).gram_X
+    report = dg.stability_scan([kinked_24], n_selection_samples=3)
+    G = dg.state_space_grams(problem.space)
     samples, _ = dg._selection_samples(problem, state, 3)
     cold = [
         dg.preconditioned_constant(mfg.mfg_jacobian(problem, state, xi=xi), G)
         for xi in samples
     ]
-    cold_lambda = [
-        dg.preconditioned_constant(
-            mfg.mfg_jacobian(dataclasses.replace(problem, lam=lam), state, xi=samples[0]), G
-        )
-        for lam in lambdas
-    ]
-    for warm, ref in zip(report.smin[0] + report.meta["lambda_scan"][0], cold + cold_lambda):
+    for warm, ref in zip(report.smin[0], cold):
         assert abs(warm - ref) <= 1e-9 * ref
 
 
@@ -314,7 +261,7 @@ def test_two_level_kinked_scan_warm_starts_across_levels(kinked_24, monkeypatch)
     transferred = [fem.evaluate(coarse, block, pts) for block in np.split(done[2], 2)]
     assert np.array_equal(entry[3], np.concatenate(transferred))
     for (problem, state), vals in zip(cases, report.smin):
-        G = dg.state_space_grams(problem.space).gram_X
+        G = dg.state_space_grams(problem.space)
         assert G.shape[0] > dg._DENSE_CUTOFF
         samples, _ = dg._selection_samples(problem, state, 3)
         for warm, xi in zip(vals, samples):
@@ -339,7 +286,7 @@ def test_lifted_nonlocal_constant_matches_reduced_jacobian(c, reduced_jacobian, 
     rng = np.random.default_rng(7)
     n = problem.space.n_free
     state = mfg.MfgState(u=0.1 * rng.normal(size=n), m=0.5 + 0.1 * rng.normal(size=n))
-    G = dg.state_space_grams(problem.space).gram_X
+    G = dg.state_space_grams(problem.space)
     J = mfg.mfg_jacobian(problem, state)
     assert J.shape[0] > G.shape[0]
     ref = dg.preconditioned_constant(reduced_jacobian(problem, state), G)
@@ -360,9 +307,9 @@ def test_nonlocal_scan_above_cutoff_never_forms_S_E(monkeypatch):
         return apply(self, nodal)
 
     monkeypatch.setattr(mfg._Smoother, "apply", vectors_only)
-    G = dg.state_space_grams(problem.space).gram_X
+    G = dg.state_space_grams(problem.space)
     assert G.shape[0] > dg._DENSE_CUTOFF
-    scan = dg.stability_scan((problem, state), n_selection_samples=2)
+    scan = dg.stability_scan([(problem, state)], n_selection_samples=2)
     monkeypatch.setattr(dg, "_DENSE_CUTOFF", G.shape[0])
     dense_val = dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
     for got in scan.smin[0]:
@@ -386,12 +333,12 @@ def test_scan_decoupled_equals_direct_constant():
         space, hm.builtin_model("zero"), mfg.zero_coupling(), 1.0, man.bump
     )
     state = mfg.mfg_newton(problem, tol=1e-10).final_state
-    report = dg.stability_scan((problem, state), n_selection_samples=5)
+    report = dg.stability_scan([(problem, state)], n_selection_samples=5)
     K = fem.assemble_stiffness(space)
     M = fem.assemble_mass(space)
     A = (K + 1.0 * M).tocsr()
     direct = dg.preconditioned_constant(
-        sp.block_diag([A, A]).tocsc(), dg.state_space_grams(space).gram_X
+        sp.block_diag([A, A]).tocsc(), dg.state_space_grams(space)
     )
     assert len(report.smin[0]) == 5
     assert abs(report.min_per_level[0] - direct) <= 1e-12
@@ -418,13 +365,13 @@ def test_scan_takes_a_tuple_of_pairs_as_a_list(monotone_family):
 
 @pytest.mark.parametrize("cases", [[], ()], ids=["list", "tuple"])
 def test_scan_rejects_an_empty_case_list_first(cases):
-    # the empty case list is named before the sample count or lambdas are read
+    # the empty case list is named before the sample count is read
     with pytest.raises(ValueError, match=r"at least one \(problem, state\) case, got none"):
-        dg.stability_scan(cases, 0, lambdas=[-1.0])
+        dg.stability_scan(cases, 0)
 
 
 def test_scan_samples_kink_selections():
-    report = dg.stability_scan(kinked_case(16), n_selection_samples=6)
+    report = dg.stability_scan([kinked_case(16)], n_selection_samples=6)
     assert report.meta["kink_elements"][0] > 0
     vals = report.smin[0]
     assert min(vals) > 0
@@ -464,36 +411,15 @@ def test_scan_min_collapses_with_antimonotone_strength():
         problem = huber_problem(space, mfg.local_linear(-c))
         report = mfg.mfg_picard(problem, tol=1e-9, max_iter=100, theta_p=0.5)
         assert report.converged
-        scan = dg.stability_scan((problem, report.final_state), n_selection_samples=3)
+        scan = dg.stability_scan([(problem, report.final_state)], n_selection_samples=3)
         mins.append(scan.min_per_level[0])
     assert mins[0] >= mins[1] >= mins[2]
     assert mins[2] < mins[0]
 
 
-def test_scan_lambda_grid(monotone_family):
-    problem, state = monotone_family[0]
-    lambdas = [0.25, 1.0, 4.0]
-    report = dg.stability_scan((problem, state), n_selection_samples=2, lambdas=lambdas)
-    row = report.meta["lambda_scan"][0]
-    assert len(row) == len(lambdas)
-    assert all(v > 0 for v in row)
-    # stability improves as the zeroth-order weight grows on this family
-    assert row[0] < row[-1]
-
-
 def test_scan_validates_sample_count(monotone_family):
     with pytest.raises(ValueError):
-        dg.stability_scan(monotone_family[0], n_selection_samples=0)
-
-
-@pytest.mark.parametrize("lambdas", [[1.0, 0.0], [1.0, -2.0], [np.nan], [np.inf]])
-def test_scan_validates_lambdas_before_any_level(monkeypatch, monotone_family, lambdas):
-    def no_jacobian(*args, **kwargs):
-        raise AssertionError("a Jacobian was assembled before the lambdas were checked")
-
-    monkeypatch.setattr(mfg, "mfg_jacobian", no_jacobian)
-    with pytest.raises(ValueError, match="lambdas must be finite and positive"):
-        dg.stability_scan(monotone_family, n_selection_samples=1, lambdas=lambdas)
+        dg.stability_scan([monotone_family[0]], n_selection_samples=0)
 
 
 def test_scan_singular_level_gives_infinite_ratio(monkeypatch, monotone_family):
@@ -531,14 +457,11 @@ def arpack_fails_after(monkeypatch, n_calls):
 
 def test_arpack_nonconvergence_is_a_named_error(monkeypatch, kinked_24):
     problem, state = kinked_24
-    G = dg.state_space_grams(problem.space).gram_X
+    G = dg.state_space_grams(problem.space)
     assert G.shape[0] > dg._DENSE_CUTOFF  # the sparse path
     arpack_fails_after(monkeypatch, 0)
     with pytest.raises(fem.NonconvergenceError, match=f"size {G.shape[0]}: .*No convergence"):
         dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
     level = rf"h={problem.space.mesh.mesh_size_h:.6g} \({G.shape[0]} dofs\)"
     with pytest.raises(fem.NonconvergenceError, match=level + ", selection sample 0: ARPACK"):
-        dg.stability_scan(kinked_24, n_selection_samples=1)
-    arpack_fails_after(monkeypatch, 1)
-    with pytest.raises(fem.NonconvergenceError, match=level + ", lambda=2: ARPACK"):
-        dg.stability_scan(kinked_24, n_selection_samples=1, lambdas=[2.0])
+        dg.stability_scan([kinked_24], n_selection_samples=1)
