@@ -147,11 +147,10 @@ def _dense(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-# up to this size the dense path beats ARPACK: sending stability-kinked's
-# 450-unknown level to the sparse path cost +0.45-0.5 s (+16-18% of solve_s)
-_DENSE_CUTOFF = 800
-_EIG_TOL = 1e-10
+_EIG_TOL = 1e-10  # separates two modes 6.2e-9 apart (kinked state, n = 24)
 _WARM_MIX = 1e-2
+_KRYLOV_MAX = 64  # rows of the Lanczos basis; a restart keeps a quarter
+_EIG_BUDGET = 5000  # operator applications per eigensolve
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -225,92 +224,100 @@ def state_space_grams(space):
     return sp.block_diag([fem.operator(space, 1.0), fem.assemble_mass(space)]).tocsc()
 
 
+def _lanczos_top(apply, G, v0):
+    """(theta, x): the largest eigenvalue of OP = apply(G .), self-adjoint
+    in the G inner product, and its G-unit eigenvector, from the G-unit v0.
+
+    Thick-restart Lanczos (Wu & Simon 2000) with DGKS reorthogonalization
+    in the G inner product, G (symmetric CSC) applied as its CSR view G.T.
+    A full basis of min(_KRYLOV_MAX, n) rows restarts from its top quarter
+    of Ritz vectors and the residual. Rayleigh-Ritz, every 8 steps and at
+    each restart, stops the solve on beta |y_last| <= _EIG_TOL theta, or
+    exactly once the Krylov space is exhausted. Raises
+    fem.NonconvergenceError past _EIG_BUDGET applications of OP.
+    """
+    Gr = G.T
+    n = len(v0)
+    m = min(_KRYLOV_MAX, n)
+    Q = np.empty((m + 1, n))  # the basis rows
+    H = np.zeros((m + 1, m))  # Q G OP Q^T: upper triangle and the residual row
+    Q[0], Gq = v0, Gr @ v0
+    k = applications = 0
+    while True:
+        w = apply(Gq)
+        applications += 1
+        Gw = Gr @ w
+        norm_in = np.sqrt(w @ Gw)
+        h = np.zeros(k + 1)
+        for _ in range(2):  # DGKS: a second pass if the norm fell below 1/sqrt(2)
+            dh = Q[: k + 1] @ Gw
+            w -= dh @ Q[: k + 1]
+            h += dh
+            Gw = Gr @ w
+            beta = np.sqrt(max(w @ Gw, 0.0))
+            if beta >= 0.7071 * norm_in:
+                break
+        H[: k + 1, k], H[k + 1, k] = h, beta
+        k += 1
+        if k % 8 == 0 or k == m or beta <= _EIG_TOL * norm_in:
+            theta, Y = np.linalg.eigh(H[:k, :k], UPLO="U")
+            resid = abs(H[k, :k] @ Y[:, -1])
+            if resid <= _EIG_TOL * theta[-1] or k == n:
+                return theta[-1], Y[:, -1] @ Q[:k]
+            if applications >= _EIG_BUDGET:
+                raise fem.NonconvergenceError(
+                    f"Lanczos on an operator of size {n}: No convergence after "
+                    f"{applications} applications (residual estimate "
+                    f"{resid / theta[-1]:.3e}, tolerance {_EIG_TOL:g})"
+                )
+        Q[k], Gq = w / beta, Gw / beta
+        if k == m:  # thick restart
+            r = m // 4
+            keep = Y[:, -r:]
+            coupling = H[k, :k] @ keep
+            Q[:r], Q[r] = keep.T @ Q[:k], Q[k]
+            H[:] = 0.0
+            H[:r, :r], H[r, :r] = np.diag(theta[-r:]), coupling
+            k = r
+
+
 def preconditioned_constant(J, G, start=None) -> float:
-    """Banach constant of G^{-1} J in the G-weighted geometry.
+    """Smallest singular value of G^{-1} J_red in the G geometry (1 for J = G).
 
-    The assembled Jacobian maps state perturbations to dual residuals;
-    composing with the Riesz inverse G^{-1} turns it into an operator on the
-    state space itself, whose smallest weighted singular value is the
-    mesh-comparable stability constant (it equals 1 for J = G). Computed as
-    the smallest eigenvalue of J^T G^{-1} J x = s^2 G x: below the cutoff
-    densely, as the smallest singular value of L^{-1} J L^{-T} with one
-    Cholesky factor G = L L^T, otherwise by one shift-invert Lanczos solve
-    (ARPACK) whose operator (J^T G^{-1} J)^{-1} = J^{-1} G J^{-T} needs one
-    LU of J and no factorization of G. Returns 0.0 for singular J; raises
-    fem.NonconvergenceError, with the operator size and ARPACK's message,
-    if the Lanczos solve does not converge.
-
-    J follows the contract of hj_solver._newton_step: square of size
-    N >= n = G's size, with its trailing N - n unknowns auxiliary (the
-    lifted nonlocal Jacobian of mfg_solver.mfg_jacobian). The operator
-    measured is then the reduced J_red = J11 - J12 J22^{-1} J21, the Schur
-    complement of the auxiliary block. The dense path forms J_red; the
-    sparse path factors J once and applies J_red^{-1} and J_red^{-T} as
-    solves with J and J^T on right sides padded by zeros, truncated to the
-    leading n unknowns: the leading block of J^{-1} is J_red^{-1}.
-
-    The Lanczos solve stops at ARPACK's relative tolerance _EIG_TOL = 1e-10:
-    the smallest value sits at the bottom of a cluster at 1, where tol=0
-    costs thousands of LU solves a level, and the kinked manufactured state
-    at n = 24 has its two lowest modes 6.2e-9 apart, which tol=1e-8 does
-    not separate.
-
-    start (sparse path only) warm-starts the solve of a nearby operator:
-    the solve starts from start plus a _WARM_MIX = 1e-2 share of the
-    seeded vector (both G-normalized) and overwrites start with the
-    converged eigenvector. The seeded share keeps every mode in the Krylov
-    space, so the solve can still reach a smallest mode that is not the one
-    start holds. Without start the solve starts from the seeded vector
-    alone; the uniform vector is invariant under every symmetry of the mesh
-    and of the state, so Lanczos would see only the symmetric modes and
-    could miss the smallest. The LU of J uses the MMD_AT_PLUS_A ordering,
-    which fills less than COLAMD on the kinked states.
+    J is square of size N >= n = G's size, its trailing N - n unknowns
+    auxiliary (the lifted nonlocal Jacobian), and J_red is the Schur
+    complement onto the leading n. The value is theta^{-1/2} for the top
+    eigenvalue theta of J_red^{-1} G J_red^{-T} G (_lanczos_top), applied
+    by zero-padded solves with one LU of J; 0.0 for a singular J. start, if
+    given, warm-starts the solve together with a _WARM_MIX share of the
+    seeded vector, which keeps every mode in reach, and is overwritten with
+    the eigenvector. Raises ValueError for mismatched shapes and
+    fem.NonconvergenceError from _lanczos_top.
     """
     N, n = J.shape[0], G.shape[0]
     if J.shape != (N, N) or G.shape != (n, n) or N < n:
         raise ValueError("preconditioned constant needs square J of size >= G's")
-    if n <= _DENSE_CUTOFF:
-        Jd = _dense(J)
-        if N > n:
-            Jd = Jd[:n, :n] - Jd[:n, n:] @ scipy.linalg.solve(Jd[n:, n:], Jd[n:, :n])
-        # with G = L L^T, G^{-1} J whitened by L on both sides is L^{-1} J L^{-T}
-        L = scipy.linalg.cholesky(_dense(G), lower=True)
-        JLt = scipy.linalg.solve_triangular(L, Jd.T, lower=True).T
-        return banach_constant(scipy.linalg.solve_triangular(L, JLt, lower=True))
-    Jc = sp.csc_matrix(J)
-    Gc = sp.csc_matrix(G)
     try:
-        lu_j = spla.splu(Jc, permc_spec="MMD_AT_PLUS_A")
+        lu_j = spla.splu(sp.csc_matrix(J), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return 0.0
-
+    Gr = G.T
     padded = np.zeros(N)  # the auxiliary rows stay zero
 
     def solve(x, trans):  # J_red^{-1} x or J_red^{-T} x
         padded[:n] = x
         return lu_j.solve(padded, trans=trans)[:n]
 
-    def ata_inv(x):
-        return solve(Gc @ solve(x, "T"), "N")
-
     def g_unit(v):
-        return v / np.sqrt(v @ (Gc @ v))
+        return v / np.sqrt(v @ (Gr @ v))
 
-    opinv = spla.LinearOperator((n, n), matvec=ata_inv)
-    v0 = _start_vector(n)
+    v0 = g_unit(_start_vector(n))
     if start is not None:
-        v0 = g_unit(start) + _WARM_MIX * g_unit(v0)
-    # in shift-invert mode ARPACK reads only the shape and dtype of its
-    # first argument and never applies it
-    try:
-        vals, vecs = spla.eigsh(
-            opinv, k=1, M=Gc, sigma=0.0, which="LM", OPinv=opinv, v0=v0, tol=_EIG_TOL,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise fem.NonconvergenceError(f"ARPACK on an operator of size {n}: {exc}") from exc
+        v0 = g_unit(g_unit(start) + _WARM_MIX * v0)
+    theta, x = _lanczos_top(lambda y: solve(Gr @ solve(y, "T"), "N"), G, v0)
     if start is not None:
-        start[:] = vecs[:, 0]
-    return float(np.sqrt(max(vals[0], 0.0)))
+        start[:] = x
+    return float(1.0 / np.sqrt(theta))
 
 
 def stability_scan(cases, n_selection_samples: int = 10) -> StabilityScanReport:
@@ -323,12 +330,9 @@ def stability_scan(cases, n_selection_samples: int = 10) -> StabilityScanReport:
     sample count and the per-level kink element counts. Raises ValueError
     for no case (checked first) or fewer than one sample, and
     fem.NonconvergenceError naming the level (h, dofs) and the selection
-    sample when an eigensolve does not converge.
-
-    Each sparse-path solve starts from the previous eigenvector, across
-    levels with its u and m blocks interpolated onto the new free dofs by
-    fem.evaluate; a level after a dense-path one starts from the seeded
-    vector.
+    sample when an eigensolve does not converge. Each solve starts from the
+    previous eigenvector, across levels with its u and m blocks
+    interpolated onto the new free dofs by fem.evaluate.
     """
     from . import mfg_solver
 
@@ -337,25 +341,20 @@ def stability_scan(cases, n_selection_samples: int = 10) -> StabilityScanReport:
         raise ValueError("stability_scan needs at least one (problem, state) case, got none")
     if n_selection_samples < 1:
         raise ValueError("need at least one selection sample")
-    hs = []
-    smin = []
-    kinks = []
-    previous = None  # (space, eigenvector) of the last sparse-path level
+    hs, smin, kinks = [], [], []
+    start = prev_space = None  # the last eigenvector and its level's space
     for problem, state in cases:
         space = problem.space
         G = state_space_grams(space)
         samples, n_kink = _selection_samples(problem, state, n_selection_samples)
-        if previous is None:
+        if start is None:
             start = _start_vector(G.shape[0])
         else:
-            prev_space, prev_start = previous
             pts = space.mesh.vertices[space.free_dofs]
             start = np.concatenate([
-                fem.evaluate(prev_space, block, pts)
-                for block in np.split(prev_start, 2)
+                fem.evaluate(prev_space, block, pts) for block in np.split(start, 2)
             ])
-        vals = []
-        seen = {}
+        vals, seen = [], {}
         for idx, xi in enumerate(samples):
             key = xi.tobytes()
             if key not in seen:
@@ -371,7 +370,7 @@ def stability_scan(cases, n_selection_samples: int = 10) -> StabilityScanReport:
         hs.append(space.mesh.mesh_size_h)
         smin.append(vals)
         kinks.append(n_kink)
-        previous = (space, start) if G.shape[0] > _DENSE_CUTOFF else None
+        prev_space = space
     min_per_level = [min(vals) for vals in smin]
     # a singular level (constant 0.0) makes the spread infinite
     lo = min(min_per_level)

@@ -1,5 +1,5 @@
 """Per-element oracles of the grid readers, the two-shape geometry and the
-stencil sum.
+stencil sum; the dense stability constant.
 
 fem reads element corners as slices of the vertex grid, stores the
 geometry of unit_square_mesh(n) as its two element shapes and sums element
@@ -10,9 +10,12 @@ every element, and the longest edge, from a gather of its corner
 coordinates; the scatter of element arrays by one np.add.at into the CSR
 pattern, which sums each entry's terms in ascending element index; and
 the free-dof prolongations sliced out of the all-vertex ones.
+diagnostics.preconditioned_constant's Lanczos solve is checked against
+the dense Schur complement, Cholesky whitening and SVD.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from nonsmooth_fem import fem
@@ -154,3 +157,18 @@ def scatter(space, local, corners):
     data = np.zeros(keys.size + 1)
     np.add.at(data, slot, np.asarray(local, dtype=float).ravel())
     return sp.csr_matrix((data[:-1], indices, indptr), shape=(size, size))
+
+
+def dense_constant(J, G):
+    """Smallest singular value of G^{-1} J_red in the G geometry, densely:
+    J_red is the Schur complement of J's trailing auxiliary block (J itself
+    when J and G have one size), and with G = L L^T the value is the
+    smallest singular value of L^{-1} J_red L^{-T}."""
+    n = G.shape[0]
+    Jd = J.toarray() if sp.issparse(J) else np.asarray(J, dtype=float)
+    if Jd.shape[0] > n:
+        Jd = Jd[:n, :n] - Jd[:n, n:] @ scipy.linalg.solve(Jd[n:, n:], Jd[n:, :n])
+    L = scipy.linalg.cholesky(G.toarray(), lower=True)
+    JLt = scipy.linalg.solve_triangular(L, Jd.T, lower=True).T
+    whitened = scipy.linalg.solve_triangular(L, JLt, lower=True)
+    return float(scipy.linalg.svdvals(whitened)[-1])

@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import nonsmooth_fem
-from nonsmooth_fem import cli, fem, hj_solver, manufactured
+from nonsmooth_fem import cli, diagnostics, fem, hj_solver, manufactured
 from nonsmooth_fem.hamiltonian import model_from_spec
 from nonsmooth_fem.mesh import unit_square_mesh
 
@@ -530,14 +529,11 @@ def test_diagnose_stability_echo_lambda_and_m0_rejected_before_any_mesh(
     assert err == f"error: {message}\n"
 
 
-def test_diagnose_stability_arpack_failure_exits_nonconvergence(
+def test_diagnose_stability_lanczos_failure_exits_nonconvergence(
     capsys, monkeypatch, mfg_report_path
 ):
-    # level 24 takes the sparse eigensolve path
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    # a budget of one application stops the solve at its first Rayleigh-Ritz
+    monkeypatch.setattr(diagnostics, "_EIG_BUDGET", 1)
     code, _, err = run_cli(
         capsys,
         ["diagnose-stability", "--from", str(mfg_report_path), "--levels", "24",
@@ -545,7 +541,7 @@ def test_diagnose_stability_arpack_failure_exits_nonconvergence(
     )
     assert code == 2
     assert err.startswith("nonconvergence: stability scan at h=")
-    assert "selection sample 0: ARPACK" in err
+    assert "selection sample 0: Lanczos" in err
 
 
 # --------------------------------------------------------------- convergence

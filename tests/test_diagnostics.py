@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+import oracles
 from nonsmooth_fem import diagnostics as dg
 from nonsmooth_fem import fem, hamiltonian as hm, manufactured as man
 from nonsmooth_fem import mesh, mfg_solver as mfg
@@ -120,7 +120,6 @@ def test_sparse_grams_and_constants_never_densify(monkeypatch):
         monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(cls, "todense", refuse)
     G = dg.state_space_grams(space_of(64))
-    assert G.shape[0] > dg._DENSE_CUTOFF
     assert abs(dg.preconditioned_constant(G, G) - 1.0) <= 1e-10
 
 
@@ -170,13 +169,8 @@ def test_preconditioned_dense_and_sparse_paths_agree():
     state = mfg.mfg_newton(problem, tol=1e-9).final_state
     J = mfg.mfg_jacobian(problem, state)
     G = dg.state_space_grams(space)
-    dense_val = dg.preconditioned_constant(J, G)
-    saved = dg._DENSE_CUTOFF
-    try:
-        dg._DENSE_CUTOFF = 4
-        sparse_val = dg.preconditioned_constant(J, G)
-    finally:
-        dg._DENSE_CUTOFF = saved
+    dense_val = oracles.dense_constant(J, G)
+    sparse_val = dg.preconditioned_constant(J, G)
     assert abs(dense_val - sparse_val) <= 1e-10
 
 
@@ -210,18 +204,12 @@ def test_sparse_path_and_scan_match_dense_on_kinked_state(kinked_24):
     # a loose Lanczos tolerance stops between them
     problem, state = kinked_24
     G = dg.state_space_grams(problem.space)
-    assert G.shape[0] > dg._DENSE_CUTOFF
     samples, _ = dg._selection_samples(problem, state, 3)
     Js = [mfg.mfg_jacobian(problem, state)]
     Js += [mfg.mfg_jacobian(problem, state, xi=xi) for xi in samples]
     sparse_vals = [dg.preconditioned_constant(J, G) for J in Js]
     scan = dg.stability_scan([(problem, state)], n_selection_samples=3)
-    saved = dg._DENSE_CUTOFF
-    try:
-        dg._DENSE_CUTOFF = G.shape[0]
-        dense_vals = [dg.preconditioned_constant(J, G) for J in Js]
-    finally:
-        dg._DENSE_CUTOFF = saved
+    dense_vals = [oracles.dense_constant(J, G) for J in Js]
     for got, ref in zip(sparse_vals + scan.smin[0], dense_vals + dense_vals[1:]):
         assert abs(got - ref) <= 1e-10
 
@@ -240,7 +228,7 @@ def test_warm_started_scan_matches_cold_solves(kinked_24):
 
 
 def test_two_level_kinked_scan_warm_starts_across_levels(kinked_24, monkeypatch):
-    # 24 and 32 both run the sparse path, on meshes that are not nested
+    # 24 and 32 are meshes that are not nested
     cases = [kinked_24, kinked_case(32)]
     constant = dg.preconditioned_constant
     entry, done = [], []
@@ -262,11 +250,24 @@ def test_two_level_kinked_scan_warm_starts_across_levels(kinked_24, monkeypatch)
     assert np.array_equal(entry[3], np.concatenate(transferred))
     for (problem, state), vals in zip(cases, report.smin):
         G = dg.state_space_grams(problem.space)
-        assert G.shape[0] > dg._DENSE_CUTOFF
         samples, _ = dg._selection_samples(problem, state, 3)
         for warm, xi in zip(vals, samples):
             ref = constant(mfg.mfg_jacobian(problem, state, xi=xi), G)
             assert abs(warm - ref) <= 1e-9 * ref
+
+
+def test_scan_on_tiny_meshes_matches_dense_oracle():
+    # 2, 8 and 18 unknowns: each solve exhausts its Krylov space before the
+    # basis fills, and that counts as exact convergence
+    cases = [kinked_case(n) for n in (2, 3, 4)]
+    report = dg.stability_scan(cases, n_selection_samples=3)
+    for (problem, state), vals in zip(cases, report.smin):
+        G = dg.state_space_grams(problem.space)
+        assert G.shape[0] == 2 * (problem.space.mesh.n - 1) ** 2
+        samples, _ = dg._selection_samples(problem, state, 3)
+        for got, xi in zip(vals, samples):
+            ref = oracles.dense_constant(mfg.mfg_jacobian(problem, state, xi=xi), G)
+            assert abs(got - ref) <= 1e-12
 
 
 # ------------------------------------------------------------- stability scan
@@ -279,9 +280,9 @@ def huber_problem(space, coupling, m0=man.bump, **kw):
 
 
 @pytest.mark.parametrize("c", [2.5, -5.0])
-def test_lifted_nonlocal_constant_matches_reduced_jacobian(c, reduced_jacobian, monkeypatch):
-    # the leading block of the lifted inverse is the reduced inverse, on the
-    # dense path (Schur complement) and on the sparse one (padded solves)
+def test_lifted_nonlocal_constant_matches_reduced_jacobian(c, reduced_jacobian):
+    # the leading block of the lifted inverse is the reduced inverse, in the
+    # dense oracle (Schur complement) and in the Lanczos solve (padded solves)
     problem = huber_problem(space_of(12), mfg.nonlocal_linear(c))
     rng = np.random.default_rng(7)
     n = problem.space.n_free
@@ -289,9 +290,8 @@ def test_lifted_nonlocal_constant_matches_reduced_jacobian(c, reduced_jacobian, 
     G = dg.state_space_grams(problem.space)
     J = mfg.mfg_jacobian(problem, state)
     assert J.shape[0] > G.shape[0]
-    ref = dg.preconditioned_constant(reduced_jacobian(problem, state), G)
-    dense_val = dg.preconditioned_constant(J, G)
-    monkeypatch.setattr(dg, "_DENSE_CUTOFF", 4)
+    ref = oracles.dense_constant(reduced_jacobian(problem, state), G)
+    dense_val = oracles.dense_constant(J, G)
     sparse_val = dg.preconditioned_constant(J, G)
     assert abs(dense_val - ref) <= 1e-10
     assert abs(sparse_val - ref) <= 1e-10
@@ -308,10 +308,8 @@ def test_nonlocal_scan_above_cutoff_never_forms_S_E(monkeypatch):
 
     monkeypatch.setattr(mfg._Smoother, "apply", vectors_only)
     G = dg.state_space_grams(problem.space)
-    assert G.shape[0] > dg._DENSE_CUTOFF
     scan = dg.stability_scan([(problem, state)], n_selection_samples=2)
-    monkeypatch.setattr(dg, "_DENSE_CUTOFF", G.shape[0])
-    dense_val = dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
+    dense_val = oracles.dense_constant(mfg.mfg_jacobian(problem, state), G)
     for got in scan.smin[0]:
         assert abs(got - dense_val) <= 1e-10
 
@@ -436,32 +434,13 @@ def test_scan_singular_level_gives_infinite_ratio(monkeypatch, monotone_family):
     assert report.ratio_max_min == np.inf
 
 
-_EIGSH = spla.eigsh
-
-
-def arpack_fails_after(monkeypatch, n_calls):
-    """Let the first n_calls eigensolves run, then make ARPACK give up."""
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) <= n_calls:
-            return _EIGSH(*args, **kwargs)
-        raise spla.ArpackNoConvergence(
-            "No convergence (7 iterations, 0/1 eigenvectors converged)",
-            np.empty(0), np.empty((0, 0)),
-        )
-
-    monkeypatch.setattr(spla, "eigsh", failing)
-
-
-def test_arpack_nonconvergence_is_a_named_error(monkeypatch, kinked_24):
+def test_lanczos_nonconvergence_is_a_named_error(monkeypatch, kinked_24):
+    # a budget of one application stops the solve at its first Rayleigh-Ritz
     problem, state = kinked_24
     G = dg.state_space_grams(problem.space)
-    assert G.shape[0] > dg._DENSE_CUTOFF  # the sparse path
-    arpack_fails_after(monkeypatch, 0)
+    monkeypatch.setattr(dg, "_EIG_BUDGET", 1)
     with pytest.raises(fem.NonconvergenceError, match=f"size {G.shape[0]}: .*No convergence"):
         dg.preconditioned_constant(mfg.mfg_jacobian(problem, state), G)
     level = rf"h={problem.space.mesh.mesh_size_h:.6g} \({G.shape[0]} dofs\)"
-    with pytest.raises(fem.NonconvergenceError, match=level + ", selection sample 0: ARPACK"):
+    with pytest.raises(fem.NonconvergenceError, match=level + ", selection sample 0: Lanczos"):
         dg.stability_scan([kinked_24], n_selection_samples=1)
